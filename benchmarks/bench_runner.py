@@ -42,8 +42,9 @@ BANDWIDTH_VALUES = (8.0, 16.0, 32.0, 64.0, 128.0)
 MIN_WARM_SPEEDUP = 5.0
 
 #: Wall-clock budget for one cold pass over the full six-GAN comparison grid.
-#: The analytic core is vectorized; the whole grid is a fraction of a second
-#: even on slow CI machines, and this bound keeps it that way.
+#: The analytic core is one scalar pass per layer; the whole grid is a
+#: fraction of a second even on slow CI machines, and this bound keeps it
+#: that way.
 GAN_GRID_BUDGET_SECONDS = 2.0
 
 
@@ -63,7 +64,7 @@ def test_six_gan_grid_wall_clock(benchmark):
 
     This is the paper's whole evaluation matrix executed job-by-job with no
     job cache and no layer memo — the analytic core alone must fit the
-    budget.  A regression that de-vectorizes an estimator or adds per-layer
+    budget.  A regression that slows an estimator or adds per-layer pricing
     overhead shows up here long before it hurts a real sweep.
     """
     jobs = []

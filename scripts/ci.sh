@@ -46,7 +46,12 @@
 #      on a pinned layer, and `dse --fields num_pvs,schedule` must rank
 #      (geometry x schedule) points with schedule-aware cache keys (the
 #      schedule benchmarks in benchmarks/bench_schedule.py separately
-#      enforce the same contracts under timing).
+#      enforce the same contracts under timing);
+#  11. the repository benchmark's self-tests (perfbench/selftest.py): seed
+#      determinism, metric names matching BENCHMARK.json, and traced and
+#      untraced smoke runs of every workload.  The traced runs wrap estimator
+#      and pricing entry points by name (perfbench/spans.py), so renaming or
+#      deleting one of them fails here instead of in the next benchmark run.
 #
 # Usage: scripts/ci.sh [extra pytest args for the tier-1 step]
 set -eu
@@ -424,5 +429,8 @@ assert any(len(metrics) > 1 for metrics in by_geometry.values()), by_geometry
 print("dse schedule axis OK:", len(points), "points across",
       len(schedules), "schedules,", len(payload["frontier"]), "on the frontier")
 PY
+
+echo "== perfbench self-tests (seeded workloads, metric names, traced smoke runs) =="
+python -m pytest -q -p no:cacheprovider perfbench/selftest.py
 
 echo "CI OK"

@@ -159,10 +159,11 @@ class GanSimulatorBase:
         """Simulate a batch of bound layers (the network-simulation hot path).
 
         The default delegates to :meth:`simulate_layer` per binding; the
-        built-in analytical simulators override it with vectorized
-        whole-table estimators that produce bit-identical results.  The
-        runner's layer-grain memo also routes its misses through this entry
-        point so shared layer shapes are computed in one batch.
+        built-in analytical simulators override it to estimate the batch in
+        one ``estimate_network`` call (the same scalar estimator, with
+        per-batch setup such as schedule resolution done once) and price each
+        estimate, so results equal the per-layer loop exactly.  The runner's
+        layer-grain memo also routes its misses through this entry point.
         """
         return tuple(self.simulate_layer(binding) for binding in bindings)
 

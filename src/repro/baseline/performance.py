@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from ..config import ArchitectureConfig
 from ..errors import SimulationError
@@ -31,19 +29,6 @@ from ..hw.counters import EventCounters
 from ..nn.layers import ConvLayer, TransposedConvLayer
 from ..nn.network import LayerBinding
 from .row_stationary import RowStationaryMapping, map_layer, spatial_rows_cols
-
-#: Largest integer magnitude that converts to float64 without rounding.  The
-#: vectorized estimators must match the scalar ones bit-for-bit; beyond this
-#: bound ``int64 -> float64`` conversion inside NumPy could round differently
-#: from Python's exact int division, so such layers fall back to the scalar
-#: path (see :func:`estimate_network`).
-FLOAT64_EXACT_LIMIT = 2**53
-
-
-def _float64_safe(*columns: Sequence[int]) -> bool:
-    """Whether every value of every column stays float64-exact."""
-    return all(value < FLOAT64_EXACT_LIMIT for column in columns for value in column)
-
 
 @dataclass(frozen=True)
 class BaselineLayerEstimate:
@@ -250,181 +235,12 @@ def _estimate_non_convolutional(
     )
 
 
-# ----------------------------------------------------------------------
-# Vectorized whole-network estimation
-# ----------------------------------------------------------------------
 def estimate_network(
     bindings: Sequence[LayerBinding], config: ArchitectureConfig
 ) -> Tuple[BaselineLayerEstimate, ...]:
-    """Estimate every layer of a network as one NumPy array program.
+    """Estimate every layer of a network, in binding order.
 
-    Builds a layer table (one row per binding, one column per scalar
-    quantity) and evaluates the baseline model's arithmetic over whole
-    columns instead of layer by layer.  Results are bit-identical to mapping
-    :func:`estimate_layer` over the bindings: the float expressions are
-    evaluated in the same operation order, and any layer whose intermediate
-    quantities exceed :data:`FLOAT64_EXACT_LIMIT` (where ``int64 -> float64``
-    conversion starts rounding) falls back to the scalar path.
+    The batch entry point of the baseline model: exactly
+    :func:`estimate_layer` mapped over ``bindings``.
     """
-    bindings = tuple(bindings)
-    estimates: List[BaselineLayerEstimate] = [None] * len(bindings)  # type: ignore[list-item]
-    conv = [(i, b) for i, b in enumerate(bindings) if b.is_convolutional]
-    other = [(i, b) for i, b in enumerate(bindings) if not b.is_convolutional]
-    if conv:
-        for (i, _b), estimate in zip(
-            conv, _conv_table_estimates([b for _i, b in conv], config)
-        ):
-            estimates[i] = estimate
-    if other:
-        for (i, _b), estimate in zip(
-            other, _streaming_table_estimates([b for _i, b in other], config)
-        ):
-            estimates[i] = estimate
-    return tuple(estimates)
-
-
-def _ceil_div_int(numerators: Sequence[int], divisor: np.ndarray) -> np.ndarray:
-    """``ceil(n / d)`` over columns, matching ``math.ceil(int / float)``."""
-    return np.ceil(np.asarray(numerators, dtype=np.float64) / divisor).astype(np.int64)
-
-
-def _conv_table_estimates(
-    bindings: Sequence[LayerBinding], config: ArchitectureConfig
-) -> List[BaselineLayerEstimate]:
-    """The (t)conv rows of the layer table, evaluated column-wise."""
-    mappings = [map_layer(b, config) for b in bindings]
-    dense = [b.total_macs for b in bindings]
-    cons = [b.consequential_macs for b in bindings]
-    out_elems = [b.output_shape.num_elements for b in bindings]
-    in_eff = [_effective_input_elements(b) for b in bindings]
-    weights = [b.weight_count for b in bindings]
-    filter_rows = [spatial_rows_cols(b)[0] for b in bindings]
-    tiles = [gbuf_input_tiles(elements, config) for elements in in_eff]
-    is_tconv = [isinstance(b.layer, TransposedConvLayer) for b in bindings]
-
-    # Pure-integer columns (exact in Python, no width concerns).
-    acc_hops = [o * fr for o, fr in zip(out_elems, filter_rows)]
-    weight_reads = [w * t for w, t in zip(weights, tiles)]
-    dram_read = [e + wr for e, wr in zip(in_eff, weight_reads)]
-    dram_write = [
-        o + (e if tconv else 0) for o, e, tconv in zip(out_elems, in_eff, is_tconv)
-    ]
-    dram_bytes = [(r + w) * config.data_bytes for r, w in zip(dram_read, dram_write)]
-    m_passes = [
-        max(1, math.ceil(b.output_shape.channels / max(1, m.sets_per_pass)))
-        for b, m in zip(bindings, mappings)
-    ]
-    gbuf_input_reads = [e * p for e, p in zip(in_eff, m_passes)]
-
-    if not _float64_safe(dense, cons, acc_hops, dram_bytes):
-        return [estimate_layer(b, config) for b in bindings]
-
-    peak = config.num_pes
-    occupancy = np.array([m.occupancy for m in mappings], dtype=np.float64)
-    effective_throughput = peak * occupancy
-    if np.any(effective_throughput <= 0):
-        bad = bindings[int(np.argmax(effective_throughput <= 0))]
-        raise SimulationError(f"{bad.name}: zero effective throughput")
-
-    compute_cycles = _ceil_div_int(dense, effective_throughput)
-    accumulation_cycles = _ceil_div_int(acc_hops, effective_throughput)
-    dram_cycles = _ceil_div_int(
-        dram_bytes, np.float64(config.dram_bandwidth_bytes_per_cycle)
-    )
-    cycles = np.maximum(compute_cycles + accumulation_cycles, dram_cycles)
-
-    estimates = []
-    for row, binding in enumerate(bindings):
-        gated = dense[row] - cons[row]
-        counters = EventCounters()
-        counters.mac_ops = cons[row]
-        counters.gated_ops = gated
-        counters.alu_ops = acc_hops[row]
-        counters.register_file_reads = 2 * cons[row] + gated
-        counters.register_file_writes = cons[row] + gated
-        counters.global_buffer_reads = gbuf_input_reads[row] + weight_reads[row]
-        counters.global_buffer_writes = out_elems[row]
-        counters.noc_transfers = (
-            gbuf_input_reads[row] + weight_reads[row] + acc_hops[row]
-        )
-        counters.dram_reads = dram_read[row]
-        counters.dram_writes = dram_write[row]
-        layer_cycles = int(cycles[row])
-        estimates.append(
-            BaselineLayerEstimate(
-                layer_name=binding.name,
-                cycles=layer_cycles,
-                compute_cycles=int(compute_cycles[row]),
-                accumulation_cycles=int(accumulation_cycles[row]),
-                dram_cycles=int(dram_cycles[row]),
-                active_pe_cycles=cons[row],
-                busy_pe_cycles=dense[row] + acc_hops[row],
-                total_pe_cycles=layer_cycles * peak,
-                counters=counters,
-                mapping=mappings[row],
-            )
-        )
-    return estimates
-
-
-def _streaming_table_estimates(
-    bindings: Sequence[LayerBinding], config: ArchitectureConfig
-) -> List[BaselineLayerEstimate]:
-    """The non-convolutional rows of the layer table (element-wise model)."""
-    peak = config.num_pes
-    macs = [b.total_macs for b in bindings]
-    elements = [b.output_shape.num_elements for b in bindings]
-    weights = [b.weight_count for b in bindings]
-    in_elems = [b.input_shape.num_elements for b in bindings]
-    work = [max(m, e) for m, e in zip(macs, elements)]
-    dram_bytes = [
-        (i + w + e) * config.data_bytes
-        for i, w, e in zip(in_elems, weights, elements)
-    ]
-
-    if not _float64_safe(work, dram_bytes):
-        return [estimate_layer(b, config) for b in bindings]
-
-    compute_cycles = _ceil_div_int(work, np.float64(peak))
-    dram_cycles = _ceil_div_int(
-        dram_bytes, np.float64(config.dram_bandwidth_bytes_per_cycle)
-    )
-    cycles = np.maximum(compute_cycles, dram_cycles)
-
-    mapping = RowStationaryMapping(
-        filter_rows=1,
-        output_rows=1,
-        set_height=1,
-        set_width=1,
-        folds=1,
-        sets_per_pass=config.num_pes,
-        occupancy=1.0,
-    )
-    estimates = []
-    for row, binding in enumerate(bindings):
-        counters = EventCounters()
-        counters.mac_ops = macs[row]
-        counters.alu_ops = 0 if macs[row] else elements[row]
-        counters.register_file_reads = 2 * macs[row]
-        counters.register_file_writes = macs[row]
-        counters.global_buffer_reads = in_elems[row] + weights[row]
-        counters.global_buffer_writes = elements[row]
-        counters.noc_transfers = in_elems[row] + weights[row]
-        counters.dram_reads = in_elems[row] + weights[row]
-        counters.dram_writes = elements[row]
-        layer_cycles = int(cycles[row])
-        estimates.append(
-            BaselineLayerEstimate(
-                layer_name=binding.name,
-                cycles=layer_cycles,
-                compute_cycles=int(compute_cycles[row]),
-                accumulation_cycles=0,
-                dram_cycles=int(dram_cycles[row]),
-                active_pe_cycles=macs[row],
-                busy_pe_cycles=work[row],
-                total_pe_cycles=layer_cycles * peak,
-                counters=counters,
-                mapping=mapping,
-            )
-        )
-    return estimates
+    return tuple(estimate_layer(binding, config) for binding in bindings)

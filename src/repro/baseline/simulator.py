@@ -50,7 +50,7 @@ class EyerissSimulator(GanSimulatorBase):
     def simulate_layers(
         self, bindings: Sequence[LayerBinding]
     ) -> Tuple[LayerResult, ...]:
-        """Simulate a batch of layers through the vectorized estimator."""
+        """Simulate a batch of layers through one ``estimate_network`` call."""
         estimates = estimate_network(bindings, self._config)
         return self._layer_results_from_estimates(bindings, estimates)
 

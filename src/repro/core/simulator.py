@@ -58,7 +58,7 @@ class GanaxSimulator(GanSimulatorBase):
     def simulate_layers(
         self, bindings: Sequence[LayerBinding]
     ) -> Tuple[LayerResult, ...]:
-        """Simulate a batch of layers through the vectorized estimator."""
+        """Simulate a batch of layers through one ``estimate_network`` call."""
         estimates = estimate_network(
             bindings,
             self._config,

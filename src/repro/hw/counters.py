@@ -8,8 +8,8 @@ performance model uses some of them (e.g. DRAM bytes) for roofline bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, Mapping
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator, Mapping, Tuple
 
 
 @dataclass
@@ -60,8 +60,9 @@ class EventCounters:
     # ------------------------------------------------------------------
     def add(self, other: "EventCounters") -> "EventCounters":
         """Accumulate ``other`` into this instance and return ``self``."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _FIELDS:
+            mine[name] += theirs[name]
         return self
 
     def __add__(self, other: "EventCounters") -> "EventCounters":
@@ -74,16 +75,22 @@ class EventCounters:
         """Return a copy with every counter multiplied by ``factor``.
 
         Used to scale a single representative window / row to the whole
-        layer.  Counts are rounded to the nearest integer.
+        layer.  Counts are rounded to the nearest integer (half-to-even).
+        An integer factor (the batch size on the pricing hot path) skips the
+        ``int(round(...))`` calls, which are a no-op on an integer product;
+        that halves the cost of a call.
         """
-        result = EventCounters()
-        for f in fields(self):
-            setattr(result, f.name, int(round(getattr(self, f.name) * factor)))
-        return result
+        values = self.__dict__
+        if type(factor) is int:
+            return EventCounters(*[values[name] * factor for name in _FIELDS])
+        return EventCounters(
+            *[int(round(values[name] * factor)) for name in _FIELDS]
+        )
 
     def as_dict(self) -> Dict[str, int]:
         """Plain dict view (stable field order), useful for reports/tests."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        values = self.__dict__
+        return {name: values[name] for name in _FIELDS}
 
     def total_events(self) -> int:
         """Sum of all counters; only meaningful as a sanity check."""
@@ -108,3 +115,8 @@ class EventCounters:
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.as_dict().items())
+
+
+#: Counter names in declaration order; the aggregation helpers loop over this
+#: instead of re-deriving it with :func:`dataclasses.fields` on every call.
+_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(EventCounters))

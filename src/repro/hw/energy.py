@@ -85,9 +85,18 @@ class EnergyBreakdown:
     dram_pj: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if value < 0:
-                raise ConfigurationError(f"energy component {name} cannot be negative")
+        if (
+            self.pe_pj < 0
+            or self.rf_pj < 0
+            or self.noc_pj < 0
+            or self.gbuf_pj < 0
+            or self.dram_pj < 0
+        ):
+            for name, value in self.as_dict().items():
+                if value < 0:
+                    raise ConfigurationError(
+                        f"energy component {name} cannot be negative"
+                    )
 
     @property
     def total_pj(self) -> float:
@@ -139,10 +148,15 @@ class EnergyBreakdown:
 
     @classmethod
     def sum(cls, breakdowns) -> "EnergyBreakdown":
-        total = cls.zero()
+        """Component-wise sum, added in order (equal to chaining ``+``)."""
+        pe = rf = noc = gbuf = dram = 0.0
         for b in breakdowns:
-            total = total + b
-        return total
+            pe += b.pe_pj
+            rf += b.rf_pj
+            noc += b.noc_pj
+            gbuf += b.gbuf_pj
+            dram += b.dram_pj
+        return cls(pe, rf, noc, gbuf, dram)
 
 
 class EnergyModel:
@@ -188,7 +202,12 @@ class EnergyModel:
         return self._data_bits
 
     def energy_of(self, counters: EventCounters) -> EnergyBreakdown:
-        """Energy breakdown (pJ) corresponding to ``counters``."""
+        """Energy breakdown (pJ) corresponding to ``counters``.
+
+        Each term keeps its left-associative ``count * cost * width
+        [* factor]`` order: folding the constant factors first would round
+        differently whenever one of them is not a power of two.
+        """
         bits = self._data_bits
         t = self._table
         pe_pj = (

@@ -214,8 +214,8 @@ class ScheduleSpec:
         return tuple(base + 1 if j < remainder else base for j in range(parts))
 
     # ------------------------------------------------------------------
-    # Analytical-model hooks (pure integers: the vectorized and scalar
-    # estimators apply them identically)
+    # Analytical-model hooks (pure integers, so the estimator's dispatch and
+    # µop-fetch counts stay exact)
     # ------------------------------------------------------------------
     def dispatch_event_multiplier(self) -> int:
         """Scaling of MIMD dispatch events relative to the default schedule.

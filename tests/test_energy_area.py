@@ -71,6 +71,13 @@ class TestEnergyBreakdown:
         with pytest.raises(ConfigurationError):
             EnergyBreakdown(pe_pj=-1.0)
 
+    @pytest.mark.parametrize("component", ENERGY_COMPONENTS)
+    def test_negative_component_error_names_it(self, component):
+        with pytest.raises(
+            ConfigurationError, match=f"energy component {component} cannot"
+        ):
+            EnergyBreakdown(**{f"{component}_pj": -0.5})
+
 
 class TestEnergyModel:
     def test_mac_energy(self):
@@ -113,6 +120,43 @@ class TestEnergyModel:
         assert breakdown.noc_pj > 0
         assert breakdown.gbuf_pj > 0
         assert breakdown.dram_pj > 0
+
+    def test_terms_keep_left_associative_order(self):
+        """Pricing multiplies count, cost and width left to right.
+
+        With non-power-of-two factors, folding the constants first rounds
+        differently; the golden energies depend on this exact order.
+        """
+        table = EnergyTable()
+        model = EnergyModel(table=table, data_bits=16, gated_op_fraction=0.3)
+        counters = EventCounters(*range(7, 19))
+        counters.gated_ops = 5
+        bits = 16
+        pe = table.pe_pj_per_bit
+        # The inputs are sensitive to the order: a folded gated term differs.
+        assert 5 * pe * bits * 0.3 != 5 * (pe * bits * 0.3)
+        expected_pe = (
+            counters.mac_ops * pe * bits
+            + counters.alu_ops * pe * bits * 0.5
+            + counters.gated_ops * pe * bits * 0.3
+            + counters.index_generations * table.index_generation_pj_per_bit * bits
+        )
+        expected_rf = (
+            counters.register_file_accesses * table.register_file_pj_per_bit * bits
+            + counters.uop_fetches * table.uop_fetch_pj_per_bit * 16
+        )
+        breakdown = model.energy_of(counters)
+        assert breakdown.pe_pj == expected_pe
+        assert breakdown.rf_pj == expected_rf
+        assert breakdown.noc_pj == (
+            counters.noc_transfers * table.inter_pe_pj_per_bit * bits
+        )
+        assert breakdown.gbuf_pj == (
+            counters.global_buffer_accesses * table.global_buffer_pj_per_bit * bits
+        )
+        assert breakdown.dram_pj == (
+            counters.dram_accesses * table.dram_pj_per_bit * bits
+        )
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

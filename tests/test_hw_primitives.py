@@ -273,3 +273,18 @@ class TestEventCounters:
     def test_total_events(self):
         counters = EventCounters(mac_ops=1, alu_ops=2)
         assert counters.total_events() == 3
+
+    def test_integer_scale_is_exact_beyond_float64(self):
+        big = 2**53 + 1  # not representable as a float64
+        scaled = EventCounters(mac_ops=big, dram_reads=7).scaled(3)
+        assert scaled.mac_ops == 3 * big
+        assert scaled.dram_reads == 21
+        assert type(scaled.mac_ops) is int
+
+    def test_fractional_scale_rounds_half_to_even(self):
+        counters = EventCounters(mac_ops=1, gated_ops=3, alu_ops=5, dram_reads=7)
+        scaled = counters.scaled(0.5)
+        assert (scaled.mac_ops, scaled.gated_ops, scaled.alu_ops, scaled.dram_reads) == (
+            0, 2, 2, 4
+        )
+        assert all(type(value) is int for value in scaled.as_dict().values())

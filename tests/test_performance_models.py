@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
-from repro.baseline.performance import estimate_layer as eyeriss_estimate, gbuf_input_tiles
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.accelerators.registry import get_accelerator
+from repro.baseline.performance import (
+    estimate_layer as eyeriss_estimate,
+    estimate_network as eyeriss_estimate_network,
+    gbuf_input_tiles,
+)
 from repro.baseline.row_stationary import map_layer, mapping_utilization, spatial_rows_cols
 from repro.config import ArchitectureConfig
-from repro.core.performance import estimate_layer as ganax_estimate
+from repro.core.performance import (
+    estimate_layer as ganax_estimate,
+    estimate_network as ganax_estimate_network,
+)
 from repro.errors import DataflowError
 from repro.nn.layers import ActivationLayer, ConvLayer, DenseLayer, TransposedConvLayer
 from repro.nn.network import LayerBinding
 from repro.nn.shapes import FeatureMapShape
+from repro.workloads.registry import get_workload, workload_names
+from repro.workloads.synthetic import build_synthetic
+
+ACCELERATORS = ("eyeriss", "ganax", "ganax-noskip", "ideal")
 
 
 def _bind(layer, input_shape):
@@ -198,3 +213,142 @@ class TestGanaxEstimates:
         estimate = ganax_estimate(dcgan_like_tconv_binding, paper_config)
         assert estimate.counters.uop_fetches > 0
         assert estimate.counters.index_generations == 3 * estimate.counters.mac_ops
+
+
+def _networks(model):
+    return (model.generator, model.discriminator)
+
+
+class TestSimulatorParity:
+    """The batch entry point ``simulate_layers`` equals the per-layer loop."""
+
+    @pytest.mark.parametrize("accelerator", ACCELERATORS)
+    @pytest.mark.parametrize("model_name", sorted(workload_names()))
+    def test_simulate_layers_matches_per_layer_loop(
+        self, accelerator, model_name, paper_config
+    ):
+        simulator = get_accelerator(accelerator).create(config=paper_config)
+        model = get_workload(model_name)
+        for network in _networks(model):
+            batch = simulator.simulate_layers(network.bindings)
+            per_layer = tuple(
+                simulator.simulate_layer(binding) for binding in network.bindings
+            )
+            assert batch == per_layer
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=6),
+        base_channels=st.sampled_from([8, 32, 128]),
+        kernel=st.integers(min_value=2, max_value=6),
+        stride=st.sampled_from([1, 2, 4]),
+        upsample_percent=st.sampled_from([0, 50, 100]),
+    )
+    def test_parity_on_synthetic_families(
+        self, depth, base_channels, kernel, stride, upsample_percent
+    ):
+        try:
+            model = build_synthetic(
+                depth=depth,
+                base_channels=base_channels,
+                kernel=kernel,
+                stride=stride,
+                upsample_percent=upsample_percent,
+            )
+        except Exception:
+            assume(False)  # no exact-upsampling geometry for these knobs
+        config = ArchitectureConfig.paper_default()
+        for accelerator in ("eyeriss", "ganax"):
+            simulator = get_accelerator(accelerator).create(config=config)
+            for network in _networks(model):
+                batch = simulator.simulate_layers(network.bindings)
+                per_layer = tuple(
+                    simulator.simulate_layer(binding)
+                    for binding in network.bindings
+                )
+                assert batch == per_layer
+
+
+class TestEstimateNetworkParity:
+    """``estimate_network`` prices each binding exactly as ``estimate_layer``."""
+
+    @pytest.mark.parametrize("model_name", sorted(workload_names()))
+    def test_baseline_network_matches_scalar(self, model_name, paper_config):
+        model = get_workload(model_name)
+        for network in _networks(model):
+            estimates = eyeriss_estimate_network(network.bindings, paper_config)
+            assert len(estimates) == len(network.bindings)
+            for binding, estimate in zip(network.bindings, estimates):
+                assert estimate == eyeriss_estimate(binding, paper_config)
+
+    @pytest.mark.parametrize("zero_skipping", (True, False))
+    @pytest.mark.parametrize("model_name", sorted(workload_names()))
+    def test_ganax_network_matches_scalar(self, model_name, zero_skipping, paper_config):
+        model = get_workload(model_name)
+        for network in _networks(model):
+            estimates = ganax_estimate_network(
+                network.bindings, paper_config, zero_skipping=zero_skipping
+            )
+            assert len(estimates) == len(network.bindings)
+            for binding, estimate in zip(network.bindings, estimates):
+                assert estimate == ganax_estimate(
+                    binding, paper_config, zero_skipping=zero_skipping
+                )
+
+    def test_network_preserves_binding_order(self, paper_config, dcgan_model):
+        bindings = dcgan_model.generator.bindings
+        reversed_bindings = tuple(reversed(bindings))
+        forward = eyeriss_estimate_network(bindings, paper_config)
+        backward = eyeriss_estimate_network(reversed_bindings, paper_config)
+        assert forward == tuple(reversed(backward))
+
+
+class TestHugeLayerExactness:
+    """Work beyond 2**53 stays exact: every count is a Python ``int``."""
+
+    def _huge_binding(self) -> LayerBinding:
+        layer = TransposedConvLayer(
+            name="huge_tconv",
+            out_channels=2**21,
+            kernel=7,
+            stride=2,
+            padding=3,
+            output_padding=1,
+        )
+        return _bind(layer, FeatureMapShape.image(2**21, 32, 32))
+
+    @staticmethod
+    def _assert_exact_ints(estimate):
+        for f in dataclasses.fields(estimate):
+            value = getattr(estimate, f.name)
+            if f.name == "counters":
+                for name, count in value.as_dict().items():
+                    assert type(count) is int, (name, count)
+            elif f.name.endswith("cycles"):
+                assert type(value) is int, (f.name, value)
+
+    def test_work_exceeds_float64_exact_range(self):
+        assert self._huge_binding().total_macs > 2**53
+
+    def test_baseline_network_matches_layer(self, paper_config):
+        binding = self._huge_binding()
+        (estimate,) = eyeriss_estimate_network([binding], paper_config)
+        assert estimate == eyeriss_estimate(binding, paper_config)
+        self._assert_exact_ints(estimate)
+        assert estimate.counters.mac_ops == binding.consequential_macs
+        assert (
+            estimate.counters.mac_ops + estimate.counters.gated_ops
+            == binding.total_macs
+        )
+
+    @pytest.mark.parametrize("zero_skipping", (True, False))
+    def test_ganax_network_matches_layer(self, zero_skipping, paper_config):
+        binding = self._huge_binding()
+        (estimate,) = ganax_estimate_network(
+            [binding], paper_config, zero_skipping=zero_skipping
+        )
+        assert estimate == ganax_estimate(
+            binding, paper_config, zero_skipping=zero_skipping
+        )
+        self._assert_exact_ints(estimate)
+        assert estimate.counters.mac_ops == binding.consequential_macs
