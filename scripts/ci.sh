@@ -6,9 +6,10 @@
 #      pytest's result cache disabled (-p no:cacheprovider) so runs are
 #      byte-reproducible and leave no .pytest_cache behind;
 #   2. the runner benchmarks, which enforce the warm-cache >= 5x speedup
-#      contract, the serial/pooled/warm parity of the sweep results, the
-#      six-GAN comparison-grid wall-clock budget, and the layer-memo >= 5x
-#      speedup contract on a synthetic family sweep;
+#      contract, the cold/warm parity of the sweep results, the six-GAN
+#      comparison-grid wall-clock budget, and the layer-memo speedup
+#      contract on a synthetic family sweep (median of 7 alternating
+#      cold/warm pairs >= 3.2x, a bar set from recorded runs);
 #   3. an accelerator-registry smoke: a Session runs one small workload
 #      through every registered accelerator and fails if the registry is
 #      thinner than expected or any registered model cannot complete it;

@@ -28,7 +28,7 @@ This package implements, from scratch:
 * a **streaming execution API** (:mod:`repro.runner`): ``submit()`` returns a
   :class:`~repro.runner.BatchHandle` whose ``as_completed()`` yields results
   as they land, with a typed :class:`~repro.runner.RunnerEvent` stream for
-  live progress, three pluggable backends (serial, process-pool, asyncio),
+  live progress, two pluggable backends (serial, asyncio),
   and streaming consumers all the way up — ``Session.stream_compare``,
   ``ParameterSweep.iter_points``, the CLI's ``--progress`` / ``--jsonl``,
 * a **simulation service** (:mod:`repro.service`): a multi-client streaming
@@ -144,7 +144,6 @@ from .runner import (
     AsyncioBackend,
     BatchHandle,
     JobCompletion,
-    ProcessPoolBackend,
     RunnerEvent,
     SerialBackend,
     SimulationJob,
@@ -215,7 +214,6 @@ __all__ = [
     "AsyncioBackend",
     "BatchHandle",
     "JobCompletion",
-    "ProcessPoolBackend",
     "RunnerEvent",
     "SerialBackend",
     "SimulationJob",

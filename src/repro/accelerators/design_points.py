@@ -14,11 +14,6 @@ frontier point can be compared head-to-head against the stock models::
 
     name = register_ganax_design_point(num_pvs=8, pes_per_pv=16)
     multi = Session(accelerators=("eyeriss", "ganax", name)).compare("DCGAN")
-
-Because entries register at call time, they are visible to
-:class:`~repro.runner.ProcessPoolBackend` workers only when the registering
-call runs at import time of an importable module (the same caveat as any
-custom registration); serial backends need no such care.
 """
 
 from __future__ import annotations

@@ -23,9 +23,7 @@ A factory function ``(config=None, options=None) -> AcceleratorModel`` can be
 registered the same way.  The built-in entries (``eyeriss``, ``ganax``,
 ``ganax-noskip``, ``ideal``) live in their home modules and are loaded lazily
 on first lookup, so importing this module alone never drags in the simulator
-stack.  Worker processes of a pooled runner re-import the registering modules,
-so custom accelerators must be registered at import time of an importable
-module to be visible to :class:`~repro.runner.ProcessPoolBackend`.
+stack.
 """
 
 from __future__ import annotations

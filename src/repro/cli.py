@@ -13,7 +13,7 @@ Installed as ``repro-experiments`` (see ``pyproject.toml``).  Examples::
     repro-experiments compare --workloads dcgan@64x64,synthetic@d8c256
     repro-experiments sweep --parameter num_pvs --values 4,8,16
     repro-experiments figure8 --json out.json
-    repro-experiments all --parallel --cache-stats
+    repro-experiments all --cache-stats
     repro-experiments all --cache-dir .sim-cache   # warm-start reruns
     repro-experiments dse --accelerator ganax --strategy random --budget 8
     repro-experiments dse --workloads synthetic@d4c64,synthetic@d6c128z100
@@ -36,10 +36,9 @@ Installed as ``repro-experiments`` (see ``pyproject.toml``).  Examples::
 
 Every simulation runs through one shared
 :class:`~repro.runner.SimulationRunner`, so the whole invocation shares a
-content-addressed result cache; ``--parallel`` swaps the serial backend for a
-process pool (``--backend`` picks any registered backend: ``serial``,
-``process-pool``, ``asyncio``) and ``--cache-dir`` persists results across
-invocations.  The ``compare`` and ``sweep`` modes route through
+content-addressed result cache; ``--backend`` picks a registered backend
+(``serial``, the default, or ``asyncio``) and ``--cache-dir`` persists
+results across invocations.  The ``compare`` and ``sweep`` modes route through
 :class:`repro.Session`, so any accelerator registered in
 :mod:`repro.accelerators` is addressable via ``--accelerators`` and any
 workload — including family spec strings like ``dcgan@32x32`` or
@@ -77,7 +76,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import threading
 import time
@@ -95,7 +93,6 @@ from .experiments.base import ExperimentContext
 from .experiments.registry import experiment_ids, run_all, run_experiment
 from .runner import (
     DiskResultCache,
-    ProcessPoolBackend,
     RunnerEvent,
     SerialBackend,
     SimulationRunner,
@@ -247,17 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the rendered report (useful with --json)",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="execute simulations on a process pool instead of serially",
-    )
-    parser.add_argument(
         "--backend",
         metavar="NAME",
         default=None,
         help=(
             "execution backend by registered name "
-            f"({', '.join(backend_names())}); overrides --parallel"
+            f"({'|'.join(backend_names())}; default: serial, "
+            "or asyncio for 'serve')"
         ),
     )
     parser.add_argument(
@@ -274,13 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
             "failed/cancelled) to PATH ('-' for stdout) for "
             "'compare'/'sweep'/'dse'; PATH is rewritten each run"
         ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="worker processes (implies --parallel; default: one per CPU)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -492,25 +478,15 @@ def parse_value_list(spec: str) -> Tuple[object, ...]:
 
 def build_runner(args: argparse.Namespace) -> SimulationRunner:
     """Construct the runner the CLI's experiments submit through."""
-    if args.workers is not None and args.workers <= 0:
-        raise ValueError("--workers must be a positive integer")
     if args.backend is not None:
-        backend = get_backend(args.backend, max_workers=args.workers)
-    elif args.parallel or args.workers is not None:
-        backend = ProcessPoolBackend(max_workers=args.workers)
+        backend = get_backend(args.backend)
     else:
         backend = SerialBackend()
     if args.no_cache:
-        # --no-cache disables every caching tier, including the layer memo
-        # (propagated to pool workers through the environment).
+        # --no-cache disables every caching tier, including the layer memo.
         configure_layer_memo(enabled=False)
         return SimulationRunner(backend=backend, use_cache=False)
-    if args.cache_dir:
-        # Persist the layer-grain memo beside the job-level entries so warm
-        # layers also survive restarts: <cache-dir>/layers/<fp[:2]>/<fp>.pkl.
-        configure_layer_memo(root=os.path.join(args.cache_dir, "layers"))
-    else:
-        configure_layer_memo()
+    configure_layer_memo()
     cache = DiskResultCache(args.cache_dir) if args.cache_dir else None
     return SimulationRunner(backend=backend, cache=cache)
 
@@ -783,13 +759,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` mode: host the simulation service until interrupted."""
     import signal
 
-    # The service's natural host is the event-driven backend; --backend /
-    # --parallel / --workers still override it the usual way.
-    if args.backend is None and not args.parallel and args.workers is None:
+    # The service's natural host is the event-driven backend; --backend
+    # still overrides it.
+    if args.backend is None:
         args.backend = "asyncio"
     try:
         runner = build_runner(args)
-    except Exception as exc:  # bad --workers / --backend / --cache-dir
+    except Exception as exc:  # bad --backend / --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.progress:
@@ -1407,7 +1383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         runner = build_runner(args)
-    except Exception as exc:  # bad --workers / --backend / --cache-dir
+    except Exception as exc:  # bad --backend / --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ the explored accelerator *and* on the baseline at that point's configuration,
 all submitted as **one batch** of :class:`~repro.runner.SimulationJob` objects
 through the shared :class:`~repro.runner.SimulationRunner` — so identical
 candidates deduplicate within a search, repeated searches replay from the
-content-addressed cache, and a pooled backend fans out across the whole
-(point x model x accelerator) grid.
+content-addressed cache, and a concurrent backend fans out across the
+whole (point x model x accelerator) grid.
 
 The default objectives span the three axes the ISSUE and the paper's
 evaluation care about:

@@ -61,8 +61,8 @@ class UnknownWorkloadError(WorkloadError):
 
     def __reduce__(self):
         # args holds the formatted message, not (name, registered, families);
-        # without this, unpickling (e.g. from a process-pool worker) re-wraps
-        # the message through __init__ and garbles it.
+        # without this, unpickling (or copy.copy) re-wraps the message
+        # through __init__ and garbles it.
         return (type(self), (self.name, self.registered, self.families))
 
 
@@ -156,8 +156,8 @@ class UnknownScheduleError(ScheduleError):
 
     def __reduce__(self):
         # args holds the formatted message, not (name, registered, families);
-        # without this, unpickling (e.g. from a process-pool worker) re-wraps
-        # the message through __init__ and garbles it.
+        # without this, unpickling (or copy.copy) re-wraps the message
+        # through __init__ and garbles it.
         return (type(self), (self.name, self.registered, self.families))
 
 
@@ -183,8 +183,8 @@ class UnknownAcceleratorError(AnalysisError):
 
     def __reduce__(self):
         # args holds the formatted message, not (name, registered); without
-        # this, unpickling (e.g. from a process-pool worker) re-wraps the
-        # message through __init__ and garbles it.
+        # this, unpickling (or copy.copy) re-wraps the message through
+        # __init__ and garbles it.
         return (type(self), (self.name, self.registered))
 
 

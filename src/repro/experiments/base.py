@@ -66,8 +66,7 @@ class ExperimentContext:
     :class:`~repro.runner.SimulationRunner` (the process-wide default one
     unless an explicit runner is passed), so the whole experiment suite —
     headline comparisons, figures, tables and ablation sweeps — shares one
-    content-addressed result cache and, when the runner is configured with a
-    :class:`~repro.runner.ProcessPoolBackend`, one parallel pool.
+    content-addressed result cache.
     """
 
     def __init__(

@@ -72,8 +72,8 @@ def run_all(
     """Run every experiment with a shared context (built once).
 
     When ``runner`` is given (and no explicit context), every experiment
-    submits its simulations through it, sharing one result cache and — for a
-    pooled backend — one worker pool across the whole evaluation section.
+    submits its simulations through it, sharing one result cache across the
+    whole evaluation section.
     """
     context = context or ExperimentContext(runner=runner)
     return [run_fn(context) for _title, run_fn in EXPERIMENTS.values()]

@@ -11,14 +11,11 @@ from .backends import (
     DeferredJobFuture,
     ExecutionBackend,
     JobFuture,
-    ProcessPoolBackend,
     SerialBackend,
     backend_names,
     get_backend,
 )
 from .cache import (
-    LAYER_MEMO_DIR_ENV,
-    LAYER_MEMO_ENV,
     CachePruneStats,
     CacheStats,
     DiskResultCache,
@@ -52,8 +49,6 @@ __all__ = [
     "BACKENDS",
     "COMPARISON_PAIR",
     "EVENT_KINDS",
-    "LAYER_MEMO_DIR_ENV",
-    "LAYER_MEMO_ENV",
     "PROVENANCE_CACHE",
     "PROVENANCE_DEDUPLICATED",
     "PROVENANCE_EXECUTED",
@@ -71,7 +66,6 @@ __all__ = [
     "JobFuture",
     "LayerMemoStats",
     "LayerMemoStore",
-    "ProcessPoolBackend",
     "ResultCache",
     "RunnerEvent",
     "SerialBackend",

@@ -16,12 +16,9 @@ cache-filtered, so a backend only ever sees work that must actually run.
   Its futures are *deferred*: the job executes in the consumer's thread the
   first time the future is driven (``result()`` or the handle's iterators),
   so serial streaming has no scheduling overhead and completion order equals
-  submission order.  All other backends must match it bit-for-bit (enforced
-  by the parity tests in ``tests/test_runner.py`` / ``tests/test_streaming.py``).
-* :class:`ProcessPoolBackend` — ``concurrent.futures.ProcessPoolExecutor``
-  fan-out, one pool task per job.  Jobs and results are plain picklable
-  dataclasses, and the analytical models are deterministic, so parallel
-  results are byte-identical to serial ones.
+  submission order.  :class:`AsyncioBackend` must match it bit-for-bit
+  (enforced by the parity tests in ``tests/test_runner.py`` /
+  ``tests/test_streaming.py``).
 * :class:`AsyncioBackend` — an asyncio event loop on a dedicated thread,
   offloading each job to a thread pool (``loop.run_in_executor``).  This is
   the integration point for event-driven services: the loop can multiplex
@@ -29,20 +26,15 @@ cache-filtered, so a backend only ever sees work that must actually run.
   native task cancellation.
 
 Backends are addressable by name through :func:`get_backend`
-(``"serial"``, ``"process-pool"``, ``"asyncio"``) — the CLI's ``--backend``
+(``"serial"``, ``"asyncio"``) — the CLI's ``--backend``
 flag resolves through this registry.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -71,8 +63,8 @@ class JobFuture:
       *drives* the future (:meth:`drive`, or implicitly :meth:`result`); the
       job then runs synchronously in the consumer's thread.  This is how
       :class:`SerialBackend` streams without threads.
-    * **active** — the backend executes the job elsewhere (pool worker,
-      asyncio executor) and settles the future when it lands.
+    * **active** — the backend executes the job elsewhere (an asyncio
+      executor thread) and settles the future when it lands.
     """
 
     #: Whether a consumer must drive this future for the job to execute.
@@ -204,11 +196,10 @@ class JobFuture:
                 for fn in callbacks:
                     self._safe_call(fn)
         finally:
-            # A callback escaping with a BaseException (KeyboardInterrupt
-            # unwinding a dying pool's callback thread, say) must still leave
-            # the future settled: the terminal state is already recorded, and
-            # an unsettled-forever future would hang every result() waiter
-            # and as_completed() consumer.
+            # A callback escaping with a BaseException (a KeyboardInterrupt,
+            # say) must still leave the future settled: the terminal state is
+            # already recorded, and an unsettled-forever future would hang
+            # every result() waiter and as_completed() consumer.
             with self._cond:
                 if not self._settled:
                     self._settled = True
@@ -248,94 +239,6 @@ class DeferredJobFuture(JobFuture):
             self.set_exception(exc)
         else:
             self.set_result(result)
-
-
-def _execute_job_chunk(jobs: Sequence[SimulationJob]) -> List[Tuple[bool, object]]:
-    """Run a chunk of jobs in one pool task; per-job (ok, result-or-error).
-
-    Module-level so the process pool can pickle it.  Failures are captured
-    per job instead of aborting the chunk, preserving the per-job failure
-    attribution of the streaming protocol.
-    """
-    outcomes: List[Tuple[bool, object]] = []
-    for job in jobs:
-        try:
-            outcomes.append((True, execute_job(job)))
-        except BaseException as exc:
-            outcomes.append((False, exc))
-    return outcomes
-
-
-class _ChunkMemberFuture(JobFuture):
-    """One job's future inside a chunked pool submission.
-
-    The whole chunk is one pool task, so members settle together when it
-    lands; cancelling a member attempts to cancel the chunk (succeeds only
-    while the chunk is still queued, cancelling every member with it).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._inner = None
-
-    def _bind(self, inner) -> None:
-        self._inner = inner
-
-    def cancel(self) -> bool:
-        if self._inner is not None and self._inner.cancel():
-            return True  # the chunk's done-callback settles every member
-        return self.cancelled()
-
-
-def _settle_chunk(members: Sequence[_ChunkMemberFuture], inner) -> None:
-    """Done-callback of a chunk's pool future: fan outcomes to the members."""
-    if inner.cancelled():
-        for member in members:
-            member._settle(_CANCELLED)
-        return
-    error = inner.exception()
-    if error is not None:  # the chunk itself failed (e.g. unpicklable)
-        for member in members:
-            member.set_exception(error)
-        return
-    for member, (ok, value) in zip(members, inner.result()):
-        if ok:
-            member.set_result(value)
-        else:
-            member.set_exception(value)
-
-
-class _WrappedJobFuture(JobFuture):
-    """Active future bridging a :class:`concurrent.futures.Future`.
-
-    Used by the process-pool backend.  The worker-side start of a pooled job
-    is not observable from this process, so the future never reports
-    ``running`` (pooled jobs emit no ``started`` event) and cancellation
-    defers entirely to the inner future — which only succeeds while the pool
-    task is still queued, preserving the "cancel never discards an executing
-    job's result" contract.  The inner future's completion settles this one,
-    running our callbacks before any waiter wakes.
-    """
-
-    def __init__(self, inner) -> None:
-        super().__init__()
-        self._inner = inner
-        inner.add_done_callback(self._absorb)
-
-    def _absorb(self, inner) -> None:
-        if inner.cancelled():
-            self._settle(_CANCELLED)
-            return
-        error = inner.exception()
-        if error is not None:
-            self.set_exception(error)
-        else:
-            self.set_result(inner.result())
-
-    def cancel(self) -> bool:
-        if self._inner.cancel():  # _absorb settles us as cancelled
-            return True
-        return self.cancelled()
 
 
 def _record_dispatch(backend_name: str, futures: Sequence[JobFuture]) -> None:
@@ -379,7 +282,7 @@ class ExecutionBackend:
         return [future.result() for future in self.submit_jobs(jobs)]
 
     def close(self) -> None:
-        """Release any resources (pools, loops); idempotent."""
+        """Release any resources (threads, loops); idempotent."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -406,103 +309,6 @@ class SerialBackend(ExecutionBackend):
         return futures
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Execute jobs on a ``ProcessPoolExecutor``.
-
-    Small batches dispatch one pool task per job, so every job streams back
-    individually.  Large batches are **chunked** (the same
-    ``len(jobs) // (4 * workers)`` bound the pre-streaming ``pool.map`` used)
-    to keep per-task IPC overhead amortised on big sweeps — a chunk's jobs
-    then settle together when the chunk lands, trading intra-chunk streaming
-    granularity for dispatch cost exactly where the granularity is least
-    visible (many chunks are still in flight at once).
-
-    The pool is created lazily on the first batch and reused across batches,
-    so repeated sweep submissions amortise the worker start-up cost.  Call
-    :meth:`close` (or use the backend as a context manager) to shut the
-    workers down.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self._max_workers = max_workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        return self._max_workers
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
-        return self._pool
-
-    def _chunksize(self, job_count: int) -> int:
-        workers = self._max_workers or os.cpu_count() or 1
-        return max(1, job_count // (4 * workers))
-
-    @staticmethod
-    def _failed_future(error: BaseException) -> JobFuture:
-        future = JobFuture()
-        future.set_exception(error)
-        return future
-
-    def submit_jobs(self, jobs: Sequence[SimulationJob]) -> List[JobFuture]:
-        """Submit every job; never raises mid-batch on a dead pool.
-
-        ``pool.submit`` raises once the pool is broken (a worker died — e.g.
-        killed by the OOM killer or an interrupt) or shut down.  Propagating
-        that from the middle of the loop would discard the already-submitted
-        futures and strand any consumer iterating ``as_completed`` over them;
-        instead the offending job and every remaining job settle immediately
-        as failed, so the full one-future-per-job list is always returned and
-        every future reaches a terminal state.
-        """
-        if not jobs:
-            return []
-        pool = self._ensure_pool()
-        chunksize = self._chunksize(len(jobs))
-        if chunksize == 1:
-            futures: List[JobFuture] = []
-            for index, job in enumerate(jobs):
-                try:
-                    inner = pool.submit(execute_job, job)
-                except BaseException as exc:
-                    futures.extend(
-                        self._failed_future(exc) for _ in range(index, len(jobs))
-                    )
-                    _record_dispatch(self.name, futures)
-                    return futures
-                futures.append(_WrappedJobFuture(inner))
-            _record_dispatch(self.name, futures)
-            return futures
-        members_list: List[JobFuture] = [_ChunkMemberFuture() for _ in jobs]
-        for start in range(0, len(jobs), chunksize):
-            members = members_list[start : start + chunksize]
-            try:
-                inner = pool.submit(
-                    _execute_job_chunk, list(jobs[start : start + chunksize])
-                )
-            except BaseException as exc:
-                for member in members_list[start:]:
-                    member.set_exception(exc)
-                _record_dispatch(self.name, members_list)
-                return members_list
-            for member in members:
-                member._bind(inner)
-            inner.add_done_callback(
-                lambda f, members=members: _settle_chunk(members, f)
-            )
-        _record_dispatch(self.name, members_list)
-        return members_list
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class AsyncioBackend(ExecutionBackend):
     """Execute jobs through an asyncio event loop with thread offload.
 
@@ -510,7 +316,7 @@ class AsyncioBackend(ExecutionBackend):
     ``loop.run_in_executor(thread_pool, execute_job, job)`` that settles the
     job's :class:`JobFuture` itself — the atomic pending->running transition
     doubles as the cancellation gate, so ``cancel()`` only ever succeeds for
-    jobs that have not started (matching the serial and pool backends).
+    jobs that have not started (matching the serial backend).
     Results are identical to serial ones (the simulators are deterministic
     pure Python), and the loop gives event-driven services a natural
     integration point: it can hold many in-flight jobs with one pool of
@@ -552,7 +358,7 @@ class AsyncioBackend(ExecutionBackend):
         # The atomic pending->running transition is the cancellation gate:
         # JobFuture.cancel() only wins while the job is still pending, so a
         # job that starts executing always delivers its result — the same
-        # contract the serial and pool backends honor.
+        # contract the serial backend honors.
         if not future.set_running():
             return  # cancelled before it started; the future is settled
         loop = asyncio.get_running_loop()
@@ -603,9 +409,8 @@ class AsyncioBackend(ExecutionBackend):
     def close(self) -> None:
         if self._loop is None:
             return
-        # Let every in-flight job settle first (mirrors ProcessPoolBackend's
-        # shutdown(wait=True)): stopping the loop underneath an awaiting
-        # coroutine would leave its JobFuture unresolved forever.
+        # Let every in-flight job settle first: stopping the loop underneath
+        # an awaiting coroutine would leave its JobFuture unresolved forever.
         with self._inflight_lock:
             pending = list(self._inflight)
         if pending:
@@ -626,7 +431,6 @@ class AsyncioBackend(ExecutionBackend):
 #: (ignored where meaningless) so the registry is uniform.
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     SerialBackend.name: lambda max_workers=None: SerialBackend(),
-    ProcessPoolBackend.name: ProcessPoolBackend,
     AsyncioBackend.name: AsyncioBackend,
 }
 

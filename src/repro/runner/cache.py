@@ -24,7 +24,7 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -33,13 +33,6 @@ from ..errors import AnalysisError
 from ..telemetry import get_metrics
 
 PathLike = Union[str, Path]
-
-#: Environment switch for the process-global layer memo: ``"0"`` disables it.
-#: Propagated through the environment so process-pool workers (fork *and*
-#: spawn start methods inherit the environment) build an equivalent store.
-LAYER_MEMO_ENV = "REPRO_LAYER_MEMO"
-#: Optional directory for the layer memo's sharded on-disk tier.
-LAYER_MEMO_DIR_ENV = "REPRO_LAYER_MEMO_DIR"
 
 
 @dataclass(frozen=True)
@@ -147,17 +140,11 @@ class DiskResultCache(ResultCache):
     """Pickle-on-disk cache with a content-addressed directory layout.
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl`` — the two-character
-    fingerprint-prefix shard (the same layout as the
-    :class:`LayerMemoStore` disk tier) keeps any one directory to at most
-    1/256th of the entries, so millions of cached results never sit in a
-    single directory.  Caches written by older versions used a **flat**
-    layout (``<root>/<key>.pkl``); those entries are still served through a
-    transparent read-through — a get that misses the sharded tree falls back
-    to the flat path and, on a hit, migrates the entry into its shard — and
-    :meth:`size_bytes`, :meth:`prune`, ``len()`` and :meth:`clear` account
-    for both trees, so a legacy cache keeps working (and gradually converts)
-    without a manual migration step.  A small in-memory overlay avoids
-    re-reading entries that were already fetched or stored in this process.
+    fingerprint-prefix shard keeps any one directory to at most 1/256th of
+    the entries, so millions of cached results never sit in a single
+    directory.  The cache holds no results in memory: every ``get`` reads
+    the entry from disk, so a long-running process (``serve --cache-dir``)
+    stays bounded however many results pass through it.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -167,7 +154,6 @@ class DiskResultCache(ResultCache):
                 f"cache root '{self._root}' exists and is not a directory"
             )
         self._root.mkdir(parents=True, exist_ok=True)
-        self._overlay: Dict[str, GanResult] = {}
 
     @property
     def root(self) -> Path:
@@ -176,31 +162,19 @@ class DiskResultCache(ResultCache):
     def _path_for(self, key: str) -> Path:
         return self._root / key[:2] / f"{key}.pkl"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        """Where the pre-shard flat layout stored this key."""
-        return self._root / f"{key}.pkl"
-
     def _entry_paths(self):
-        """Every stored entry: the sharded tree plus legacy flat files.
-
-        Temp files from in-flight writers start with ``.`` and never match.
-        """
-        yield from self._root.glob("*/*.pkl")
-        yield from self._root.glob("[!.]*.pkl")
+        """Every stored entry; in-flight writers' ``.tmp`` files never match."""
+        return self._root.glob("*/*.pkl")
 
     def get(self, key: str) -> Optional[GanResult]:
-        if key in self._overlay:
-            return self._overlay[key]
         path = self._path_for(key)
         try:
             with path.open("rb") as handle:
                 result = pickle.load(handle)
         except FileNotFoundError:
-            # Absent from the sharded tree — or deleted by a concurrent
-            # prune()/clear() between any earlier existence check and the
-            # open.  Fall back to the legacy flat layout before declaring a
-            # miss; nothing to unlink either way.
-            return self._legacy_get(key)
+            # Absent — or deleted by a concurrent prune()/clear() between any
+            # earlier existence check and the open.  Nothing to unlink.
+            return None
         except Exception:
             # A truncated/corrupt entry (e.g. torn write from a crashed run)
             # is a miss, not a fatal error; drop it so it gets rewritten.
@@ -216,36 +190,6 @@ class DiskResultCache(ResultCache):
             os.utime(path)
         except OSError:
             pass
-        self._overlay[key] = result
-        return result
-
-    def _legacy_get(self, key: str) -> Optional[GanResult]:
-        """Read-through of the pre-shard flat layout, migrating on a hit.
-
-        Older caches stored every entry directly under the root.  Serving
-        them keeps a warm legacy cache warm across the layout change; the
-        re-``put`` rewrites the entry into its shard and the flat original is
-        removed, so the tree converges to the sharded layout one hit at a
-        time.  Vanished or corrupt legacy entries are clean misses, exactly
-        like sharded ones.
-        """
-        path = self._legacy_path_for(key)
-        try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.put(key, result)  # migrate into <key[:2]>/<key>.pkl
-        try:
-            path.unlink()
-        except OSError:
-            pass  # another process may have migrated it concurrently
         return result
 
     def put(self, key: str, result: GanResult) -> None:
@@ -266,18 +210,16 @@ class DiskResultCache(ResultCache):
             except OSError:
                 pass
             raise
-        self._overlay[key] = result
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
 
     def clear(self) -> None:
-        self._overlay.clear()
         for path in self._entry_paths():
             path.unlink()
 
     def size_bytes(self) -> int:
-        """Total size of every stored entry, sharded and legacy flat alike."""
+        """Total size of every stored entry."""
         total = 0
         for path in self._entry_paths():
             try:
@@ -318,7 +260,6 @@ class DiskResultCache(ResultCache):
                 pass  # another run pruned it concurrently: already gone
             except OSError:
                 continue  # undeletable (permissions?): still occupies space
-            self._overlay.pop(path.stem, None)
             total -= size
             removed_entries += 1
             removed_bytes += size
@@ -372,18 +313,11 @@ class LayerMemoStore:
     share a layer shape under the same simulation context share one entry,
     across workloads and across sweeps.
 
-    The memo is two-tier: an in-memory ``OrderedDict`` LRU (bounded by
-    ``max_entries``) plus an optional sharded pickle directory
-    (``<root>/<key[:2]>/<key>.pkl``, same layout and torn-write discipline as
-    :class:`DiskResultCache`) so warm layers survive process restarts and are
-    shared between pool workers.  All operations tolerate entries vanishing
-    concurrently (another process pruning the shard directory): a vanished
-    file is a miss, never an error.
+    The memo is an in-memory ``OrderedDict`` LRU bounded by ``max_entries``;
+    it lives and dies with the process.
     """
 
-    def __init__(
-        self, max_entries: int = 65536, root: Optional[PathLike] = None
-    ) -> None:
+    def __init__(self, max_entries: int = 65536) -> None:
         if max_entries <= 0:
             raise AnalysisError(f"max_entries must be > 0, got {max_entries}")
         self._max_entries = max_entries
@@ -395,26 +329,10 @@ class LayerMemoStore:
         # be swapped by configure_metrics, hence the identity check).
         self._metrics_for: Optional[object] = None
         self._m_hits = self._m_misses = self._m_stores = self._m_resident = None
-        self._root: Optional[Path] = None
-        if root is not None:
-            self._root = Path(root)
-            if self._root.exists() and not self._root.is_dir():
-                raise AnalysisError(
-                    f"layer memo root '{self._root}' exists and is not a directory"
-                )
-            self._root.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def root(self) -> Optional[Path]:
-        return self._root
 
     @property
     def stats(self) -> LayerMemoStats:
         return self._stats
-
-    def _path_for(self, key: str) -> Path:
-        assert self._root is not None
-        return self._root / key[:2] / f"{key}.pkl"
 
     def _refresh_instruments(self) -> bool:
         """Bind registry instruments for the current registry (if enabled)."""
@@ -440,16 +358,6 @@ class LayerMemoStore:
             if self._refresh_instruments():
                 self._m_hits.inc()
             return result
-        if self._root is not None:
-            result = self._disk_get(key)
-            if result is not None:
-                with self._lock:
-                    self._insert_locked(key, result)
-                    self._stats.hits += 1
-                if self._refresh_instruments():
-                    self._m_hits.inc()
-                    self._m_resident.set(len(self._entries))
-                return result
         with self._lock:
             self._stats.misses += 1
         if self._refresh_instruments():
@@ -465,45 +373,12 @@ class LayerMemoStore:
         if self._refresh_instruments():
             self._m_stores.inc()
             self._m_resident.set(resident)
-        if self._root is not None:
-            self._disk_put(key, result)
 
     def _insert_locked(self, key: str, result: LayerResult) -> None:
         self._entries[key] = result
         self._entries.move_to_end(key)
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
-
-    def _disk_get(self, key: str) -> Optional[LayerResult]:
-        path = self._path_for(key)
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_put(self, key: str, result: LayerResult) -> None:
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:16]}.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def __len__(self) -> int:
         with self._lock:
@@ -512,12 +387,6 @@ class LayerMemoStore:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-        if self._root is not None:
-            for path in self._root.glob("*/*.pkl"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
 
 
 _layer_memo_lock = threading.Lock()
@@ -526,34 +395,16 @@ _layer_memo_configured = False
 
 
 def configure_layer_memo(
-    enabled: bool = True,
-    root: Optional[PathLike] = None,
-    max_entries: int = 65536,
+    enabled: bool = True, max_entries: int = 65536
 ) -> Optional[LayerMemoStore]:
     """(Re)configure the process-global layer memo; returns the new store.
 
-    Also records the configuration in the process environment
-    (:data:`LAYER_MEMO_ENV` / :data:`LAYER_MEMO_DIR_ENV`) so process-pool
-    workers spawned afterwards — under either the ``fork`` or ``spawn`` start
-    method, both of which inherit the environment — lazily build an
-    equivalent store via :func:`get_layer_memo`.  Pass ``enabled=False`` to
-    disable layer memoization entirely (returns None).
+    Pass ``enabled=False`` to disable layer memoization entirely (returns
+    None).
     """
     global _layer_memo, _layer_memo_configured
     with _layer_memo_lock:
-        if enabled:
-            store: Optional[LayerMemoStore] = LayerMemoStore(
-                max_entries=max_entries, root=root
-            )
-            os.environ[LAYER_MEMO_ENV] = "1"
-            if root is not None:
-                os.environ[LAYER_MEMO_DIR_ENV] = str(Path(root))
-            else:
-                os.environ.pop(LAYER_MEMO_DIR_ENV, None)
-        else:
-            store = None
-            os.environ[LAYER_MEMO_ENV] = "0"
-            os.environ.pop(LAYER_MEMO_DIR_ENV, None)
+        store = LayerMemoStore(max_entries=max_entries) if enabled else None
         _layer_memo = store
         _layer_memo_configured = True
         return store
@@ -562,18 +413,12 @@ def configure_layer_memo(
 def get_layer_memo() -> Optional[LayerMemoStore]:
     """The process-global layer memo, or None when disabled.
 
-    On first use in a process that never called :func:`configure_layer_memo`
-    (notably pool workers), the store is built from the environment:
-    in-memory-only by default, disabled when ``REPRO_LAYER_MEMO=0``, with an
-    on-disk tier rooted at ``REPRO_LAYER_MEMO_DIR`` when set.
+    A process that never called :func:`configure_layer_memo` gets a default
+    in-memory store on first use.
     """
     global _layer_memo, _layer_memo_configured
     with _layer_memo_lock:
         if not _layer_memo_configured:
-            if os.environ.get(LAYER_MEMO_ENV, "1") == "0":
-                _layer_memo = None
-            else:
-                memo_dir = os.environ.get(LAYER_MEMO_DIR_ENV) or None
-                _layer_memo = LayerMemoStore(root=memo_dir)
+            _layer_memo = LayerMemoStore()
             _layer_memo_configured = True
         return _layer_memo

@@ -19,9 +19,8 @@ The event grammar, per submitted job (in emission order):
 ``started``
     the job began executing.  Emitted when the backend can observe the
     start (serial: the consumer's thread drives the job; asyncio: the
-    worker coroutine begins) — the process pool cannot observe worker-side
-    start, so pooled jobs may terminate without a ``started`` event.  Never
-    emitted for cache hits or batch duplicates.
+    worker coroutine begins).  Never emitted for cache hits or batch
+    duplicates.
 ``completed``
     terminal — the job produced a result (``provenance`` says how:
     ``"executed"`` for a fresh simulation, ``"deduplicated"`` for a duplicate

@@ -17,7 +17,7 @@ batch however suits it:
 
 With the serial backend, jobs execute lazily *in the consuming thread* as the
 handle's iterators drive them — streaming costs nothing and completion order
-equals submission order.  With the pool/asyncio backends jobs execute in the
+equals submission order.  With the asyncio backend jobs execute in the
 background and the iterators genuinely overlap consumption with execution.
 
 Listeners subscribed on the runner (or passed per batch via ``on_event``)
@@ -54,7 +54,7 @@ _KIND_CANCELLED = "cancelled"
 
 # Per-process source of job correlation ids (RunnerEvent.job_uid).  The pid
 # prefix keeps uids from different processes (a restarted CLI appending to
-# the same journal, pool parents vs. workers) from colliding.
+# the same journal, say) from colliding.
 _job_uids = itertools.count(1)
 
 

@@ -19,10 +19,8 @@ version invalidates its stale cached results even when the structural
 fingerprint is unchanged.
 
 :func:`execute_job` is the single entry point every backend uses to turn a
-job into a result; it lives at module level so the process-pool backend can
-pickle it.  The job carries only the accelerator *name* — the simulator is
-built in the executing process through the registry, so pooled workers never
-need to unpickle simulator instances.
+job into a result.  The job carries only the accelerator *name*; the
+simulator is built through the registry when the job runs.
 """
 
 from __future__ import annotations
@@ -66,9 +64,8 @@ class SimulationJob:
         registered workload name, or a family spec string (``"dcgan@32x32"``)
         — names resolve through :mod:`repro.workloads.registry` at
         construction, so after ``__post_init__`` this is always a built
-        model.  The model travels with the job (it is picklable), so jobs
-        over ad-hoc models — not just registry workloads — run on every
-        backend.
+        model.  The model travels with the job, so jobs over ad-hoc models
+        — not just registry workloads — run on every backend.
     accelerator:
         Any name registered in :mod:`repro.accelerators` (see
         :func:`~repro.accelerators.accelerator_names`); normalized to the
@@ -253,7 +250,7 @@ def _simulate(
 
 
 def execute_job(job: SimulationJob) -> GanResult:
-    """Run one job to completion (used by every backend, picklable).
+    """Run one job to completion (used by every backend).
 
     When the process-global layer memo is enabled (see
     :func:`repro.runner.cache.get_layer_memo`), eligible simulators assemble
@@ -274,9 +271,7 @@ def execute_job(job: SimulationJob) -> GanResult:
         # thread's span stack is invisible; the runner published cache_key ->
         # job-span-id at dispatch so the simulate span lands under its job.
         # The span() context manager also pushes this thread's span stack,
-        # nesting the layer-memo lookup spans underneath.  (Pool workers are
-        # separate *processes* with a fresh, disabled tracer — worker-side
-        # spans are not recorded there; see the telemetry README.)
+        # nesting the layer-memo lookup spans underneath.
         with tracer.span(
             "simulate_layers",
             parent_id=tracer.parent_for(job.cache_key),

@@ -12,8 +12,8 @@ out**: :meth:`SimulationRunner.submit` accepts a batch of
 2. answering what it can from the **content-addressed cache** (those jobs
    resolve on the handle instantly), and
 3. dispatching only the remaining unique misses to the configured
-   :class:`~repro.runner.backends.ExecutionBackend` (serial, process pool or
-   asyncio) through the incremental ``submit_jobs`` protocol, so results
+   :class:`~repro.runner.backends.ExecutionBackend` (serial or asyncio)
+   through the incremental ``submit_jobs`` protocol, so results
    stream back per job instead of arriving with the slowest one.
 
 Consumers pull from the handle (``as_completed()`` / ``iter_results()`` /
@@ -253,7 +253,7 @@ class SimulationRunner:
 
         if pending:
             if tracer is not None:
-                # The pool/asyncio backends execute jobs on other threads
+                # The asyncio backend executes jobs on other threads
                 # where the submit-time span stack is invisible; publishing
                 # cache_key -> job-span-id lets execute_job() parent its
                 # simulate spans onto the right job regardless of thread.

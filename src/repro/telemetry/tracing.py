@@ -28,11 +28,8 @@ Execution-side spans need a parent that was opened on a *different* thread
 the simulation).  :meth:`Tracer.register_job` bridges the gap: the runner
 registers ``cache_key -> job-span id`` at dispatch, and
 :func:`~repro.runner.job.execute_job` looks the parent up with
-:meth:`Tracer.parent_for`.  Process-pool workers are separate processes with
-their own (unconfigured, hence disabled) tracer, so worker-side spans are not
-recorded there — the runner-side ``batch``/``job`` tree is backend-invariant
-(pinned by ``tests/test_telemetry.py``), execution-side detail is only
-observable on in-process backends.
+:meth:`Tracer.parent_for`.  The runner-side ``batch``/``job`` tree is
+backend-invariant (pinned by ``tests/test_telemetry.py``).
 """
 
 from __future__ import annotations

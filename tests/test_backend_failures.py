@@ -1,12 +1,11 @@
-"""Failure-path hardening of the execution backends and the disk cache.
+"""Failure-path hardening of the job futures and the disk cache.
 
-Covers the two bugfix satellites of the cache/backend sweep:
-
-* A dying process pool (workers killed, OOM-killed, or the pool shut down
-  mid-batch) must settle **every** in-flight :class:`JobFuture` with a
-  terminal failure instead of stranding ``as_completed()`` consumers, and
-  ``submit_jobs`` on a broken pool must return a full one-future-per-job
-  list rather than raising mid-loop.
+* A :class:`JobFuture` whose done-callback raises — even a
+  ``BaseException`` such as ``KeyboardInterrupt`` — must still settle, so
+  no ``result()`` waiter or ``as_completed()`` consumer is stranded.
+* The :class:`AsyncioBackend` must attribute a failing job to its own future
+  only, and ``close()`` must settle every in-flight future before the loop
+  stops; a closed backend starts a fresh loop on its next submission.
 * ``DiskResultCache.get()`` must treat entries that vanish under a
   concurrent ``prune()``/delete as clean misses — including when the
   recency-refreshing ``os.utime`` is what hits the vanished file.
@@ -15,15 +14,15 @@ Covers the two bugfix satellites of the cache/backend sweep:
 from __future__ import annotations
 
 import os
-import signal
-import time
+from concurrent.futures import CancelledError
 
 import pytest
 
+from repro.accelerators import register_accelerator, unregister_accelerator
 from repro.runner import (
+    AsyncioBackend,
     DiskResultCache,
     JobFuture,
-    ProcessPoolBackend,
     SimulationJob,
     execute_job,
 )
@@ -35,21 +34,6 @@ def jobs(dcgan_model, paper_config, options):
         SimulationJob(dcgan_model, accelerator, paper_config, options)
         for accelerator in ("eyeriss", "ganax")
     ]
-
-
-def _wait_all_done(futures, timeout: float = 30.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if all(future.done() for future in futures):
-            return True
-        time.sleep(0.05)
-    return False
-
-
-def _kill_pool_workers(backend: ProcessPoolBackend) -> None:
-    assert backend._pool is not None
-    for pid in list(backend._pool._processes):
-        os.kill(pid, signal.SIGKILL)
 
 
 class TestJobFutureSettling:
@@ -74,58 +58,71 @@ class TestJobFutureSettling:
         assert future.done()  # terminal despite the escaping callback
         assert future.result(timeout=1) is not None
 
+    def test_cancelling_a_pending_future_settles_it_cancelled(self, jobs):
+        future = JobFuture()
+        assert future.cancel()
+        assert future.done() and future.cancelled()
+        assert future.cancel()  # idempotent
+        assert not future.set_result(execute_job(jobs[0]))  # terminal already
+        with pytest.raises(CancelledError):
+            future.result(timeout=1)
 
-class TestBrokenPool:
-    def test_killed_workers_settle_every_inflight_future(self, jobs):
-        """SIGKILLing the workers mid-batch terminates every future."""
-        backend = ProcessPoolBackend(max_workers=2)
+    def test_a_running_future_cannot_be_cancelled(self, jobs):
+        future = JobFuture()
+        assert future.set_running()
+        assert not future.cancel()
+        result = execute_job(jobs[0])
+        assert future.set_result(result)
+        assert not future.cancelled()
+        assert future.result(timeout=1) == result
+
+
+def _failing_factory(config=None, options=None):
+    raise RuntimeError("injected accelerator failure")
+
+
+class TestAsyncioBackendFailures:
+    @pytest.fixture()
+    def failing_job(self, dcgan_model, paper_config, options):
+        register_accelerator("test-backend-boom", version="1")(_failing_factory)
         try:
-            # Prime the pool so worker processes exist, then race a batch
-            # against their death.
-            backend.submit_jobs(jobs[:1])[0].result(timeout=60)
-            futures = backend.submit_jobs(jobs * 16)
-            _kill_pool_workers(backend)
-            assert _wait_all_done(futures), "pool death stranded futures"
-            for future in futures:
-                # Terminal either way: a result if the job landed before the
-                # kill, a BrokenProcessPool-style failure otherwise.
-                assert future.done()
-                assert (future.peek_result() is not None) or (
-                    future.exception() is not None
-                )
+            yield SimulationJob(dcgan_model, "test-backend-boom", paper_config, options)
         finally:
-            backend.close()
+            unregister_accelerator("test-backend-boom")
 
-    def test_submit_on_broken_pool_returns_failed_futures(self, jobs):
-        """A broken pool fails the batch per-future instead of raising."""
-        backend = ProcessPoolBackend(max_workers=2)
-        try:
-            backend.submit_jobs(jobs[:1])[0].result(timeout=60)
-            first = backend.submit_jobs(jobs * 16)
-            _kill_pool_workers(backend)
-            assert _wait_all_done(first)
-            # The executor has now observed the dead workers; submitting
-            # again raises BrokenProcessPool inside submit_jobs, which must
-            # surface as settled-failed futures, not an exception.
-            second = backend.submit_jobs(jobs * 4)
-            assert len(second) == len(jobs) * 4
-            assert _wait_all_done(second, timeout=10)
-            assert all(future.exception() is not None for future in second)
-        finally:
-            backend.close()
+    def test_failing_job_fails_only_its_own_future(self, jobs, failing_job):
+        with AsyncioBackend(max_workers=2) as backend:
+            futures = backend.submit_jobs([jobs[0], failing_job, jobs[1]])
+            with pytest.raises(RuntimeError, match="injected accelerator failure"):
+                futures[1].result(timeout=30)
+            assert futures[0].result(timeout=30) == execute_job(jobs[0])
+            assert futures[2].result(timeout=30) == execute_job(jobs[1])
+        assert isinstance(futures[1].exception(), RuntimeError)
+        assert not futures[1].cancelled()
+        assert futures[0].exception() is None
 
-    def test_submit_on_closed_pool_returns_failed_futures(self, jobs):
-        """shutdown() racing submit_jobs settles the batch as failed."""
-        backend = ProcessPoolBackend(max_workers=1)
-        backend.submit_jobs(jobs[:1])[0].result(timeout=60)
-        pool = backend._pool
-        assert pool is not None
-        pool.shutdown(wait=True)
-        futures = backend.submit_jobs(jobs)
-        assert len(futures) == len(jobs)
+    def test_close_settles_every_inflight_future(self, jobs):
+        backend = AsyncioBackend(max_workers=1)
+        futures = backend.submit_jobs(jobs * 3)
+        backend.close()  # before any consumer touched a future
         assert all(future.done() for future in futures)
-        assert all(future.exception() is not None for future in futures)
-        backend._pool = None  # the pool is already shut down
+        expected = [execute_job(job) for job in jobs] * 3
+        assert [future.result(timeout=0) for future in futures] == expected
+
+    def test_submit_after_close_runs_on_a_fresh_loop(self, jobs):
+        backend = AsyncioBackend(max_workers=1)
+        first = backend.run_jobs(jobs)
+        backend.close()
+        try:
+            assert backend.run_jobs(jobs) == first
+        finally:
+            backend.close()
+
+    def test_empty_submission_starts_no_loop(self):
+        backend = AsyncioBackend(max_workers=1)
+        assert backend.submit_jobs([]) == []
+        assert backend._loop is None
+        backend.close()  # nothing to stop
 
 
 class TestDiskCacheRaces:
@@ -138,7 +135,7 @@ class TestDiskCacheRaces:
 
     def test_vanished_entry_is_a_clean_miss(self, tmp_path, jobs):
         key, _ = self._entry(tmp_path, jobs)
-        cold = DiskResultCache(tmp_path / "cache")  # empty overlay
+        cold = DiskResultCache(tmp_path / "cache")
         path = cold._path_for(key)
         path.unlink()  # concurrent prune()/delete between lookup and open
         assert cold.get(key) is None

@@ -259,6 +259,36 @@ class TestCachePruneCli:
         assert "pruned" in out
         assert not any(cache_dir.glob("*/*.pkl"))
 
+    def test_prune_to_zero_leaves_no_entry_anywhere(self, tmp_path, capsys):
+        """Everything a compare run stores under --cache-dir, prune accounts."""
+        cache_dir = tmp_path / "cache"
+        compare = [
+            "compare",
+            "--workloads",
+            "dcgan",
+            "--accelerators",
+            "eyeriss,ganax",
+            "--cache-dir",
+            str(cache_dir),
+            "--quiet",
+        ]
+        assert main(compare) == 0
+        assert any(cache_dir.rglob("*.pkl"))
+        prune = ["cache-prune", "--cache-dir", str(cache_dir), "--max-bytes", "0"]
+        assert main(prune) == 0
+        assert "0 entries (0 bytes) remain" in capsys.readouterr().out
+        assert list(cache_dir.rglob("*.pkl")) == []
+
+    def test_cache_dir_holds_only_sharded_results(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        assert main(["headline", "--cache-dir", str(cache_dir), "--quiet"]) == 0
+        entries = list(cache_dir.rglob("*.pkl"))
+        assert entries
+        for path in entries:
+            assert path.parent.parent == cache_dir
+            assert path.parent.name == path.stem[:2]
+        assert not (cache_dir / "layers").exists()
+
     def test_json_dash_is_pure_json(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
@@ -493,6 +523,16 @@ class TestStreamingFlags:
     def test_backend_flag_resolves_through_the_registry(self, capsys):
         assert main([*self.COMPARE, "--backend", "asyncio", "--quiet"]) == 0
         assert main([*self.COMPARE, "--backend", "serial", "--quiet"]) == 0
+
+    def test_backend_help_lists_the_registered_names(self):
+        help_text = build_parser().format_help()
+        assert "asyncio|serial" in " ".join(help_text.split())
+
+    def test_workers_option_no_longer_exists(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.COMPARE, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_backend_is_a_clean_error(self, capsys):
         assert main([*self.COMPARE, "--backend", "quantum"]) == 2

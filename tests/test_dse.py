@@ -490,13 +490,16 @@ class TestCachePrune:
         assert cache.get("aa" + "0" * 62) is None  # the older entry went
         assert cache.get("bb" + "0" * 62) == b"y" * 100
 
-    def test_prune_zero_empties_cache_and_overlay(self, tmp_path):
+    def test_prune_zero_empties_cache(self, tmp_path):
         cache = DiskResultCache(tmp_path)
         self.fill(cache, {"cc" + "0" * 62: b"z"})
+        assert cache.get("cc" + "0" * 62) == b"z"
         stats = cache.prune(max_bytes=0)
         assert stats.removed_entries == 1
         assert stats.remaining_bytes == 0
         assert len(cache) == 0
+        assert list(tmp_path.rglob("*.pkl")) == []
+        # the instance that served the entry no longer does
         assert cache.get("cc" + "0" * 62) is None
 
     def test_prune_noop_within_budget(self, tmp_path):

@@ -13,7 +13,6 @@ golden totals on every backend.
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,11 +25,8 @@ from repro.nn.layers import ConvLayer, TransposedConvLayer
 from repro.nn.network import GANModel, LayerBinding, Network
 from repro.nn.shapes import FeatureMapShape
 from repro.runner import (
-    LAYER_MEMO_DIR_ENV,
-    LAYER_MEMO_ENV,
     AsyncioBackend,
     LayerMemoStore,
-    ProcessPoolBackend,
     SerialBackend,
     SimulationJob,
     configure_layer_memo,
@@ -49,18 +45,10 @@ def memo_state():
     """Snapshot and restore the process-global layer memo around a test."""
     saved_store = cache_module._layer_memo
     saved_flag = cache_module._layer_memo_configured
-    saved_env = {
-        key: os.environ.get(key) for key in (LAYER_MEMO_ENV, LAYER_MEMO_DIR_ENV)
-    }
     yield
     with cache_module._layer_memo_lock:
         cache_module._layer_memo = saved_store
         cache_module._layer_memo_configured = saved_flag
-    for key, value in saved_env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
 
 
 @pytest.fixture
@@ -225,53 +213,57 @@ class TestLayerMemoStore:
         assert store.get("aa" * 32) is None  # oldest evicted
         assert store.get("cc" * 32) is not None
 
-    def test_disk_tier_shared_between_instances(self, tmp_path):
-        result = self._result()
-        key = "ab" * 32
-        LayerMemoStore(root=tmp_path / "layers").put(key, result)
-        cold = LayerMemoStore(root=tmp_path / "layers")
-        assert cold.get(key) == result
-        assert (tmp_path / "layers" / key[:2] / f"{key}.pkl").exists()
-
-    def test_disk_vanished_entry_is_a_miss(self, tmp_path):
-        key = "cd" * 32
-        LayerMemoStore(root=tmp_path / "layers").put(key, self._result())
-        (tmp_path / "layers" / key[:2] / f"{key}.pkl").unlink()
-        assert LayerMemoStore(root=tmp_path / "layers").get(key) is None
-
-    def test_disk_corrupt_entry_dropped_as_miss(self, tmp_path):
-        key = "ef" * 32
-        store = LayerMemoStore(root=tmp_path / "layers")
-        store.put(key, self._result())
-        path = tmp_path / "layers" / key[:2] / f"{key}.pkl"
-        path.write_bytes(b"torn write")
-        assert LayerMemoStore(root=tmp_path / "layers").get(key) is None
-        assert not path.exists()
-
-    def test_rejects_nonpositive_capacity_and_file_root(self, tmp_path):
+    def test_rejects_nonpositive_capacity(self):
         with pytest.raises(AnalysisError):
             LayerMemoStore(max_entries=0)
-        bogus = tmp_path / "file"
-        bogus.write_text("not a directory")
-        with pytest.raises(AnalysisError):
-            LayerMemoStore(root=bogus)
 
-    def test_configure_propagates_through_environment(self, memo_state, tmp_path):
-        configure_layer_memo(root=tmp_path / "layers")
-        assert os.environ[LAYER_MEMO_ENV] == "1"
-        assert os.environ[LAYER_MEMO_DIR_ENV] == str(tmp_path / "layers")
-        # A worker process starts unconfigured and rebuilds from the env.
+    def test_get_refreshes_lru_recency(self):
+        store = LayerMemoStore(max_entries=2)
+        result = self._result()
+        store.put("aa" * 32, result)
+        store.put("bb" * 32, result)
+        assert store.get("aa" * 32) is not None  # now the most recent
+        store.put("cc" * 32, result)
+        assert store.get("bb" * 32) is None  # least recently used evicted
+        assert store.get("aa" * 32) is not None
+
+    def test_clear_drops_entries_and_keeps_accounting(self):
+        store = LayerMemoStore()
+        store.put("aa" * 32, self._result())
+        assert store.get("aa" * 32) is not None
+        store.clear()
+        assert len(store) == 0
+        assert store.get("aa" * 32) is None
+        assert (store.stats.hits, store.stats.misses, store.stats.stores) == (1, 1, 1)
+
+    def test_configure_then_get_returns_the_installed_store(self, memo_state):
+        store = configure_layer_memo(max_entries=4)
+        assert get_layer_memo() is store
+        assert configure_layer_memo(enabled=False) is None
+        assert get_layer_memo() is None
+        # A process that never configured the memo gets a default store.
         with cache_module._layer_memo_lock:
             cache_module._layer_memo = None
             cache_module._layer_memo_configured = False
-        rebuilt = get_layer_memo()
-        assert rebuilt is not None
-        assert rebuilt.root == tmp_path / "layers"
+        assert isinstance(get_layer_memo(), LayerMemoStore)
+
+    def test_configure_leaves_the_environment_alone(self, memo_state):
+        """The memo is per-process state; configuring it sets no variable."""
+        before = dict(os.environ)
+        configure_layer_memo(max_entries=8)
         configure_layer_memo(enabled=False)
-        assert os.environ[LAYER_MEMO_ENV] == "0"
-        with cache_module._layer_memo_lock:
-            cache_module._layer_memo_configured = False
-        assert get_layer_memo() is None
+        assert dict(os.environ) == before
+
+    def test_configured_capacity_bounds_the_global_store(
+        self, memo_state, dcgan_model, paper_config, options
+    ):
+        job = SimulationJob(dcgan_model, "ganax", paper_config, options)
+        configure_layer_memo(enabled=False)
+        reference = execute_job(job)
+        store = configure_layer_memo(max_entries=1)
+        assert execute_job(job) == reference
+        assert store.stats.stores > 1
+        assert len(store) == 1
 
 
 class TestMemoizedExecution:
@@ -327,14 +319,10 @@ class TestMemoizedExecution:
 class TestBackendLayerTotals:
     """Sum-of-layer results equals the job-level golden totals everywhere."""
 
-    @pytest.fixture(
-        params=["serial", "process-pool", "asyncio"], ids=str, scope="class"
-    )
+    @pytest.fixture(params=["serial", "asyncio"], ids=str, scope="class")
     def backend(self, request):
         if request.param == "serial":
             backend = SerialBackend()
-        elif request.param == "process-pool":
-            backend = ProcessPoolBackend(max_workers=2)
         else:
             backend = AsyncioBackend(max_workers=2)
         yield backend

@@ -1,13 +1,16 @@
 """Tests for the simulation runner: backends, caching, scheduling, parity.
 
 The central guarantee of :mod:`repro.runner` is that the execution strategy is
-invisible in the results: serial, process-pool and cache-served runs of the
+invisible in the results: serial, asyncio and cache-served runs of the
 same jobs produce identical values.  The parity tests assert this at three
 levels — dataclass equality, the exact floats the paper figures consume, and
 byte-identical canonical JSON of the flattened per-layer rows.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -25,10 +28,10 @@ from repro.config import ArchitectureConfig, SimulationOptions
 from repro.errors import AnalysisError, ConfigurationError, UnknownAcceleratorError
 from repro.session import Session
 from repro.runner import (
+    AsyncioBackend,
     CacheStats,
     DiskResultCache,
     InMemoryResultCache,
-    ProcessPoolBackend,
     SerialBackend,
     SimulationJob,
     SimulationRunner,
@@ -45,9 +48,9 @@ def models():
 
 
 @pytest.fixture(scope="module")
-def pool_backend():
-    """One process pool shared by every parallel test in this module."""
-    backend = ProcessPoolBackend(max_workers=2)
+def asyncio_backend():
+    """One asyncio backend shared by every parallel test in this module."""
+    backend = AsyncioBackend(max_workers=2)
     yield backend
     backend.close()
 
@@ -117,9 +120,11 @@ class TestSimulationJob:
 # Serial vs parallel parity
 # ----------------------------------------------------------------------
 class TestBackendParity:
-    def test_compare_models_serial_parallel_identical(self, models, pool_backend):
+    def test_compare_models_serial_parallel_identical(
+        self, models, asyncio_backend
+    ):
         serial = SimulationRunner(backend=SerialBackend()).compare_models(models)
-        parallel = SimulationRunner(backend=pool_backend).compare_models(models)
+        parallel = SimulationRunner(backend=asyncio_backend).compare_models(models)
         assert serial.keys() == parallel.keys()
         for name in serial:
             assert serial[name] == parallel[name]
@@ -130,7 +135,9 @@ class TestBackendParity:
             )
             assert result_bytes(serial[name]) == result_bytes(parallel[name])
 
-    def test_parameter_sweep_serial_parallel_identical(self, models, pool_backend):
+    def test_parameter_sweep_serial_parallel_identical(
+        self, models, asyncio_backend
+    ):
         values = (16.0, 64.0)
 
         def sweep_with(backend):
@@ -140,7 +147,7 @@ class TestBackendParity:
             return sweep.run("dram_bandwidth_bytes_per_cycle", values)
 
         serial_points = sweep_with(SerialBackend())
-        parallel_points = sweep_with(pool_backend)
+        parallel_points = sweep_with(asyncio_backend)
         assert len(serial_points) == len(parallel_points) == len(values)
         for s, p in zip(serial_points, parallel_points):
             assert s.label == p.label
@@ -282,62 +289,42 @@ class TestCaches:
         assert len(cache) == 0
         assert cache.get(job.cache_key) is None
 
-    @staticmethod
-    def _write_legacy_entry(root, key, result):
-        """Plant an entry the way the pre-shard flat layout stored it."""
+    def test_disk_cache_holds_no_result_in_memory(self, tmp_path, dcgan_model):
+        """A served result lives only as long as its caller keeps it."""
+        job = SimulationJob.comparison_pair(dcgan_model)[0]
+        DiskResultCache(tmp_path / "cache").put(job.cache_key, execute_job(job))
+        cache = DiskResultCache(tmp_path / "cache")
+        result = cache.get(job.cache_key)
+        assert result is not None
+        ref = weakref.ref(result)
+        del result
+        gc.collect()
+        assert ref() is None
+        assert cache.get(job.cache_key) is not None  # still served from disk
+
+    def test_disk_cache_reads_a_fresh_object_per_get(self, tmp_path, dcgan_model):
+        job = SimulationJob.comparison_pair(dcgan_model)[0]
+        cache = DiskResultCache(tmp_path / "cache")
+        cache.put(job.cache_key, execute_job(job))
+        first = cache.get(job.cache_key)
+        second = cache.get(job.cache_key)
+        assert first == second
+        assert first is not second  # nothing retained between reads
+
+    def test_disk_cache_sees_only_sharded_entries(self, tmp_path, dcgan_model):
+        """A pickle outside the ``<key[:2]>/`` shard is not a cache entry."""
         import pickle
 
-        root.mkdir(parents=True, exist_ok=True)
-        (root / f"{key}.pkl").write_bytes(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def test_disk_cache_reads_legacy_flat_layout(self, tmp_path, dcgan_model):
-        """A cache written before sharding still answers, and migrates."""
-        job = SimulationJob.comparison_pair(dcgan_model)[1]
-        result = execute_job(job)
-        self._write_legacy_entry(tmp_path / "cache", job.cache_key, result)
-        cache = DiskResultCache(tmp_path / "cache")
-        assert len(cache) == 1  # the flat entry is accounted for
-        assert cache.get(job.cache_key) == result
-        # the hit migrated the entry into its shard and removed the flat file
-        assert cache._path_for(job.cache_key).exists()
-        assert not cache._legacy_path_for(job.cache_key).exists()
-        assert len(cache) == 1  # migrated, not duplicated
-        # a cold instance now serves it straight from the sharded tree
-        assert DiskResultCache(tmp_path / "cache").get(job.cache_key) == result
-
-    def test_disk_cache_mixed_layout_accounting(self, tmp_path, dcgan_model):
-        """len/size_bytes/prune/clear see sharded and legacy entries alike."""
-        sharded_job, legacy_job = SimulationJob.comparison_pair(dcgan_model)
-        sharded_result = execute_job(sharded_job)
-        legacy_result = execute_job(legacy_job)
-        cache = DiskResultCache(tmp_path / "cache")
-        cache.put(sharded_job.cache_key, sharded_result)
-        self._write_legacy_entry(
-            tmp_path / "cache", legacy_job.cache_key, legacy_result
-        )
-        assert len(cache) == 2
-        expected = sum(
-            path.stat().st_size
-            for path in (
-                cache._path_for(sharded_job.cache_key),
-                cache._legacy_path_for(legacy_job.cache_key),
-            )
-        )
-        assert cache.size_bytes() == expected
-        stats = cache.prune(max_bytes=0)  # evicts both trees
-        assert stats.removed_entries == 2
-        assert stats.remaining_entries == 0
+        job = SimulationJob.comparison_pair(dcgan_model)[0]
+        root = tmp_path / "cache"
+        cache = DiskResultCache(root)
+        (root / f"{job.cache_key}.pkl").write_bytes(pickle.dumps(execute_job(job)))
+        assert cache.get(job.cache_key) is None
         assert len(cache) == 0
-
-    def test_disk_cache_corrupt_legacy_entry_is_a_miss(self, tmp_path):
-        cache = DiskResultCache(tmp_path / "cache")
-        key = "cd" + "0" * 62
-        cache._legacy_path_for(key).write_bytes(b"torn legacy write")
-        fresh = DiskResultCache(tmp_path / "cache")
-        assert fresh.get(key) is None
-        assert not fresh._legacy_path_for(key).exists()  # dropped for rewrite
+        assert cache.size_bytes() == 0
+        cache.put(job.cache_key, execute_job(job))
+        assert len(cache) == 1
+        assert cache._path_for(job.cache_key).parent.name == job.cache_key[:2]
 
 
 # ----------------------------------------------------------------------
@@ -368,10 +355,10 @@ class TestRunnerPlumbing:
             assert list(comparisons) == [m.name for m in models[:3]]
 
     def test_context_manager_closes_backend(self, dcgan_model):
-        with SimulationRunner(backend=ProcessPoolBackend(max_workers=1)) as runner:
+        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
             comparison = runner.compare_model(dcgan_model)
         assert comparison.generator_speedup > 1.0
-        assert runner.backend._pool is None  # closed on exit
+        assert runner.backend._loop is None  # closed on exit
 
     def test_default_runner_is_process_wide_and_replaceable(self):
         previous = set_default_runner(None)

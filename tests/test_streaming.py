@@ -6,7 +6,7 @@ The load-bearing guarantees of the redesign:
   sets and identical cache accounting whether consumed through
   ``run_jobs()`` (the blocking wrapper) or ``submit()`` +
   ``as_completed()``/``iter_results()``, on every registered backend
-  (serial, process-pool, asyncio) and regardless of completion order;
+  (serial, asyncio) and regardless of completion order;
 * **event-sequence invariants** — every submitted job emits ``scheduled``
   first and then exactly one terminal event (``cache-hit`` / ``completed``
   / ``failed`` / ``cancelled``), with ``started`` strictly between for
@@ -53,7 +53,7 @@ def small_models():
     return [get_workload("DCGAN"), get_workload("MAGAN"), get_workload("ArtGAN")]
 
 
-@pytest.fixture(scope="module", params=["serial", "process-pool", "asyncio"])
+@pytest.fixture(scope="module", params=["serial", "asyncio"])
 def each_backend(request):
     """Every registered backend, shared across this module's parity tests."""
     backend = get_backend(request.param, max_workers=2)
@@ -198,9 +198,7 @@ class TestEventInvariants:
 
     def test_no_job_claims_started_and_then_cancels(self, small_models):
         """'started' means executing, so started jobs never cancel (any backend)."""
-        from repro.runner import ProcessPoolBackend
-
-        with SimulationRunner(backend=ProcessPoolBackend(max_workers=1)) as runner:
+        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
             events = []
             handle = runner.submit(pair_jobs(small_models), on_event=events.append)
             handle.cancel()
@@ -330,10 +328,8 @@ class TestCancellation:
         assert handle.cancel() == 0
         assert handle.counts()["completed"] == 2
 
-    def test_cancel_with_a_pool_backend_accounts_every_job(self, small_models):
-        from repro.runner import ProcessPoolBackend
-
-        with SimulationRunner(backend=ProcessPoolBackend(max_workers=1)) as runner:
+    def test_cancel_with_an_asyncio_backend_accounts_every_job(self, small_models):
+        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
             handle = runner.submit(pair_jobs(small_models))
             handle.cancel()
             drained = list(handle.as_completed())
@@ -350,20 +346,18 @@ class TestCancellation:
         is never reported cancelled, on any backend.
         """
         reference = SimulationRunner().run_jobs(pair_jobs(small_models))
-        for name in ("process-pool", "asyncio"):
-            backend = get_backend(name, max_workers=1)
-            with SimulationRunner(backend=backend) as runner:
-                handle = runner.submit(pair_jobs(small_models))
-                stream = handle.as_completed()
-                first = next(stream)  # at least one job has executed
-                handle.cancel()
-                drained = [first, *stream]
-            counts = handle.counts()
-            assert counts["pending"] == 0, name
-            assert counts["completed"] == len(drained), name
-            assert counts["completed"] + counts["cancelled"] == 6, name
-            for completion in drained:
-                assert completion.result == reference[completion.index], name
+        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
+            handle = runner.submit(pair_jobs(small_models))
+            stream = handle.as_completed()
+            first = next(stream)  # at least one job has executed
+            handle.cancel()
+            drained = [first, *stream]
+        counts = handle.counts()
+        assert counts["pending"] == 0
+        assert counts["completed"] == len(drained)
+        assert counts["completed"] + counts["cancelled"] == 6
+        for completion in drained:
+            assert completion.result == reference[completion.index]
 
 
 # ----------------------------------------------------------------------
@@ -552,14 +546,14 @@ class TestExperimentProgress:
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
     def test_registered_names(self):
-        assert set(backend_names()) == {"serial", "process-pool", "asyncio"}
+        assert set(backend_names()) == {"serial", "asyncio"}
 
     def test_get_backend_resolves_and_normalizes(self):
         backend = get_backend(" SERIAL ")
         assert backend.name == "serial"
-        pooled = get_backend("process-pool", max_workers=3)
-        assert pooled.max_workers == 3
-        pooled.close()
+        threaded = get_backend("asyncio", max_workers=3)
+        assert threaded.max_workers == 3
+        threaded.close()
 
     def test_unknown_backend_lists_registered_ones(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -584,6 +578,23 @@ class TestBackendRegistry:
         assert results == SimulationRunner().run_jobs(pair_jobs(small_models))
         assert handle.counts()["pending"] == 0
 
+    def test_large_asyncio_batch_preserves_parity(self, small_models):
+        """A batch far wider than the worker pool still streams correctly."""
+        jobs = [
+            job
+            for model in small_models
+            for value in (8, 16)
+            for job in SimulationJob.comparison_pair(
+                model,
+                ArchitectureConfig.paper_default().with_updates(num_pvs=value),
+            )
+        ]
+        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
+            handle = runner.submit(jobs)
+            by_index = {c.index: c.result for c in handle.as_completed()}
+        reference = SimulationRunner().run_jobs(jobs)
+        assert [by_index[i] for i in range(len(jobs))] == reference
+
     def test_asyncio_close_after_cancel_destroys_no_pending_tasks(
         self, small_models, caplog
     ):
@@ -600,27 +611,6 @@ class TestBackendRegistry:
         assert not any(
             "Task was destroyed" in record.message for record in caplog.records
         )
-
-    def test_pool_chunked_dispatch_preserves_parity(self, small_models):
-        """Large batches chunk (old pool.map bound) and still stream correctly."""
-        from repro.runner import ProcessPoolBackend
-
-        jobs = [
-            job
-            for model in small_models
-            for value in (8, 16)
-            for job in SimulationJob.comparison_pair(
-                model,
-                ArchitectureConfig.paper_default().with_updates(num_pvs=value),
-            )
-        ]
-        backend = ProcessPoolBackend(max_workers=1)
-        assert backend._chunksize(len(jobs)) > 1  # the chunked path is live
-        with SimulationRunner(backend=backend) as runner:
-            handle = runner.submit(jobs)
-            by_index = {c.index: c.result for c in handle.as_completed()}
-        reference = SimulationRunner().run_jobs(jobs)
-        assert [by_index[i] for i in range(len(jobs))] == reference
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +642,7 @@ class TestDiskCacheConcurrentWriters:
         observed = 0
         try:
             while any(process.is_alive() for process in writers):
-                # a fresh instance per read: no overlay, every get hits disk
+                # every get reads the entry from disk
                 value = DiskResultCache(tmp_path).get(_HAMMER_KEY)
                 if value is None:
                     # os.replace publishes atomically, so once an entry
@@ -676,7 +666,6 @@ class TestDiskCacheConcurrentWriters:
 # ----------------------------------------------------------------------
 _FLEET_SIZE = 4
 _FLEET_PAYLOAD_BYTES = 20_000
-_LEGACY_FLEET_KEY = "ef" + "1" * 62
 
 
 def _fleet_payload(worker_id: int) -> bytes:
@@ -703,10 +692,6 @@ def _fleet_worker(root: str, worker_id: int, iterations: int) -> None:
         # complete — atomic publication means never a torn value
         value = DiskResultCache(root).get(_fleet_key(neighbour, i % 8))
         assert value is None or value == _fleet_payload(neighbour)
-        # the legacy flat entry stays readable while workers race to
-        # migrate it into its shard (prune may legitimately evict it later)
-        legacy = DiskResultCache(root).get(_LEGACY_FLEET_KEY)
-        assert legacy is None or legacy == b"legacy"
         if i % 10 == 7:
             # concurrent prunes race over the same files: entries vanishing
             # mid-pass must be tolerated, not raised
@@ -716,12 +701,6 @@ def _fleet_worker(root: str, worker_id: int, iterations: int) -> None:
 class TestDiskCacheWorkerFleet:
     def test_n_workers_share_one_sharded_cache(self, tmp_path):
         """A fleet of processes get/put/prune one cache without corruption."""
-        import pickle
-
-        # plant a pre-shard flat-layout entry for the fleet to read through
-        (tmp_path / f"{_LEGACY_FLEET_KEY}.pkl").write_bytes(
-            pickle.dumps(b"legacy", protocol=pickle.HIGHEST_PROTOCOL)
-        )
         context = multiprocessing.get_context()
         workers = [
             context.Process(

@@ -2,10 +2,10 @@
 
 The load-bearing guarantees:
 
-* **span-tree invariants** — on every backend (serial, process-pool,
-  asyncio) a traced batch produces exactly one ``batch`` span, one ``job``
-  span per submitted job parented under it, every span closed exactly once,
-  and no span left open after the batch completes;
+* **span-tree invariants** — on every backend (serial, asyncio) a traced
+  batch produces exactly one ``batch`` span, one ``job`` span per submitted
+  job parented under it, every span closed exactly once, and no span left
+  open after the batch completes;
 * **metrics-snapshot consistency** — the registry's snapshot is an atomic
   cut: concurrent completions never tear a counter below zero or above its
   true total, and sibling instruments fed by the same completion path agree
@@ -359,7 +359,7 @@ class TestMetricsSubscriber:
 # Span-tree invariants on every backend
 # ----------------------------------------------------------------------
 class TestSpanTreeInvariants:
-    @pytest.mark.parametrize("backend_name", ["serial", "process-pool", "asyncio"])
+    @pytest.mark.parametrize("backend_name", ["serial", "asyncio"])
     def test_batch_job_tree_is_backend_invariant(self, backend_name, dcgan_model):
         tracer = configure_tracing()
         runner = SimulationRunner(backend=get_backend(backend_name, max_workers=2))
