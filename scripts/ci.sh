@@ -25,10 +25,12 @@
 #      streaming scheduling overhead stays within 10% of batch run_jobs);
 #   7. a service smoke: `serve` hosts a shared runner, two concurrent
 #      `remote-compare` clients submit the same grid, cross-client dedup
-#      must leave exactly one simulation per distinct job, and SIGINT must
-#      shut the server down cleanly with a complete event journal (the
-#      service benchmark in step 2 separately enforces that the served
-#      sweep stays within 1.5x of direct submit());
+#      must leave exactly one simulation per distinct job, the `stats` verb
+#      must report the same (8 jobs done, 4 cache misses, 4 jobs dispatched
+#      to the serial backend), and SIGINT must shut the server down cleanly
+#      with a complete event journal (the service benchmark in step 2
+#      separately enforces that the served sweep stays within 1.5x of
+#      direct submit());
 #   8. a telemetry smoke: `compare --trace --metrics` must write valid
 #      Chrome trace-event JSON (one batch span, one job span per job) and a
 #      metrics snapshot whose counters match the submitted grid (the
@@ -206,12 +208,14 @@ python -m repro.cli remote-compare --port "$SERVICE_PORT" \
 CLIENT_B=$!
 wait "$CLIENT_A"
 wait "$CLIENT_B"
+python -m repro.cli stats --port "$SERVICE_PORT" --json - \
+    > "$SMOKE_DIR/service.stats.json"
 
 kill -INT "$SERVICE_PID"
 wait "$SERVICE_PID"
 
 python - "$SMOKE_DIR/client-a.jsonl" "$SMOKE_DIR/client-b.jsonl" \
-    "$SMOKE_DIR/service.journal.jsonl" <<'PY'
+    "$SMOKE_DIR/service.journal.jsonl" "$SMOKE_DIR/service.stats.json" <<'PY'
 import json
 import sys
 
@@ -240,8 +244,18 @@ assert {(r["model"], r["accelerator"]) for r in journal} == {
     ("DCGAN", "eyeriss"), ("DCGAN", "ganax"),
     ("MAGAN", "eyeriss"), ("MAGAN", "ganax"),
 }
+
+# The server's own accounting agrees: every job answered, each distinct
+# job run exactly once, on the serial backend.
+with open(sys.argv[4], encoding="utf-8") as handle:
+    stats = json.load(handle)["stats"]
+assert stats["jobs_done"] == 8, stats["jobs_done"]
+assert stats["cache"]["misses"] == 4, stats["cache"]
+if "metrics" in stats:
+    dispatched = stats["metrics"]["counters"]["backend.jobs.dispatched{backend=serial}"]
+    assert dispatched == 4, dispatched
 print("service smoke OK: 2 clients x 4 jobs, 4 simulated + 4 dedup,",
-      len(journal), "journal records, clean shutdown")
+      len(journal), "journal records, stats agree, clean shutdown")
 PY
 
 echo "== telemetry smoke (compare --trace --metrics) =="

@@ -28,9 +28,9 @@ This package implements, from scratch:
 * a **streaming execution API** (:mod:`repro.runner`): ``submit()`` returns a
   :class:`~repro.runner.BatchHandle` whose ``as_completed()`` yields results
   as they land, with a typed :class:`~repro.runner.RunnerEvent` stream for
-  live progress, two pluggable backends (serial, asyncio),
-  and streaming consumers all the way up — ``Session.stream_compare``,
-  ``ParameterSweep.iter_points``, the CLI's ``--progress`` / ``--jsonl``,
+  live progress, and streaming consumers all the way up —
+  ``Session.stream_compare``, ``ParameterSweep.iter_points``, the CLI's
+  ``--progress`` / ``--jsonl``,
 * a **simulation service** (:mod:`repro.service`): a multi-client streaming
   TCP server over one shared runner — versioned JSONL protocol, per-client
   admission control, cross-client dedup, durable event journal with crash
@@ -141,7 +141,6 @@ from .errors import ReproError, UnknownAcceleratorError
 from .session import Session
 from .hw import AreaModel, EnergyBreakdown, EnergyModel, EnergyTable, EventCounters
 from .runner import (
-    AsyncioBackend,
     BatchHandle,
     JobCompletion,
     RunnerEvent,
@@ -211,7 +210,6 @@ __all__ = [
     "EnergyModel",
     "EnergyTable",
     "EventCounters",
-    "AsyncioBackend",
     "BatchHandle",
     "JobCompletion",
     "RunnerEvent",

@@ -9,8 +9,8 @@ series in a structure the report renderer understands.
 
 All simulation work routes through a :class:`~repro.runner.SimulationRunner`:
 a sweep submits its entire (config x model x accelerator) grid as **one
-batch**, so identical jobs deduplicate, cached results are reused across
-sweeps and experiments, and a parallel backend fans out over the whole grid.
+batch**, so identical jobs deduplicate and cached results are reused across
+sweeps and experiments.
 The module-level :func:`compare_model` / :func:`compare_models` helpers (the
 legacy EYERISS-vs-GANAX pair) and :func:`compare_accelerators` (N-way over
 any registered accelerators) use the process-wide default runner unless one
@@ -188,8 +188,8 @@ class ParameterSweep:
         one runner submission (same deduplication, same cache entries), but
         a sweep point is yielded the moment every model of *its* configuration
         has finished, instead of after the slowest point of the whole sweep.
-        Points arrive in completion order — equal to value order with the
-        serial backend — and abandoning the iterator cancels unstarted jobs.
+        Points arrive in completion order — equal to value order — and
+        abandoning the iterator cancels unstarted jobs.
         """
         yield from self.iter_configs(
             build_labelled_configs(parameter, values, self._base_config, label_format)

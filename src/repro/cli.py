@@ -26,7 +26,6 @@ Installed as ``repro-experiments`` (see ``pyproject.toml``).  Examples::
     repro-experiments all --progress               # live per-job progress
     repro-experiments compare --progress --jsonl - # stream results as JSONL
     repro-experiments sweep --parameter num_pvs --values 4,8 --jsonl run.jsonl
-    repro-experiments compare --backend asyncio    # pick a runner backend
     repro-experiments serve --port 8642 --journal run.journal
     repro-experiments serve --journal run.journal --resume  # crash recovery
     repro-experiments remote-compare --port 8642 --workloads dcgan,artgan
@@ -36,9 +35,8 @@ Installed as ``repro-experiments`` (see ``pyproject.toml``).  Examples::
 
 Every simulation runs through one shared
 :class:`~repro.runner.SimulationRunner`, so the whole invocation shares a
-content-addressed result cache; ``--backend`` picks a registered backend
-(``serial``, the default, or ``asyncio``) and ``--cache-dir`` persists
-results across invocations.  The ``compare`` and ``sweep`` modes route through
+content-addressed result cache, and ``--cache-dir`` persists results across
+invocations.  The ``compare`` and ``sweep`` modes route through
 :class:`repro.Session`, so any accelerator registered in
 :mod:`repro.accelerators` is addressable via ``--accelerators`` and any
 workload — including family spec strings like ``dcgan@32x32`` or
@@ -51,8 +49,8 @@ per-job progress line to stderr the moment each simulation finishes (or is
 answered from cache), and ``--jsonl PATH|-`` writes one machine-readable
 JSON record per job *as it terminates* — ``completed``, ``cache-hit``,
 ``failed`` or ``cancelled`` (result fields are present only on the first
-two; PATH is rewritten each run).  Both work with every backend, because
-they subscribe to the runner's typed event stream rather than wrapping any
+two; PATH is rewritten each run).  Both work in every mode, because they
+subscribe to the runner's typed event stream rather than wrapping any
 particular mode.
 
 The ``serve`` mode hosts one shared runner as a long-running TCP service
@@ -94,11 +92,8 @@ from .experiments.registry import experiment_ids, run_all, run_experiment
 from .runner import (
     DiskResultCache,
     RunnerEvent,
-    SerialBackend,
     SimulationRunner,
-    backend_names,
     configure_layer_memo,
-    get_backend,
     get_layer_memo,
 )
 from .service import Client, SimulationServer
@@ -242,16 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="suppress the rendered report (useful with --json)",
-    )
-    parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help=(
-            "execution backend by registered name "
-            f"({'|'.join(backend_names())}; default: serial, "
-            "or asyncio for 'serve')"
-        ),
     )
     parser.add_argument(
         "--progress",
@@ -478,17 +463,13 @@ def parse_value_list(spec: str) -> Tuple[object, ...]:
 
 def build_runner(args: argparse.Namespace) -> SimulationRunner:
     """Construct the runner the CLI's experiments submit through."""
-    if args.backend is not None:
-        backend = get_backend(args.backend)
-    else:
-        backend = SerialBackend()
     if args.no_cache:
         # --no-cache disables every caching tier, including the layer memo.
         configure_layer_memo(enabled=False)
-        return SimulationRunner(backend=backend, use_cache=False)
+        return SimulationRunner(use_cache=False)
     configure_layer_memo()
     cache = DiskResultCache(args.cache_dir) if args.cache_dir else None
-    return SimulationRunner(backend=backend, cache=cache)
+    return SimulationRunner(cache=cache)
 
 
 def _owns_stdout(args: argparse.Namespace) -> bool:
@@ -759,13 +740,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` mode: host the simulation service until interrupted."""
     import signal
 
-    # The service's natural host is the event-driven backend; --backend
-    # still overrides it.
-    if args.backend is None:
-        args.backend = "asyncio"
     try:
         runner = build_runner(args)
-    except Exception as exc:  # bad --backend / --cache-dir
+    except Exception as exc:  # bad --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.progress:
@@ -1380,27 +1357,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # fresh tracer (tracing is off by default; spans cost allocations).
     configure_metrics()
     tracer = configure_tracing() if args.trace else None
-
-    try:
-        runner = build_runner(args)
-    except Exception as exc:  # bad --backend / --cache-dir
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    # Live consumers of the runner's event stream: every job any mode
-    # submits reports the moment it terminates, whatever the backend.
-    if args.progress:
-        runner.subscribe(_ProgressPrinter())
     jsonl_writer: Optional[_JsonlWriter] = None
-    if args.jsonl:
+    try:
         try:
-            jsonl_writer = _JsonlWriter(args.jsonl)
-        except OSError as exc:  # unwritable --jsonl destination
+            runner = build_runner(args)
+        except Exception as exc:  # bad --cache-dir
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        runner.subscribe(jsonl_writer)
 
-    try:
+        # Live consumers of the runner's event stream: every job any mode
+        # submits reports the moment it terminates.
+        if args.progress:
+            runner.subscribe(_ProgressPrinter())
+        if args.jsonl:
+            try:
+                jsonl_writer = _JsonlWriter(args.jsonl)
+            except OSError as exc:  # unwritable --jsonl destination
+                print(f"error: {exc}", file=sys.stderr)
+                runner.close()
+                return 2
+            runner.subscribe(jsonl_writer)
+
         code: Optional[int] = None
         if args.experiment == "compare":
             code = _run_compare(args, runner)

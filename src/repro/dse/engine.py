@@ -5,9 +5,9 @@ DesignPoint` into multi-objective measurements by simulating every workload on
 the explored accelerator *and* on the baseline at that point's configuration,
 all submitted as **one batch** of :class:`~repro.runner.SimulationJob` objects
 through the shared :class:`~repro.runner.SimulationRunner` — so identical
-candidates deduplicate within a search, repeated searches replay from the
-content-addressed cache, and a concurrent backend fans out across the
-whole (point x model x accelerator) grid.
+candidates deduplicate within a search and repeated searches replay from
+the content-addressed cache across the whole (point x model x accelerator)
+grid.
 
 The default objectives span the three axes the ISSUE and the paper's
 evaluation care about:
@@ -371,8 +371,8 @@ class DesignSpaceExplorer:
         all landed — cache-warm points arrive immediately, and an adaptive
         strategy can react to the first finished candidate instead of
         waiting for the whole batch.  Points arrive in completion order
-        (equal to submission order with the serial backend); closing the
-        iterator early cancels every simulation that has not started.
+        (equal to submission order); closing the iterator early cancels
+        every simulation that has not started.
         """
         points = list(points)
         if not points:

@@ -7,12 +7,12 @@ into :class:`~repro.dse.pareto.EvaluatedPoint` values — behind the callback
 every candidate becomes a set of :class:`~repro.runner.SimulationJob` objects
 submitted through the shared :class:`~repro.runner.SimulationRunner`, so a
 strategy should prefer few large batches over many small ones: a batch
-deduplicates internally, hits the content-addressed cache, and gives a
-parallel backend the widest fan-out.  Since the streaming runner redesign
-the engine's evaluator additionally exposes ``evaluate.stream(points)``,
-yielding evaluations *as they complete*; adaptive strategies can consume it
-to react to early results (and closing the stream cancels whatever has not
-started), while batch-only strategies keep calling ``evaluate(points)``.
+deduplicates internally and hits the content-addressed cache.  Since the
+streaming runner redesign the engine's evaluator additionally exposes
+``evaluate.stream(points)``, yielding evaluations *as they complete*;
+adaptive strategies can consume it to react to early results (and closing
+the stream cancels whatever has not started), while batch-only strategies
+keep calling ``evaluate(points)``.
 
 Three strategies are built in:
 
@@ -158,10 +158,9 @@ class HillClimbSearch:
     With the default multiplicative scalarization (:func:`scalar_score`)
     the climb targets the balanced region of the frontier; the engine's
     trace still sees every *consumed* point, so the Pareto analysis covers
-    the whole walk.  With the serial backend completion order equals
-    submission order, so searches stay exactly reproducible for a fixed
-    seed; parallel backends may legitimately walk a different (equally
-    valid) path, since "first completed" then depends on timing.
+    the whole walk.  Completion order equals submission order (each job
+    runs in the consuming thread), so searches stay exactly reproducible
+    for a fixed seed.
     """
 
     name = "hillclimb"

@@ -1,20 +1,11 @@
-"""Shared simulation execution layer: jobs, backends, caching, streaming.
+"""Shared simulation execution layer: jobs, the backend, caching, streaming.
 
 See ``README.md`` in this directory for the architecture and usage guide —
 including the streaming API (``SimulationRunner.submit`` ->
 ``BatchHandle.as_completed`` plus the typed ``RunnerEvent`` stream).
 """
 
-from .backends import (
-    BACKENDS,
-    AsyncioBackend,
-    DeferredJobFuture,
-    ExecutionBackend,
-    JobFuture,
-    SerialBackend,
-    backend_names,
-    get_backend,
-)
+from .backends import JobFuture, SerialBackend
 from .cache import (
     CachePruneStats,
     CacheStats,
@@ -46,7 +37,6 @@ from .runner import (
 )
 
 __all__ = [
-    "BACKENDS",
     "COMPARISON_PAIR",
     "EVENT_KINDS",
     "PROVENANCE_CACHE",
@@ -54,13 +44,10 @@ __all__ = [
     "PROVENANCE_EXECUTED",
     "RECORD_SCHEMA_VERSION",
     "TERMINAL_EVENT_KINDS",
-    "AsyncioBackend",
     "BatchHandle",
     "CachePruneStats",
     "CacheStats",
-    "DeferredJobFuture",
     "DiskResultCache",
-    "ExecutionBackend",
     "InMemoryResultCache",
     "JobCompletion",
     "JobFuture",
@@ -71,10 +58,8 @@ __all__ = [
     "SerialBackend",
     "SimulationJob",
     "SimulationRunner",
-    "backend_names",
     "configure_layer_memo",
     "execute_job",
-    "get_backend",
     "get_default_runner",
     "get_layer_memo",
     "resolve_accelerators",

@@ -17,10 +17,9 @@ The event grammar, per submitted job (in emission order):
 ``cache-hit``
     terminal — the result came straight from the content-addressed cache.
 ``started``
-    the job began executing.  Emitted when the backend can observe the
-    start (serial: the consumer's thread drives the job; asyncio: the
-    worker coroutine begins).  Never emitted for cache hits or batch
-    duplicates.
+    the job began executing: a consumer's thread started driving it.  A
+    started job always delivers ``completed`` or ``failed``, never
+    ``cancelled``.  Never emitted for cache hits or batch duplicates.
 ``completed``
     terminal — the job produced a result (``provenance`` says how:
     ``"executed"`` for a fresh simulation, ``"deduplicated"`` for a duplicate

@@ -15,10 +15,10 @@ batch however suits it:
   the full list (this is exactly what ``run_jobs()`` does).
 * :meth:`BatchHandle.cancel` — cancel every job that has not started.
 
-With the serial backend, jobs execute lazily *in the consuming thread* as the
-handle's iterators drive them — streaming costs nothing and completion order
-equals submission order.  With the asyncio backend jobs execute in the
-background and the iterators genuinely overlap consumption with execution.
+Jobs execute lazily *in the consuming thread* as the handle's iterators
+drive them — streaming costs nothing and completion order equals submission
+order.  Another thread may :meth:`BatchHandle.cancel` the batch meanwhile:
+the job being driven finishes and delivers its result, the rest cancel.
 
 Listeners subscribed on the runner (or passed per batch via ``on_event``)
 receive the :class:`~repro.runner.events.RunnerEvent` narration of the batch;
@@ -87,7 +87,7 @@ class _Entry:
         self.future: Optional[JobFuture] = None
         self.primary: Optional["_Entry"] = None  # set on batch duplicates
         self.duplicates: List["_Entry"] = []
-        self.driven = False  # handed to a consumer for passive driving
+        self.driven = False  # handed to a consumer to drive
         self.span: Optional[Any] = None  # open tracing span (tracing on only)
 
 
@@ -110,7 +110,7 @@ class BatchHandle:
         ]
         self._ready: Deque[_Entry] = deque()
         self._terminal = 0
-        self._passive_cursor = 0  # next candidate for passive driving
+        self._drive_cursor = 0  # next candidate for driving
         self._counts: Dict[str, int] = {
             _KIND_CACHE_HIT: 0,
             _KIND_COMPLETED: 0,
@@ -158,9 +158,9 @@ class BatchHandle:
         """Yield a :class:`JobCompletion` per job, in completion order.
 
         Cache hits and duplicates land first (they resolve at submission);
-        executed jobs follow as the backend finishes them.  With a serial
-        backend this iterator *drives* execution: each pending job runs in
-        the consuming thread when the iterator reaches for more work.
+        executed jobs follow as they finish.  This iterator *drives*
+        execution: each pending job runs in the consuming thread when the
+        iterator reaches for more work.
 
         Failed jobs re-raise their exception unless ``raise_on_error`` is
         False, in which case the completion carries ``error`` and a ``None``
@@ -177,7 +177,7 @@ class BatchHandle:
                         break
                     if self._terminal >= len(self._entries):
                         return
-                    to_drive = self._next_passive_locked()
+                    to_drive = self._next_undriven_locked()
                     if to_drive is not None:
                         break
                     self._cond.wait()
@@ -300,7 +300,7 @@ class BatchHandle:
             self._counts[kind] += 1
             # The entry that completes the batch also closes the batch span;
             # taking it under the lock makes the close exactly-once even when
-            # backend threads race the submitting thread to the last slot.
+            # a driving thread races the submitting thread to the last slot.
             batch_span = None
             if self._batch_span is not None and self._terminal >= len(self._entries):
                 batch_span = self._batch_span
@@ -336,21 +336,20 @@ class BatchHandle:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_passive_locked(self) -> Optional[_Entry]:
-        """The next undriven passive future, marked as handed out (lock held).
+    def _next_undriven_locked(self) -> Optional[_Entry]:
+        """The next undriven job, marked as handed out (lock held).
 
         A persistent cursor keeps the scan amortised O(1) per drive: every
         skip condition is permanent (futures attach before the handle is
         consumable, ``driven`` and terminal states never revert), so entries
         behind the cursor never need revisiting.
         """
-        while self._passive_cursor < len(self._entries):
-            entry = self._entries[self._passive_cursor]
-            self._passive_cursor += 1
+        while self._drive_cursor < len(self._entries):
+            entry = self._entries[self._drive_cursor]
+            self._drive_cursor += 1
             if entry.state is not None or entry.driven or entry.primary is not None:
                 continue
-            future = entry.future
-            if future is not None and future.passive:
+            if entry.future is not None:
                 entry.driven = True
                 return entry
         return None
@@ -365,7 +364,7 @@ class BatchHandle:
             with self._cond:
                 target.driven = True
             try:
-                future.result()  # drives passive futures; callbacks resolve us
+                future.result()  # drives the job; callbacks resolve us
             except BaseException:
                 pass  # outcome (error/cancellation) captured on the entry
         with self._cond:

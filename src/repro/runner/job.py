@@ -18,8 +18,8 @@ exactly like the accelerator's registered version: bumping a workload's
 version invalidates its stale cached results even when the structural
 fingerprint is unchanged.
 
-:func:`execute_job` is the single entry point every backend uses to turn a
-job into a result.  The job carries only the accelerator *name*; the
+:func:`execute_job` is the single entry point that turns a job into a
+result.  The job carries only the accelerator *name*; the
 simulator is built through the registry when the job runs.
 """
 
@@ -65,7 +65,7 @@ class SimulationJob:
         — names resolve through :mod:`repro.workloads.registry` at
         construction, so after ``__post_init__`` this is always a built
         model.  The model travels with the job, so jobs over ad-hoc models
-        — not just registry workloads — run on every backend.
+        — not just registry workloads — run like any other.
     accelerator:
         Any name registered in :mod:`repro.accelerators` (see
         :func:`~repro.accelerators.accelerator_names`); normalized to the
@@ -250,7 +250,7 @@ def _simulate(
 
 
 def execute_job(job: SimulationJob) -> GanResult:
-    """Run one job to completion (used by every backend).
+    """Run one job to completion (what driving a job future calls).
 
     When the process-global layer memo is enabled (see
     :func:`repro.runner.cache.get_layer_memo`), eligible simulators assemble
@@ -267,7 +267,7 @@ def execute_job(job: SimulationJob) -> GanResult:
     layer_fn = _memoized_layer_fn(spec, simulator, job)
     tracer = get_tracer()
     if tracer is not None:
-        # Jobs may execute on a backend worker thread where the submitting
+        # Jobs may execute on a consumer thread where the submitting
         # thread's span stack is invisible; the runner published cache_key ->
         # job-span-id at dispatch so the simulate span lands under its job.
         # The span() context manager also pushes this thread's span stack,

@@ -11,10 +11,10 @@ out**: :meth:`SimulationRunner.submit` accepts a batch of
    paper-default configuration — execute at most once per batch,
 2. answering what it can from the **content-addressed cache** (those jobs
    resolve on the handle instantly), and
-3. dispatching only the remaining unique misses to the configured
-   :class:`~repro.runner.backends.ExecutionBackend` (serial or asyncio)
-   through the incremental ``submit_jobs`` protocol, so results
-   stream back per job instead of arriving with the slowest one.
+3. dispatching only the remaining unique misses to the
+   :class:`~repro.runner.backends.SerialBackend` through the incremental
+   ``submit_jobs`` protocol, so results stream back per job instead of
+   arriving with the slowest one.
 
 Consumers pull from the handle (``as_completed()`` / ``iter_results()`` /
 ``results()``) and can observe the typed
@@ -49,7 +49,7 @@ from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import AnalysisError
 from ..nn.network import GANModel
 from ..telemetry import MetricsSubscriber, get_metrics, get_tracer
-from .backends import ExecutionBackend, JobFuture, SerialBackend
+from .backends import JobFuture, SerialBackend
 from .cache import CacheStats, InMemoryResultCache, ResultCache
 from .events import PROVENANCE_CACHE, PROVENANCE_EXECUTED
 from .handle import BatchHandle, EventListener, _Entry
@@ -94,7 +94,8 @@ class SimulationRunner:
     Parameters
     ----------
     backend:
-        Execution backend; defaults to a fresh :class:`SerialBackend`.
+        Execution backend; defaults to a fresh :class:`SerialBackend`
+        (pass a subclass to inject faults).
     cache:
         Result cache; defaults to a fresh :class:`InMemoryResultCache`.
         Pass ``None`` explicitly via ``use_cache=False`` to disable caching.
@@ -105,7 +106,7 @@ class SimulationRunner:
 
     def __init__(
         self,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[SerialBackend] = None,
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
     ) -> None:
@@ -117,8 +118,8 @@ class SimulationRunner:
             else None
         )
         self._stats = CacheStats()
-        # Streaming completions land on backend callback threads; the cache
-        # and the stats counters are shared with the submitting thread.
+        # Completions land on whichever thread drives a job (a service runs
+        # several); the cache and the stats counters are shared by them all.
         self._lock = threading.Lock()
         # Job outcome counters and latency histograms come for free on every
         # runner; the subscriber no-ops when metrics are disabled.
@@ -128,7 +129,7 @@ class SimulationRunner:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> ExecutionBackend:
+    def backend(self) -> SerialBackend:
         return self._backend
 
     @property
@@ -141,8 +142,11 @@ class SimulationRunner:
         return self._stats
 
     def close(self) -> None:
-        """Shut down the backend (idempotent)."""
-        self._backend.close()
+        """Release held resources: none, as jobs run in consumer threads.
+
+        Kept so ``with SimulationRunner() as runner:`` and explicit
+        ``close()`` calls stay valid.
+        """
 
     def __enter__(self) -> "SimulationRunner":
         return self
@@ -186,8 +190,7 @@ class SimulationRunner:
         hits resolve on the handle instantly (``cache-hit``), and the
         remaining unique misses go to the backend's incremental
         ``submit_jobs`` — their results land on the handle (and in the
-        cache) as each job finishes, from whichever thread the backend
-        completes it on.
+        cache) as each job finishes, in whichever thread drives it.
 
         ``on_event`` observes just this batch; listeners registered through
         :meth:`subscribe` observe every batch.
@@ -253,7 +256,7 @@ class SimulationRunner:
 
         if pending:
             if tracer is not None:
-                # The asyncio backend executes jobs on other threads
+                # A consumer thread may drive jobs another thread submitted,
                 # where the submit-time span stack is invisible; publishing
                 # cache_key -> job-span-id lets execute_job() parent its
                 # simulate spans onto the right job regardless of thread.
@@ -261,11 +264,6 @@ class SimulationRunner:
                     if entry.span is not None:
                         tracer.register_job(entry.job.cache_key, entry.span.span_id)
             futures = self._backend.submit_jobs([entry.job for entry in pending])
-            if len(futures) != len(pending):
-                raise AnalysisError(
-                    f"backend '{self._backend.name}' returned {len(futures)} "
-                    f"futures for {len(pending)} jobs"
-                )
             for entry, future in zip(pending, futures):
                 handle._attach_future(entry, future)
             for entry, future in zip(pending, futures):
@@ -366,9 +364,9 @@ class SimulationRunner:
         The streaming counterpart of :meth:`compare_accelerators_over_configs`:
         one submission covers the whole (config x model x accelerator) grid,
         and each (config, model) cell is yielded the moment its accelerator
-        set completes — in completion order, which with the serial backend
-        equals submission order.  Closing the iterator early cancels every
-        job that has not started.
+        set completes — in completion order, which equals submission order
+        when one consumer drains the stream.  Closing the iterator early
+        cancels every job that has not started.
         """
         if not models:
             raise AnalysisError("no models provided")
@@ -505,9 +503,9 @@ class SimulationRunner:
     ) -> Dict[str, ComparisonResult]:
         """Run every GAN on the legacy (eyeriss, ganax) pair; name -> comparison.
 
-        All ``2 * len(models)`` jobs dispatch as one batch, so a parallel
-        backend overlaps models and accelerators.  N-way studies over other
-        registered accelerators use :meth:`compare_accelerators`.
+        All ``2 * len(models)`` jobs dispatch as one deduplicated batch.
+        N-way studies over other registered accelerators use
+        :meth:`compare_accelerators`.
         """
         if not models:
             raise AnalysisError("no models provided")
@@ -525,9 +523,8 @@ class SimulationRunner:
         """Run a (config x model) comparison grid as one deduplicated batch.
 
         This is the sweep fast path: every point of a parameter sweep joins a
-        single submission, so the backend parallelises across the whole grid
-        and configs that collapse to the same content hash run once.  It is
-        the ``("eyeriss", "ganax")`` special case of
+        single submission, so configs that collapse to the same content hash
+        run once.  It is the ``("eyeriss", "ganax")`` special case of
         :meth:`compare_accelerators_over_configs`.
 
         Returns ``{config_label: {model_name: ComparisonResult}}`` preserving

@@ -43,8 +43,7 @@ CODE_QUEUE_FULL = "queue-full"
 class AdmissionController:
     """Per-client quota and server-wide bound over in-flight jobs.
 
-    Thread-safe; the server admits on its loop thread and releases from
-    backend completion threads.
+    Thread-safe, so admits and releases may come from any thread.
     """
 
     def __init__(

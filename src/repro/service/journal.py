@@ -81,8 +81,8 @@ def decode_result(record: Dict[str, Any]) -> Optional[GanResult]:
 class EventJournal:
     """Append-only, fsync'd JSONL journal with atomic compaction.
 
-    Thread-safe: the server's event listeners append from backend callback
-    threads.  Open the journal once per server; concurrent writers on the
+    Thread-safe: the server's event listeners append from the executor
+    threads that drive jobs.  Open the journal once per server; concurrent writers on the
     same path are **not** supported (unlike the disk cache, a journal is a
     log, not a content-addressed store — run one journal per server process
     and share results through the cache instead).

@@ -12,8 +12,8 @@ second client's copy resolves as a cache hit instead of a re-simulation.
 Layering, top to bottom:
 
 * **Connections** (:class:`_Connection`) — one reader coroutine parsing
-  requests, one writer task draining a per-client outbox queue.  Backend
-  completion threads publish into the outbox via
+  requests, one writer task draining a per-client outbox queue.  The
+  executor threads that drive jobs publish into the outbox via
   ``loop.call_soon_threadsafe``, so the event loop stays single-threaded.
 * **Admission** — every ``submit`` passes the
   :class:`~repro.service.admission.AdmissionController` (per-client quota +
@@ -23,8 +23,8 @@ Layering, top to bottom:
   ``max_active_requests`` batches in the runner at once, so a saturating
   client cannot starve a light one.
 * **Execution** — a dispatched batch is submitted to the shared runner from
-  an executor thread (which also drives passive serial futures), with a
-  per-request event listener forwarding every terminal
+  an executor thread, which also drives its jobs, with a per-request event
+  listener forwarding every terminal
   :class:`~repro.runner.RunnerEvent` to the owning client as a wire
   ``event`` record and appending it to the journal.
 * **Durability** — with a journal configured, every terminal event is
@@ -35,8 +35,7 @@ Layering, top to bottom:
 * **Shutdown** — :meth:`stop` stops accepting connections, refuses new
   submits (``rejected`` / ``shutting-down``), drains every queued and
   in-flight batch to completion, notifies connected clients with a
-  ``shutdown`` record, then closes the journal (and the runner, when the
-  server built it).
+  ``shutdown`` record, then closes the journal.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
 from ..errors import ProtocolError, ReproError, ServiceError
-from ..runner import RunnerEvent, SimulationJob, SimulationRunner, get_backend
+from ..runner import RunnerEvent, SimulationJob, SimulationRunner
 from ..runner.cache import get_layer_memo
 from ..telemetry import get_metrics, get_tracer
 from . import protocol
@@ -149,11 +148,9 @@ class SimulationServer:
         one from :attr:`port` after :meth:`start`.
     runner:
         The shared :class:`SimulationRunner`.  When omitted the server
-        builds its own on the named ``backend`` (default ``asyncio`` — the
-        event-driven backend is the service's natural host) with an
-        in-memory cache; pass a runner with a
-        :class:`~repro.runner.DiskResultCache` to share warm results with a
-        worker fleet.
+        builds a plain ``SimulationRunner()`` with an in-memory cache; pass
+        a runner with a :class:`~repro.runner.DiskResultCache` to share warm
+        results with a worker fleet.
     quota, queue_limit:
         Admission-control bounds: per-client and server-wide in-flight jobs.
     max_active_requests:
@@ -174,8 +171,6 @@ class SimulationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         runner: Optional[SimulationRunner] = None,
-        backend: str = "asyncio",
-        max_workers: Optional[int] = None,
         quota: int = DEFAULT_QUOTA,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         max_active_requests: int = DEFAULT_MAX_ACTIVE_REQUESTS,
@@ -190,10 +185,7 @@ class SimulationServer:
             )
         self._host = host
         self._requested_port = port
-        self._owns_runner = runner is None
-        self._runner = runner if runner is not None else SimulationRunner(
-            backend=get_backend(backend, max_workers=max_workers)
-        )
+        self._runner = runner if runner is not None else SimulationRunner()
         self._admission = AdmissionController(quota=quota, queue_limit=queue_limit)
         self._max_active = max_active_requests
         self.restored_entries = 0
@@ -212,7 +204,7 @@ class SimulationServer:
             if journal_path is not None
             else None
         )
-        # Executor driving runner submissions (and passive serial futures):
+        # Executor submitting batches to the runner and driving their jobs:
         # one thread per active request slot keeps `max_active_requests` an
         # honest bound rather than fighting the default executor's sizing.
         self._executor = ThreadPoolExecutor(
@@ -232,7 +224,7 @@ class SimulationServer:
         self._active = 0
         self._stopping = False
         self._stopped = False
-        # Telemetry: lifetime counters (jobs_done updated from backend
+        # Telemetry: lifetime counters (jobs_done updated from executor
         # threads, hence the lock) and the heartbeat task.
         self._heartbeat_seconds = heartbeat_seconds
         self._heartbeat_task: Optional[asyncio.Task] = None
@@ -332,11 +324,6 @@ class SimulationServer:
         if self._journal is not None:
             self._journal.close()
         self._executor.shutdown(wait=True)
-        if self._owns_runner:
-            # runner.close() joins backend threads; keep the loop responsive.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._runner.close
-            )
         self._stopped = True
 
     # -- threaded wrapper (tests, the CLI's `serve` verb) ---------------
@@ -583,8 +570,7 @@ class SimulationServer:
                 counts = await loop.run_in_executor(
                     self._executor, self._execute, pending.jobs, listener
                 )
-                # The runner hands completions to as_completed() while the
-                # final listener may still be journaling on a backend thread;
+                # Event records reach the loop through call_soon_threadsafe;
                 # wait until every terminal event record has been forwarded
                 # so `done` is always the last record of the batch.
                 await forwarded.wait()
@@ -687,7 +673,7 @@ class SimulationServer:
             )
 
     def _execute(self, jobs: List[SimulationJob], listener) -> Dict[str, int]:
-        """Submit and drain one batch (executor thread; drives serial futures)."""
+        """Submit and drain one batch (executor thread; drives its jobs)."""
         handle = self._runner.submit(jobs, on_event=listener)
         for _completion in handle.as_completed(raise_on_error=False):
             pass
@@ -696,7 +682,7 @@ class SimulationServer:
     def _make_listener(self, pending: _PendingRequest, forwarded: asyncio.Event):
         """Per-request runner listener: journal + forward terminal events.
 
-        Called from whatever thread the backend completes jobs on; hands the
+        Called from the executor thread that drives the jobs; hands the
         wire record to the loop thread via ``call_soon_threadsafe``.  Sets
         ``forwarded`` (on the loop) once every job's terminal event has been
         pushed — the event grammar guarantees exactly one per job — so the

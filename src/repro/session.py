@@ -18,9 +18,9 @@ Models may be given as registry names (``"DCGAN"``), family spec strings
 (``"dcgan@32x32"``, ``"synthetic@d8c256"`` — see
 :mod:`repro.workloads.families`) or :class:`~repro.nn.network.GANModel`
 instances; ``compare()`` with no arguments covers every registered workload.
-Every simulation in a session submits through one runner batch, so a
-concurrent backend fans out over the whole (model x accelerator) grid and
-results are shared through the content-addressed cache.
+Every simulation in a session submits through one runner batch, so the
+whole (model x accelerator) grid deduplicates and results are shared
+through the content-addressed cache.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ are addressed by name plus optional labels (``registry.counter(
 pair always returns the same instrument, so call sites never need to hold
 references across layers.  One registry-wide lock serializes every update
 and makes :meth:`MetricsRegistry.snapshot` an **atomic** cut across all
-instruments — a snapshot taken while backend threads complete jobs never
+instruments — a snapshot taken while other threads complete jobs never
 shows a counter torn against its sibling (pinned by
 ``tests/test_telemetry.py``).
 

@@ -34,8 +34,8 @@ from .metrics import get_metrics
 class MetricsSubscriber:
     """Feed job life-cycle events into the process metrics registry.
 
-    Thread-safe: backends deliver terminal events from worker/callback
-    threads while ``scheduled`` events arrive on the submitting thread.  The
+    Thread-safe: terminal events arrive on whichever thread drives a job
+    while ``scheduled`` events arrive on the submitting thread.  The
     per-job start times are keyed by ``job_uid`` and dropped at the job's
     terminal event — the event grammar guarantees exactly one per job, so
     the table never grows past the number of in-flight jobs.

@@ -23,13 +23,13 @@ Parentage works two ways:
   the innermost open span *of its thread* (how a ``layer-memo`` span lands
   under its ``simulate_layers`` span).
 
-Execution-side spans need a parent that was opened on a *different* thread
-(the submitting thread opens the ``job`` span; a backend worker thread runs
-the simulation).  :meth:`Tracer.register_job` bridges the gap: the runner
+Execution-side spans may need a parent that was opened on a *different*
+thread (the submitting thread opens the ``job`` span; the thread that drives
+the job — a service executor thread, say — runs the simulation).  :meth:`Tracer.register_job` bridges the gap: the runner
 registers ``cache_key -> job-span id`` at dispatch, and
 :func:`~repro.runner.job.execute_job` looks the parent up with
-:meth:`Tracer.parent_for`.  The runner-side ``batch``/``job`` tree is
-backend-invariant (pinned by ``tests/test_telemetry.py``).
+:meth:`Tracer.parent_for`.  The tree is the same
+whichever thread drives the jobs (pinned by ``tests/test_telemetry.py``).
 """
 
 from __future__ import annotations

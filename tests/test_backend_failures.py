@@ -3,9 +3,9 @@
 * A :class:`JobFuture` whose done-callback raises — even a
   ``BaseException`` such as ``KeyboardInterrupt`` — must still settle, so
   no ``result()`` waiter or ``as_completed()`` consumer is stranded.
-* The :class:`AsyncioBackend` must attribute a failing job to its own future
-  only, and ``close()`` must settle every in-flight future before the loop
-  stops; a closed backend starts a fresh loop on its next submission.
+* The :class:`SerialBackend` executes nothing at submission, attributes a
+  failing job to its own future only, runs each job at most once however
+  often its future is driven, and keeps its in-flight gauge honest.
 * ``DiskResultCache.get()`` must treat entries that vanish under a
   concurrent ``prune()``/delete as clean misses — including when the
   recency-refreshing ``os.utime`` is what hits the vanished file.
@@ -20,12 +20,13 @@ import pytest
 
 from repro.accelerators import register_accelerator, unregister_accelerator
 from repro.runner import (
-    AsyncioBackend,
     DiskResultCache,
     JobFuture,
+    SerialBackend,
     SimulationJob,
     execute_job,
 )
+from repro.telemetry import configure_metrics
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ def jobs(dcgan_model, paper_config, options):
 
 class TestJobFutureSettling:
     def test_raising_done_callback_still_settles(self, jobs):
-        future = JobFuture()
+        future = JobFuture(jobs[0])
         future.add_done_callback(lambda f: (_ for _ in ()).throw(RuntimeError()))
         result = execute_job(jobs[0])
         assert future.set_result(result)
@@ -47,7 +48,7 @@ class TestJobFutureSettling:
 
     def test_baseexception_callback_cannot_strand_waiters(self, jobs):
         """An interrupt escaping a callback must not leave the future unsettled."""
-        future = JobFuture()
+        future = JobFuture(jobs[0])
 
         def interrupting(_):
             raise KeyboardInterrupt()
@@ -59,7 +60,7 @@ class TestJobFutureSettling:
         assert future.result(timeout=1) is not None
 
     def test_cancelling_a_pending_future_settles_it_cancelled(self, jobs):
-        future = JobFuture()
+        future = JobFuture(jobs[0])
         assert future.cancel()
         assert future.done() and future.cancelled()
         assert future.cancel()  # idempotent
@@ -68,7 +69,7 @@ class TestJobFutureSettling:
             future.result(timeout=1)
 
     def test_a_running_future_cannot_be_cancelled(self, jobs):
-        future = JobFuture()
+        future = JobFuture(jobs[0])
         assert future.set_running()
         assert not future.cancel()
         result = execute_job(jobs[0])
@@ -81,7 +82,7 @@ def _failing_factory(config=None, options=None):
     raise RuntimeError("injected accelerator failure")
 
 
-class TestAsyncioBackendFailures:
+class TestSerialBackend:
     @pytest.fixture()
     def failing_job(self, dcgan_model, paper_config, options):
         register_accelerator("test-backend-boom", version="1")(_failing_factory)
@@ -90,39 +91,52 @@ class TestAsyncioBackendFailures:
         finally:
             unregister_accelerator("test-backend-boom")
 
+    @pytest.fixture()
+    def metrics(self):
+        registry = configure_metrics()
+        yield registry
+        configure_metrics()
+
     def test_failing_job_fails_only_its_own_future(self, jobs, failing_job):
-        with AsyncioBackend(max_workers=2) as backend:
-            futures = backend.submit_jobs([jobs[0], failing_job, jobs[1]])
-            with pytest.raises(RuntimeError, match="injected accelerator failure"):
-                futures[1].result(timeout=30)
-            assert futures[0].result(timeout=30) == execute_job(jobs[0])
-            assert futures[2].result(timeout=30) == execute_job(jobs[1])
+        futures = SerialBackend().submit_jobs([jobs[0], failing_job, jobs[1]])
+        with pytest.raises(RuntimeError, match="injected accelerator failure"):
+            futures[1].result(timeout=30)
+        assert futures[0].result(timeout=30) == execute_job(jobs[0])
+        assert futures[2].result(timeout=30) == execute_job(jobs[1])
         assert isinstance(futures[1].exception(), RuntimeError)
         assert not futures[1].cancelled()
         assert futures[0].exception() is None
 
-    def test_close_settles_every_inflight_future(self, jobs):
-        backend = AsyncioBackend(max_workers=1)
-        futures = backend.submit_jobs(jobs * 3)
-        backend.close()  # before any consumer touched a future
-        assert all(future.done() for future in futures)
-        expected = [execute_job(job) for job in jobs] * 3
-        assert [future.result(timeout=0) for future in futures] == expected
+    def test_submission_executes_nothing_until_driven(self, jobs, failing_job):
+        futures = SerialBackend().submit_jobs([failing_job, *jobs])
+        assert not any(future.done() for future in futures)
+        assert all(future.peek_result() is None for future in futures)
+        # an undriven job can still be cancelled: it never started
+        assert futures[0].cancel()
+        assert [future.result(timeout=30) for future in futures[1:]] == [
+            execute_job(job) for job in jobs
+        ]
 
-    def test_submit_after_close_runs_on_a_fresh_loop(self, jobs):
-        backend = AsyncioBackend(max_workers=1)
-        first = backend.run_jobs(jobs)
-        backend.close()
-        try:
-            assert backend.run_jobs(jobs) == first
-        finally:
-            backend.close()
+    def test_a_driven_future_executes_its_job_once(self, jobs):
+        (future,) = SerialBackend().submit_jobs(jobs[:1])
+        first = future.result(timeout=30)
+        future.drive()  # already finished: a no-op, not a second execution
+        assert future.result(timeout=0) is first
+        assert not future.cancel()
 
-    def test_empty_submission_starts_no_loop(self):
-        backend = AsyncioBackend(max_workers=1)
-        assert backend.submit_jobs([]) == []
-        assert backend._loop is None
-        backend.close()  # nothing to stop
+    def test_empty_submission_dispatches_nothing(self, metrics):
+        assert SerialBackend().submit_jobs([]) == []
+        assert metrics.counter_value("backend.jobs.dispatched", backend="serial") == 0
+
+    def test_inflight_gauge_counts_undriven_futures(self, jobs, metrics):
+        futures = SerialBackend().submit_jobs(jobs)
+        inflight = metrics.gauge("backend.jobs.inflight", backend="serial")
+        assert metrics.counter_value("backend.jobs.dispatched", backend="serial") == 2
+        assert inflight.value == 2
+        futures[0].result(timeout=30)
+        assert inflight.value == 1
+        assert futures[1].cancel()
+        assert inflight.value == 0
 
 
 class TestDiskCacheRaces:

@@ -10,6 +10,7 @@ from repro.accelerators import accelerator_names
 from repro.cli import build_parser, main, parse_accelerator_list
 from repro.errors import UnknownAcceleratorError
 from repro.experiments import experiment_ids
+from repro.telemetry import get_tracer
 
 
 class TestParser:
@@ -457,7 +458,7 @@ class TestDseWorkloads:
 
 
 class TestStreamingFlags:
-    """The streaming CLI surface: --progress, --jsonl and --backend."""
+    """The streaming CLI surface: --progress and --jsonl."""
 
     COMPARE = [
         "compare",
@@ -520,24 +521,28 @@ class TestStreamingFlags:
         assert "[1/2]" in err and "[2/2]" in err
         assert "DCGAN on ganax" in err
 
-    def test_backend_flag_resolves_through_the_registry(self, capsys):
-        assert main([*self.COMPARE, "--backend", "asyncio", "--quiet"]) == 0
-        assert main([*self.COMPARE, "--backend", "serial", "--quiet"]) == 0
-
-    def test_backend_help_lists_the_registered_names(self):
-        help_text = build_parser().format_help()
-        assert "asyncio|serial" in " ".join(help_text.split())
-
     def test_workers_option_no_longer_exists(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([*self.COMPARE, "--workers", "2"])
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_unknown_backend_is_a_clean_error(self, capsys):
-        assert main([*self.COMPARE, "--backend", "quantum"]) == 2
+    def test_backend_option_no_longer_exists(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.COMPARE, "--backend", "serial"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown execution backend" in err
+        assert "unrecognized arguments: --backend serial" in err
+
+    def test_help_no_longer_mentions_a_backend(self):
+        assert "--backend" not in build_parser().format_help()
+
+    def test_serve_has_no_backend_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--backend", "asyncio"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --backend asyncio" in err
 
     def test_json_dash_and_jsonl_dash_cannot_share_stdout(self, capsys):
         assert main([*self.COMPARE, "--json", "-", "--jsonl", "-"]) == 2
@@ -696,6 +701,28 @@ class TestTelemetryFlags:
         assert "--trace" in capsys.readouterr().err
         assert main(["all", "--metrics", "-"]) == 2
         assert "--metrics" in capsys.readouterr().err
+
+    def test_bad_cache_dir_does_not_leak_the_tracer(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("a regular file")
+        trace = tmp_path / "t.json"
+        assert (
+            main(
+                [*self.COMPARE, "--trace", str(trace), "--cache-dir", str(not_a_dir)]
+            )
+            == 2
+        )
+        assert "error:" in capsys.readouterr().err
+        assert get_tracer() is None
+
+    def test_unwritable_jsonl_does_not_leak_the_tracer(self, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        jsonl = tmp_path / "missing" / "x.jsonl"
+        assert (
+            main([*self.COMPARE, "--trace", str(trace), "--jsonl", str(jsonl)]) == 2
+        )
+        assert "error:" in capsys.readouterr().err
+        assert get_tracer() is None
 
     def test_metrics_dash_cannot_share_stdout_with_json_dash(self, capsys):
         assert main([*self.COMPARE, "--json", "-", "--metrics", "-"]) == 2

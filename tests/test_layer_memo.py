@@ -7,7 +7,7 @@ to one memo key (:func:`repro.analysis.serialization.layer_fingerprint`), and
 hits.  These tests pin the contract: fingerprints are stable across registry
 round-trips and exclude the layer name, memo hits never change results
 (cold == warm, enabled == disabled), and per-layer sums equal the job-level
-golden totals on every backend.
+golden totals with the memo on or off.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from repro.nn.layers import ConvLayer, TransposedConvLayer
 from repro.nn.network import GANModel, LayerBinding, Network
 from repro.nn.shapes import FeatureMapShape
 from repro.runner import (
-    AsyncioBackend,
     LayerMemoStore,
-    SerialBackend,
     SimulationJob,
+    SimulationRunner,
     configure_layer_memo,
     execute_job,
     get_layer_memo,
@@ -316,25 +315,20 @@ class TestMemoizedExecution:
         assert names == ["beta_tconv"]
 
 
-class TestBackendLayerTotals:
-    """Sum-of-layer results equals the job-level golden totals everywhere."""
+class TestLayerTotals:
+    """Sum-of-layer results equals the job-level golden totals."""
 
-    @pytest.fixture(params=["serial", "asyncio"], ids=str, scope="class")
-    def backend(self, request):
-        if request.param == "serial":
-            backend = SerialBackend()
-        else:
-            backend = AsyncioBackend(max_workers=2)
-        yield backend
-        backend.close()
-
-    def test_layer_sums_match_golden_job_totals(self, backend, paper_config, options):
+    @pytest.mark.parametrize("memo", ["memo-on", "memo-off"])
+    def test_layer_sums_match_golden_job_totals(
+        self, memo, memo_state, paper_config, options
+    ):
+        configure_layer_memo(enabled=memo == "memo-on")
         jobs = []
         for name in workload_names():
             jobs.extend(
                 SimulationJob.comparison_pair(get_workload(name), paper_config, options)
             )
-        results = backend.run_jobs(jobs)
+        results = SimulationRunner(use_cache=False).run_jobs(jobs)
         by_key = {}
         for job, result in zip(jobs, results):
             generator = result.generator

@@ -1,7 +1,7 @@
-"""Tests for the simulation runner: backends, caching, scheduling, parity.
+"""Tests for the simulation runner: jobs, caching, scheduling, parity.
 
-The central guarantee of :mod:`repro.runner` is that the execution strategy is
-invisible in the results: serial, asyncio and cache-served runs of the
+The central guarantee of :mod:`repro.runner` is that how a result was
+obtained is invisible in the results: fresh and cache-served runs of the
 same jobs produce identical values.  The parity tests assert this at three
 levels — dataclass equality, the exact floats the paper figures consume, and
 byte-identical canonical JSON of the flattened per-layer rows.
@@ -28,11 +28,9 @@ from repro.config import ArchitectureConfig, SimulationOptions
 from repro.errors import AnalysisError, ConfigurationError, UnknownAcceleratorError
 from repro.session import Session
 from repro.runner import (
-    AsyncioBackend,
     CacheStats,
     DiskResultCache,
     InMemoryResultCache,
-    SerialBackend,
     SimulationJob,
     SimulationRunner,
     execute_job,
@@ -45,14 +43,6 @@ from repro.workloads.registry import all_workloads, get_workload
 @pytest.fixture(scope="module")
 def models():
     return all_workloads()
-
-
-@pytest.fixture(scope="module")
-def asyncio_backend():
-    """One asyncio backend shared by every parallel test in this module."""
-    backend = AsyncioBackend(max_workers=2)
-    yield backend
-    backend.close()
 
 
 def result_bytes(comparison) -> bytes:
@@ -117,46 +107,9 @@ class TestSimulationJob:
 
 
 # ----------------------------------------------------------------------
-# Serial vs parallel parity
+# Cache parity
 # ----------------------------------------------------------------------
-class TestBackendParity:
-    def test_compare_models_serial_parallel_identical(
-        self, models, asyncio_backend
-    ):
-        serial = SimulationRunner(backend=SerialBackend()).compare_models(models)
-        parallel = SimulationRunner(backend=asyncio_backend).compare_models(models)
-        assert serial.keys() == parallel.keys()
-        for name in serial:
-            assert serial[name] == parallel[name]
-            assert serial[name].generator_speedup == parallel[name].generator_speedup
-            assert (
-                serial[name].generator_energy_reduction
-                == parallel[name].generator_energy_reduction
-            )
-            assert result_bytes(serial[name]) == result_bytes(parallel[name])
-
-    def test_parameter_sweep_serial_parallel_identical(
-        self, models, asyncio_backend
-    ):
-        values = (16.0, 64.0)
-
-        def sweep_with(backend):
-            sweep = ParameterSweep(
-                models[:3], runner=SimulationRunner(backend=backend)
-            )
-            return sweep.run("dram_bandwidth_bytes_per_cycle", values)
-
-        serial_points = sweep_with(SerialBackend())
-        parallel_points = sweep_with(asyncio_backend)
-        assert len(serial_points) == len(parallel_points) == len(values)
-        for s, p in zip(serial_points, parallel_points):
-            assert s.label == p.label
-            assert s.config == p.config
-            assert s.speedups == p.speedups
-            assert s.energy_reductions == p.energy_reductions
-            assert s.geomean_speedup == p.geomean_speedup
-            assert s.geomean_energy_reduction == p.geomean_energy_reduction
-
+class TestCacheParity:
     def test_cached_results_identical_to_fresh_ones(self, models):
         runner = SimulationRunner()
         cold = runner.compare_models(models[:2])
@@ -164,6 +117,60 @@ class TestBackendParity:
         for name in cold:
             assert cold[name] == warm[name]
             assert result_bytes(cold[name]) == result_bytes(warm[name])
+
+    @pytest.mark.parametrize("tier", ["none", "memory", "disk"])
+    def test_compare_models_identical_on_every_cache_tier(
+        self, tier, models, tmp_path
+    ):
+        reference = {
+            model.name: compare_model(model, runner=SimulationRunner(use_cache=False))
+            for model in models
+        }
+
+        def runner():
+            if tier == "none":
+                return SimulationRunner(use_cache=False)
+            if tier == "memory":
+                return SimulationRunner(cache=InMemoryResultCache())
+            return SimulationRunner(cache=DiskResultCache(tmp_path / "cache"))
+
+        cold_runner = runner()
+        cold = cold_runner.compare_models(models)
+        # a second runner on the same disk directory is answered from disk
+        warm_runner = runner() if tier == "disk" else cold_runner
+        warm = warm_runner.compare_models(models)
+        if tier != "none":
+            assert warm_runner.stats.hits == 2 * len(models)
+        for name, expected in reference.items():
+            for served in (cold[name], warm[name]):
+                assert served == expected
+                assert served.generator_speedup == expected.generator_speedup
+                assert (
+                    served.generator_energy_reduction
+                    == expected.generator_energy_reduction
+                )
+                assert result_bytes(served) == result_bytes(expected)
+
+    def test_parameter_sweep_fresh_and_cached_identical(self, models):
+        values = (16.0, 64.0)
+        runner = SimulationRunner()
+
+        def sweep_with(sweep_runner):
+            sweep = ParameterSweep(models[:3], runner=sweep_runner)
+            return sweep.run("dram_bandwidth_bytes_per_cycle", values)
+
+        fresh_points = sweep_with(SimulationRunner(use_cache=False))
+        sweep_with(runner)
+        cached_points = sweep_with(runner)  # answered entirely from cache
+        assert runner.stats.hits == runner.stats.misses
+        assert len(fresh_points) == len(cached_points) == len(values)
+        for f, c in zip(fresh_points, cached_points):
+            assert f.label == c.label
+            assert f.config == c.config
+            assert f.speedups == c.speedups
+            assert f.energy_reductions == c.energy_reductions
+            assert f.geomean_speedup == c.geomean_speedup
+            assert f.geomean_energy_reduction == c.geomean_energy_reduction
 
 
 # ----------------------------------------------------------------------
@@ -354,11 +361,13 @@ class TestRunnerPlumbing:
         for comparisons in grid.values():
             assert list(comparisons) == [m.name for m in models[:3]]
 
-    def test_context_manager_closes_backend(self, dcgan_model):
-        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
+    def test_context_manager_and_close_leave_the_runner_usable(self, dcgan_model):
+        with SimulationRunner() as runner:
             comparison = runner.compare_model(dcgan_model)
         assert comparison.generator_speedup > 1.0
-        assert runner.backend._loop is None  # closed on exit
+        runner.close()  # idempotent
+        assert runner.compare_model(dcgan_model) == comparison  # from cache
+        assert runner.stats.hits == 2
 
     def test_default_runner_is_process_wide_and_replaceable(self):
         previous = set_default_runner(None)

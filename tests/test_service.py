@@ -33,8 +33,8 @@ from repro.runner import (
     RECORD_SCHEMA_VERSION,
     DiskResultCache,
     InMemoryResultCache,
+    SerialBackend,
     SimulationRunner,
-    get_backend,
 )
 from repro.service import (
     AdmissionController,
@@ -472,7 +472,7 @@ class TestServer:
     def test_round_robin_fairness_under_a_saturating_client(self):
         """A hog pipelining many batches cannot starve a light client."""
         started = []
-        runner = SimulationRunner(backend=get_backend("asyncio", max_workers=1))
+        runner = SimulationRunner()
         runner.subscribe(
             lambda e: started.append(e.job.model_name)
             if e.kind == "started"
@@ -523,6 +523,32 @@ class TestServer:
         assert light_position < len(started) - 1, (
             f"light client starved behind the hog's backlog: {started}"
         )
+
+    def test_default_runner_runs_on_the_serial_backend(self):
+        server = SimulationServer(port=0)
+        assert isinstance(server.runner.backend, SerialBackend)
+        with pytest.raises(TypeError):
+            SimulationServer(port=0, backend="asyncio")
+
+    def test_served_results_match_a_local_serial_run(self):
+        """serial == served: the wire carries the locally computed numbers."""
+        specs = grid_specs(SIX_GANS, ["eyeriss", "ganax"])
+        jobs = [spec.build() for spec in specs]
+        local = SimulationRunner(use_cache=False).run_jobs(jobs)
+        expected = {
+            (job.model_name, job.accelerator): result
+            for job, result in zip(jobs, local)
+        }
+        with SimulationServer(port=0) as server:
+            with Client(port=server.port) as client:
+                records = client.run(specs)
+        assert len(records) == len(specs)
+        for record in records:
+            result = expected[(record["model"], record["accelerator"])]
+            assert record["generator_cycles"] == result.generator.cycles
+            assert record["generator_energy_pj"] == result.generator.energy_pj
+            assert record["total_cycles"] == result.total_cycles
+            assert record["total_energy_pj"] == result.total_energy_pj
 
     def test_crashed_sweep_resumes_only_missing_jobs(self, tmp_path):
         """Kill mid-sweep, restart with resume: finished jobs never re-run."""

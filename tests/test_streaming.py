@@ -5,14 +5,15 @@ The load-bearing guarantees of the redesign:
 * **streaming-vs-batch parity** — the same jobs produce identical result
   sets and identical cache accounting whether consumed through
   ``run_jobs()`` (the blocking wrapper) or ``submit()`` +
-  ``as_completed()``/``iter_results()``, on every registered backend
-  (serial, asyncio) and regardless of completion order;
+  ``as_completed()``/``iter_results()``, from the submitting thread or
+  another one;
 * **event-sequence invariants** — every submitted job emits ``scheduled``
   first and then exactly one terminal event (``cache-hit`` / ``completed``
   / ``failed`` / ``cancelled``), with ``started`` strictly between for
   executed jobs;
 * **cancellation** — ``BatchHandle.cancel()`` stops unstarted work, keeps
-  finished results consumable, and never corrupts accounting;
+  finished results consumable, never discards the result of a job another
+  thread is executing, and never corrupts accounting;
 * **streaming consumers** — ``Session.stream_compare``,
   ``ParameterSweep.iter_points`` and the DSE streaming evaluator agree
   value-for-value with their batch counterparts;
@@ -24,25 +25,24 @@ The load-bearing guarantees of the redesign:
 from __future__ import annotations
 
 import multiprocessing
+import threading
 
 import pytest
 from concurrent.futures import CancelledError
 
 from repro.accelerators import register_accelerator, unregister_accelerator
+from repro.accelerators.variants import IdealRooflineSimulator
 from repro.analysis.sweep import ParameterSweep
-from repro.config import ArchitectureConfig
+from repro.config import ArchitectureConfig, SimulationOptions
 from repro.dse import DesignSpaceExplorer, HillClimbSearch
-from repro.errors import ConfigurationError
 from repro.runner import (
     EVENT_KINDS,
     TERMINAL_EVENT_KINDS,
-    AsyncioBackend,
     DiskResultCache,
     SerialBackend,
     SimulationJob,
     SimulationRunner,
-    backend_names,
-    get_backend,
+    execute_job,
 )
 from repro.session import Session
 from repro.workloads.registry import get_workload
@@ -51,14 +51,6 @@ from repro.workloads.registry import get_workload
 @pytest.fixture(scope="module")
 def small_models():
     return [get_workload("DCGAN"), get_workload("MAGAN"), get_workload("ArtGAN")]
-
-
-@pytest.fixture(scope="module", params=["serial", "asyncio"])
-def each_backend(request):
-    """Every registered backend, shared across this module's parity tests."""
-    backend = get_backend(request.param, max_workers=2)
-    yield backend
-    backend.close()
 
 
 def pair_jobs(models, config=None, options=None):
@@ -75,18 +67,94 @@ def reference_results(small_models):
     return SimulationRunner(backend=SerialBackend()).run_jobs(pair_jobs(small_models))
 
 
+class _GatedRoofline(IdealRooflineSimulator):
+    accelerator_name = "test-gated"
+
+
+@pytest.fixture()
+def gate():
+    """A registered accelerator whose jobs block until the test releases them.
+
+    Yields ``(entered, release)``: ``entered`` is set once a job is
+    executing inside the gate, which holds it until ``release`` is set.
+    """
+    entered, release = threading.Event(), threading.Event()
+
+    def build(config=None, options=None):
+        entered.set()
+        if not release.wait(timeout=60):
+            raise TimeoutError("the test never released the gate")
+        return _GatedRoofline(config=config, options=options)
+
+    register_accelerator("test-gated", version="1")(build)
+    try:
+        yield entered, release
+    finally:
+        release.set()
+        unregister_accelerator("test-gated")
+
+
+def cancel_while_executing(gate, models):
+    """Cancel a batch from this thread while another thread executes its job 0.
+
+    A consumer thread drains ``as_completed()`` and blocks inside the gated
+    first job; the cancel lands during that block, then the gate opens.
+    Returns ``(jobs, handle, cancelled, drained, events)``.
+    """
+    entered, release = gate
+    jobs = [
+        SimulationJob(
+            models[0],
+            "test-gated",
+            ArchitectureConfig.paper_default(),
+            SimulationOptions(),
+        ),
+        *pair_jobs(models),
+    ]
+    events = []
+    handle = SimulationRunner().submit(jobs, on_event=events.append)
+    drained = []
+    consumer = threading.Thread(target=lambda: drained.extend(handle.as_completed()))
+    consumer.start()
+    assert entered.wait(timeout=60)
+    cancelled = handle.cancel()
+    release.set()
+    consumer.join(timeout=60)
+    assert not consumer.is_alive()
+    return jobs, handle, cancelled, drained, events
+
+
+CONSUMERS = pytest.mark.parametrize(
+    "consumer", ["submitting-thread", "other-thread"]
+)
+
+
+def drain(consume, consumer):
+    """Return ``consume()``, called here or, as the service does, on another thread."""
+    if consumer == "submitting-thread":
+        return consume()
+    out = []
+    thread = threading.Thread(target=lambda: out.append(consume()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert out, "the consumer thread raised"
+    return out[0]
+
+
 # ----------------------------------------------------------------------
-# Streaming vs batch parity (all backends)
+# Streaming vs batch parity
 # ----------------------------------------------------------------------
 class TestStreamingParity:
+    @CONSUMERS
     def test_as_completed_matches_batch_results(
-        self, small_models, each_backend, reference_results
+        self, consumer, small_models, reference_results
     ):
         jobs = pair_jobs(small_models)
-        runner = SimulationRunner(backend=each_backend)
+        runner = SimulationRunner()
         handle = runner.submit(jobs)
         by_index = {}
-        for completion in handle.as_completed():
+        for completion in drain(lambda: list(handle.as_completed()), consumer):
             assert completion.index not in by_index  # delivered exactly once
             by_index[completion.index] = completion.result
         assert sorted(by_index) == list(range(len(jobs)))
@@ -95,25 +163,48 @@ class TestStreamingParity:
         assert handle.done()
         assert handle.counts()["completed"] == len(jobs)
 
+    @CONSUMERS
     def test_iter_results_preserves_submission_order(
-        self, small_models, each_backend, reference_results
+        self, consumer, small_models, reference_results
     ):
-        runner = SimulationRunner(backend=each_backend)
-        streamed = list(runner.submit(pair_jobs(small_models)).iter_results())
+        runner = SimulationRunner()
+        handle = runner.submit(pair_jobs(small_models))
+        streamed = drain(lambda: list(handle.iter_results()), consumer)
         assert streamed == reference_results
 
+    @CONSUMERS
     def test_cache_stats_identical_regardless_of_completion_order(
-        self, small_models, each_backend
+        self, consumer, small_models
     ):
         batch_runner = SimulationRunner(backend=SerialBackend())
         batch_runner.run_jobs(pair_jobs(small_models) * 2)
         batch_runner.run_jobs(pair_jobs(small_models))
 
-        stream_runner = SimulationRunner(backend=each_backend)
-        list(stream_runner.submit(pair_jobs(small_models) * 2).as_completed())
-        list(stream_runner.submit(pair_jobs(small_models)).as_completed())
+        stream_runner = SimulationRunner()
+        for jobs in (pair_jobs(small_models) * 2, pair_jobs(small_models)):
+            handle = stream_runner.submit(jobs)
+            drain(lambda: list(handle.as_completed()), consumer)
 
         assert stream_runner.stats.as_dict() == batch_runner.stats.as_dict()
+
+    def test_wide_grid_executes_in_submission_order(self, small_models):
+        """Serial streaming runs a wide, duplicated grid in submission order."""
+        unique = [
+            job
+            for model in small_models
+            for value in (8, 16)
+            for job in SimulationJob.comparison_pair(
+                model,
+                ArchitectureConfig.paper_default().with_updates(num_pvs=value),
+            )
+        ]
+        jobs = unique * 2
+        completions = list(SimulationRunner().submit(jobs).as_completed())
+        executed = [c.index for c in completions if c.provenance == "executed"]
+        assert executed == list(range(len(unique)))
+        by_index = {c.index: c.result for c in completions}
+        reference = SimulationRunner(use_cache=False).run_jobs(unique)
+        assert [by_index[i] for i in range(len(jobs))] == reference * 2
 
     def test_warm_submissions_resolve_without_the_backend(self, small_models):
         class ExplodingBackend(SerialBackend):
@@ -196,15 +287,13 @@ class TestEventInvariants:
         first_terminal = min(i for i, e in enumerate(events) if e.is_terminal)
         assert last_scheduled < first_terminal
 
-    def test_no_job_claims_started_and_then_cancels(self, small_models):
-        """'started' means executing, so started jobs never cancel (any backend)."""
-        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
-            events = []
-            handle = runner.submit(pair_jobs(small_models), on_event=events.append)
-            handle.cancel()
-            list(handle.as_completed())
+    def test_no_job_claims_started_and_then_cancels(self, gate, small_models):
+        """'started' means executing, so started jobs never cancel."""
+        jobs, _, _, _, events = cancel_while_executing(gate, small_models)
         started = {e.index for e in events if e.kind == "started"}
         cancelled = {e.index for e in events if e.kind == "cancelled"}
+        assert started == {0}
+        assert cancelled == set(range(1, len(jobs)))
         assert not (started & cancelled)
 
     def test_warm_jobs_terminate_as_cache_hits(self, dcgan_model):
@@ -328,36 +417,49 @@ class TestCancellation:
         assert handle.cancel() == 0
         assert handle.counts()["completed"] == 2
 
-    def test_cancel_with_an_asyncio_backend_accounts_every_job(self, small_models):
-        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
-            handle = runner.submit(pair_jobs(small_models))
-            handle.cancel()
-            drained = list(handle.as_completed())
-        counts = handle.counts()
-        assert counts["pending"] == 0
-        assert counts["completed"] + counts["cancelled"] == 6
-        assert len(drained) == counts["completed"]
+    def test_cancel_never_discards_an_executing_jobs_result(self, gate, small_models):
+        """cancel() from another thread only wins for unstarted jobs.
 
-    def test_cancel_never_discards_an_executing_jobs_result(self, small_models):
-        """Cross-backend contract: cancel() only wins for unstarted jobs.
-
-        Every completion an active backend delivers after a cancel must be a
-        genuinely executed (or cached) result — a job that began executing
-        is never reported cancelled, on any backend.
+        The job a consumer thread is executing when the cancel lands still
+        delivers its real result; every job that had not started is
+        cancelled, skipped by ``as_completed()`` and counted.
         """
-        reference = SimulationRunner().run_jobs(pair_jobs(small_models))
-        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
-            handle = runner.submit(pair_jobs(small_models))
-            stream = handle.as_completed()
-            first = next(stream)  # at least one job has executed
-            handle.cancel()
-            drained = [first, *stream]
-        counts = handle.counts()
-        assert counts["pending"] == 0
-        assert counts["completed"] == len(drained)
-        assert counts["completed"] + counts["cancelled"] == 6
-        for completion in drained:
-            assert completion.result == reference[completion.index]
+        jobs, handle, cancelled, drained, _ = cancel_while_executing(
+            gate, small_models
+        )
+        assert cancelled == len(jobs) - 1
+        assert [completion.index for completion in drained] == [0]
+        assert drained[0].result == execute_job(jobs[0])
+        assert handle.done()
+        assert handle.counts() == {
+            "cache-hit": 0,
+            "completed": 1,
+            "failed": 0,
+            "cancelled": len(jobs) - 1,
+            "pending": 0,
+        }
+
+    def test_a_second_driver_waits_instead_of_re_executing(self, gate, small_models):
+        """A thread reaching for a job another thread executes never runs it again."""
+        entered, release = gate
+        job = SimulationJob(
+            small_models[0],
+            "test-gated",
+            ArchitectureConfig.paper_default(),
+            SimulationOptions(),
+        )
+        (future,) = SerialBackend().submit_jobs([job])
+        first = []
+        driver = threading.Thread(target=lambda: first.append(future.result()))
+        driver.start()
+        assert entered.wait(timeout=60)
+        with pytest.raises(TimeoutError):
+            future.result(timeout=0.05)  # waits on the driver, does not execute
+        assert not future.cancel()  # the job is running: cancel() loses
+        release.set()
+        driver.join(timeout=60)
+        assert not driver.is_alive()
+        assert future.result(timeout=0) is first[0]
 
 
 # ----------------------------------------------------------------------
@@ -539,78 +641,6 @@ class TestExperimentProgress:
         context.detach_progress()
         context.session.compare("MAGAN")
         assert len(events) == seen
-
-
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-class TestBackendRegistry:
-    def test_registered_names(self):
-        assert set(backend_names()) == {"serial", "asyncio"}
-
-    def test_get_backend_resolves_and_normalizes(self):
-        backend = get_backend(" SERIAL ")
-        assert backend.name == "serial"
-        threaded = get_backend("asyncio", max_workers=3)
-        assert threaded.max_workers == 3
-        threaded.close()
-
-    def test_unknown_backend_lists_registered_ones(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("quantum")
-        message = str(excinfo.value)
-        for name in backend_names():
-            assert name in message
-
-    def test_asyncio_backend_close_is_idempotent(self, dcgan_model):
-        backend = AsyncioBackend(max_workers=1)
-        results = backend.run_jobs(list(SimulationJob.comparison_pair(dcgan_model)))
-        assert len(results) == 2
-        backend.close()
-        backend.close()
-
-    def test_asyncio_close_drains_in_flight_jobs(self, small_models):
-        """Closing the backend mid-batch must settle every future, not hang."""
-        runner = SimulationRunner(backend=AsyncioBackend(max_workers=1))
-        handle = runner.submit(pair_jobs(small_models))
-        runner.close()  # before consuming anything
-        results = handle.results()  # must not block forever
-        assert results == SimulationRunner().run_jobs(pair_jobs(small_models))
-        assert handle.counts()["pending"] == 0
-
-    def test_large_asyncio_batch_preserves_parity(self, small_models):
-        """A batch far wider than the worker pool still streams correctly."""
-        jobs = [
-            job
-            for model in small_models
-            for value in (8, 16)
-            for job in SimulationJob.comparison_pair(
-                model,
-                ArchitectureConfig.paper_default().with_updates(num_pvs=value),
-            )
-        ]
-        with SimulationRunner(backend=AsyncioBackend(max_workers=1)) as runner:
-            handle = runner.submit(jobs)
-            by_index = {c.index: c.result for c in handle.as_completed()}
-        reference = SimulationRunner().run_jobs(jobs)
-        assert [by_index[i] for i in range(len(jobs))] == reference
-
-    def test_asyncio_close_after_cancel_destroys_no_pending_tasks(
-        self, small_models, caplog
-    ):
-        """Cancel + close must drain the loop's tasks, not destroy them."""
-        import logging
-
-        with caplog.at_level(logging.ERROR, logger="asyncio"):
-            runner = SimulationRunner(backend=AsyncioBackend(max_workers=1))
-            handle = runner.submit(pair_jobs(small_models))
-            next(handle.as_completed())
-            handle.cancel()
-            runner.close()
-        assert handle.counts()["pending"] == 0
-        assert not any(
-            "Task was destroyed" in record.message for record in caplog.records
-        )
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The load-bearing guarantees:
 
-* **span-tree invariants** — on every backend (serial, asyncio) a traced
+* **span-tree invariants** — whichever thread drives the jobs, a traced
   batch produces exactly one ``batch`` span, one ``job`` span per submitted
   job parented under it, every span closed exactly once, and no span left
   open after the batch completes;
@@ -26,7 +26,7 @@ import threading
 import pytest
 
 from repro.analysis.serialization import canonical_json, gan_result_rows
-from repro.runner import SimulationJob, SimulationRunner, get_backend
+from repro.runner import SimulationJob, SimulationRunner
 from repro.runner.events import RECORD_SCHEMA_VERSION, RunnerEvent
 from repro.telemetry import (
     MetricsRegistry,
@@ -297,14 +297,11 @@ class TestEventGrammar:
         assert "job_uid" not in record  # pre-v2 producers simply omit it
 
     def test_runner_events_share_one_uid_per_job(self, dcgan_model):
-        runner = SimulationRunner(backend=get_backend("serial"))
-        try:
-            events = []
-            jobs = SimulationJob.comparison_pair(dcgan_model)
-            handle = runner.submit(jobs, on_event=events.append)
-            list(handle.as_completed())
-        finally:
-            runner.close()
+        runner = SimulationRunner()
+        events = []
+        jobs = SimulationJob.comparison_pair(dcgan_model)
+        handle = runner.submit(jobs, on_event=events.append)
+        list(handle.as_completed())
         by_uid = {}
         for event in events:
             assert event.job_uid is not None
@@ -356,20 +353,28 @@ class TestMetricsSubscriber:
 
 
 # ----------------------------------------------------------------------
-# Span-tree invariants on every backend
+# Span-tree invariants, whichever thread drives the jobs
 # ----------------------------------------------------------------------
 class TestSpanTreeInvariants:
-    @pytest.mark.parametrize("backend_name", ["serial", "asyncio"])
-    def test_batch_job_tree_is_backend_invariant(self, backend_name, dcgan_model):
+    @pytest.mark.parametrize("consumer", ["submitting-thread", "other-thread"])
+    def test_batch_job_tree_is_consumer_invariant(self, consumer, dcgan_model):
         tracer = configure_tracing()
-        runner = SimulationRunner(backend=get_backend(backend_name, max_workers=2))
-        try:
-            jobs = SimulationJob.comparison_pair(dcgan_model)
-            handle = runner.submit(jobs)
-            completions = list(handle.as_completed())
-            assert len(completions) == len(jobs)
-        finally:
-            runner.close()
+        runner = SimulationRunner()
+        jobs = SimulationJob.comparison_pair(dcgan_model)
+        handle = runner.submit(jobs)
+        completions = []
+        if consumer == "other-thread":
+            # the service's shape: the thread that drives the jobs never
+            # saw the submit-time span stack
+            drainer = threading.Thread(
+                target=lambda: completions.extend(handle.as_completed())
+            )
+            drainer.start()
+            drainer.join(timeout=60)
+            assert not drainer.is_alive()
+        else:
+            completions.extend(handle.as_completed())
+        assert len(completions) == len(jobs)
 
         spans = tracer.finished_spans()
         assert not tracer.open_spans()  # every span closed
@@ -389,18 +394,20 @@ class TestSpanTreeInvariants:
             assert span.attrs["outcome"] == "completed"
             assert span.start >= batch.start
             assert span.end <= batch.end
+        job_ids = {span.span_id for span in job_spans}
+        simulate = [span for span in spans if span.name == "simulate_layers"]
+        assert len(simulate) == len(jobs)
+        for span in simulate:
+            assert span.parent_id in job_ids
 
     def test_cache_hits_and_dedup_close_their_job_spans(self, dcgan_model):
         tracer = configure_tracing()
-        runner = SimulationRunner(backend=get_backend("serial"))
-        try:
-            jobs = SimulationJob.comparison_pair(dcgan_model)
-            # duplicates in one batch exercise the dedup path; the second
-            # batch is answered from cache
-            list(runner.submit(list(jobs) + list(jobs)).as_completed())
-            list(runner.submit(jobs).as_completed())
-        finally:
-            runner.close()
+        runner = SimulationRunner()
+        jobs = SimulationJob.comparison_pair(dcgan_model)
+        # duplicates in one batch exercise the dedup path; the second
+        # batch is answered from cache
+        list(runner.submit(list(jobs) + list(jobs)).as_completed())
+        list(runner.submit(jobs).as_completed())
         spans = tracer.finished_spans()
         assert not tracer.open_spans()
         outcomes = sorted(
@@ -412,18 +419,15 @@ class TestSpanTreeInvariants:
         assert len([span for span in spans if span.name == "batch"]) == 2
 
     def test_execution_spans_nest_under_their_job(self, dcgan_model):
-        """On in-process backends the simulate_layers span joins the tree."""
+        """The simulate_layers span, and the memo spans under it, join the tree."""
         tracer = configure_tracing()
-        runner = SimulationRunner(backend=get_backend("serial"))
-        try:
-            jobs = SimulationJob.comparison_pair(dcgan_model)
-            list(runner.submit(jobs).as_completed())
-        finally:
-            runner.close()
+        runner = SimulationRunner()
+        jobs = SimulationJob.comparison_pair(dcgan_model)
+        list(runner.submit(jobs).as_completed())
         spans = tracer.finished_spans()
         job_ids = {span.span_id for span in spans if span.name == "job"}
         simulate = [span for span in spans if span.name == "simulate_layers"]
-        assert simulate  # present on the serial backend
+        assert simulate
         for span in simulate:
             assert span.parent_id in job_ids
         simulate_ids = {span.span_id for span in simulate}
@@ -437,11 +441,8 @@ class TestSpanTreeInvariants:
 # ----------------------------------------------------------------------
 class TestResultParity:
     def _result_bytes(self, model):
-        runner = SimulationRunner(backend=get_backend("serial"))
-        try:
-            results = runner.run_jobs(SimulationJob.comparison_pair(model))
-        finally:
-            runner.close()
+        runner = SimulationRunner()
+        results = runner.run_jobs(SimulationJob.comparison_pair(model))
         rows = [row for result in results for row in gan_result_rows(result)]
         return canonical_json(rows).encode("utf-8")
 
