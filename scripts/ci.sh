@@ -39,8 +39,11 @@
 #   9. a staticcheck smoke: `lint` over the package source must be clean,
 #      `check` over the six paper workloads x {eyeriss, ganax} x both
 #      skip_zeros modes must verify every compiled program with zero
-#      findings, and a seeded single-µop corruption of a clean program
-#      must be caught by the verifier (the mutation tests in
+#      findings, a seeded single-µop corruption of a clean program must be
+#      caught by the verifier, and a flipped mode bit (bit 68) in one access
+#      word of the same program's encoded image must be reported by
+#      `verify_words` as exactly one `mode-flag` at that word while the
+#      uncorrupted image stays clean (the mutation tests in
 #      tests/test_staticcheck.py separately prove every catalog id fires);
 #  10. a schedule smoke: `list-schedules --json` must cover the builtin
 #      specs and families, `check --schedule <name>` over every registered
@@ -327,10 +330,10 @@ print("check OK:", payload["programs"], "programs across",
 PY
 
 python - <<'PY'
-from repro.staticcheck import MachineModel, Severity, verify_program
+from repro.staticcheck import MachineModel, Severity, verify_program, verify_words
 from repro.workloads.registry import get_workload
 from repro.core.compiler import compile_layer_programs
-from repro.isa.uops import AccessCfg, ConfigRegister
+from repro.isa.uops import AccessCfg
 
 model = get_workload("dcgan")
 binding = next(b for b in model.generator.bindings if b.is_transposed)
@@ -340,6 +343,18 @@ program = compile_layer_programs(
 )[0]
 machine = MachineModel.from_config(num_pvs=16, pes_per_pv=16)
 assert not verify_program(program, machine), "clean program flagged"
+
+# Flip the mode bit of one stored access word: the word-level check must
+# report exactly that word, and the uncorrupted image must stay clean.
+words = list(program.encoded_global_words())
+assert not verify_words(words, num_pvs=program.num_pvs), "clean image flagged"
+flip = next(i for i, u in enumerate(program.global_uops) if u.is_access)
+words[flip] ^= 1 << 68
+word_findings = verify_words(words, num_pvs=program.num_pvs)
+assert [(f.check_id, f.index) for f in word_findings] == [("mode-flag", flip)], \
+    word_findings
+print("mode-bit smoke OK: flipped bit 68 of word", flip, "->",
+      word_findings[0].check_id)
 
 # Seed a single-µop corruption: point the first access.cfg at a PV the
 # program never declared.  The verifier must catch it.

@@ -12,6 +12,12 @@ level machine itself operates on the dataclass µops and only uses the encoder
 to size buffers and to charge µop-fetch energy, exactly like the real design
 would fetch encoded words.
 
+The decoders validate every field they read (opcode, PV count, generator,
+configuration register, ``mimd.ld`` register, execute op, activation) and
+raise :class:`~repro.errors.IsaError` for any value the encoder could not
+have produced, so a corrupted stored word never escapes as a bare
+``ValueError``.
+
 Global µop word layout::
 
     bits 63..0   : the 64-bit payload of the paper's global µop entry
@@ -55,6 +61,7 @@ LOCAL_UOP_BITS = 16
 #: Bits of the global µop used per PV to index its local buffer (paper: 4).
 PV_INDEX_FIELD_BITS = 4
 
+_PV_INDEX_MASK = (1 << PV_INDEX_FIELD_BITS) - 1
 _MODE_SHIFT = 68
 _OPCODE_SHIFT = 64
 _OPCODE_MASK = 0xF
@@ -63,16 +70,17 @@ _OPCODE_MASK = 0xF
 ENCODED_GLOBAL_WORD_BITS = 69
 
 # Opcodes for the global encoding.
-_OPCODES = {
-    "exec": 0x0,
-    "repeat": 0x1,
-    "mimd.ld": 0x2,
-    "mimd.exe": 0x3,
-    "access.cfg": 0x4,
-    "access.start": 0x5,
-    "access.stop": 0x6,
-}
-_OPCODES_REVERSE = {v: k for k, v in _OPCODES.items()}
+_OP_EXEC = 0x0
+_OP_REPEAT = 0x1
+_OP_MIMD_LD = 0x2
+_OP_MIMD_EXE = 0x3
+_OP_ACCESS_CFG = 0x4
+_OP_ACCESS_START = 0x5
+_OP_ACCESS_STOP = 0x6
+
+# Decode tables: field value -> enum member (a dict lookup, not an enum call).
+_GENERATOR_BY_INDEX = {int(generator): generator for generator in AddressGenerator}
+_REGISTER_BY_INDEX = {register.value: register for register in ConfigRegister}
 
 # Local (16-bit) encoding: bits 15..12 opcode, 11..8 op kind, 7..0 payload.
 _LOCAL_EXEC_OPCODE = 0x0
@@ -133,17 +141,22 @@ def decode_local_uop(word: int) -> MicroOp:
 # ----------------------------------------------------------------------
 # Global µop encoding
 # ----------------------------------------------------------------------
+def _check_num_pvs(num_pvs: int) -> None:
+    """Both directions share one rule: 4-bit PV indices fill at most 64 bits."""
+    if num_pvs <= 0 or num_pvs * PV_INDEX_FIELD_BITS > GLOBAL_UOP_BITS:
+        raise IsaError(f"cannot encode indices for {num_pvs} PVs in 64 bits")
+
+
 def encode_global_uop(uop: MicroOp, num_pvs: int = 16) -> int:
     """Encode a global-buffer µop into its 64-bit entry plus sideband bits."""
-    if num_pvs <= 0 or num_pvs * PV_INDEX_FIELD_BITS > 64:
-        raise IsaError(f"cannot encode indices for {num_pvs} PVs in 64 bits")
+    _check_num_pvs(num_pvs)
     if isinstance(uop, MimdExecute):
         if len(uop.local_indices) > num_pvs:
             raise IsaError(
                 f"mimd.exe carries {len(uop.local_indices)} indices but the "
                 f"encoding supports only {num_pvs} PVs"
             )
-        word = (1 << _MODE_SHIFT) | (_OPCODES["mimd.exe"] << _OPCODE_SHIFT)
+        word = (1 << _MODE_SHIFT) | (_OP_MIMD_EXE << _OPCODE_SHIFT)
         for pv, index in enumerate(uop.local_indices):
             if index >= (1 << PV_INDEX_FIELD_BITS):
                 raise IsaError(
@@ -154,7 +167,7 @@ def encode_global_uop(uop: MicroOp, num_pvs: int = 16) -> int:
         return word
 
     if isinstance(uop, MimdLoad):
-        word = (1 << _MODE_SHIFT) | (_OPCODES["mimd.ld"] << _OPCODE_SHIFT)
+        word = (1 << _MODE_SHIFT) | (_OP_MIMD_LD << _OPCODE_SHIFT)
         word |= (uop.pv_index & 0xFF) << 16
         word |= (uop.immediate & 0xFFFF) << 32
         registers = MimdLoad._REGISTERS
@@ -162,7 +175,7 @@ def encode_global_uop(uop: MicroOp, num_pvs: int = 16) -> int:
         return word
 
     if isinstance(uop, AccessCfg):
-        word = _OPCODES["access.cfg"] << _OPCODE_SHIFT
+        word = _OP_ACCESS_CFG << _OPCODE_SHIFT
         word |= (uop.pv_index & 0xFF) << 16
         word |= (int(uop.generator) & 0x7) << 24
         word |= (uop.register.value & 0x7) << 28
@@ -170,38 +183,65 @@ def encode_global_uop(uop: MicroOp, num_pvs: int = 16) -> int:
         return word
 
     if isinstance(uop, (AccessStart, AccessStop)):
-        key = "access.start" if isinstance(uop, AccessStart) else "access.stop"
-        word = _OPCODES[key] << _OPCODE_SHIFT
+        opcode = _OP_ACCESS_START if isinstance(uop, AccessStart) else _OP_ACCESS_STOP
+        word = opcode << _OPCODE_SHIFT
         word |= (uop.pv_index & 0xFF) << 16
         word |= (int(uop.generator) & 0x7) << 24
         return word
 
     if isinstance(uop, (ExecuteUop, RepeatUop)):
         # SIMD broadcast of a local µop: mode bit 0, local encoding in 15..0.
-        opcode = _OPCODES["repeat"] if isinstance(uop, RepeatUop) else _OPCODES["exec"]
+        opcode = _OP_REPEAT if isinstance(uop, RepeatUop) else _OP_EXEC
         return (opcode << _OPCODE_SHIFT) | encode_local_uop(uop)
 
     raise IsaError(f"µop {uop!r} cannot live in the global µop buffer")
 
 
+def _generator(word: int) -> AddressGenerator:
+    index = (word >> 24) & 0x7
+    generator = _GENERATOR_BY_INDEX.get(index)
+    if generator is None:
+        raise IsaError(f"unknown address generator index {index}")
+    return generator
+
+
+def _config_register(word: int) -> ConfigRegister:
+    index = (word >> 28) & 0x7
+    register = _REGISTER_BY_INDEX.get(index)
+    if register is None:
+        raise IsaError(f"unknown configuration register index {index}")
+    return register
+
+
 def decode_global_uop(word: int, num_pvs: int = 16) -> MicroOp:
     """Decode a global µop word produced by :func:`encode_global_uop`."""
+    _check_num_pvs(num_pvs)
     if not (0 <= word < (1 << ENCODED_GLOBAL_WORD_BITS)):
         raise IsaError(
             f"global µop word does not fit in {ENCODED_GLOBAL_WORD_BITS} bits"
         )
     opcode = (word >> _OPCODE_SHIFT) & _OPCODE_MASK
-    if opcode not in _OPCODES_REVERSE:
-        raise IsaError(f"unknown global µop opcode {opcode:#x}")
-    kind = _OPCODES_REVERSE[opcode]
 
-    if kind == "mimd.exe":
-        indices = tuple(
-            (word >> (PV_INDEX_FIELD_BITS * pv)) & ((1 << PV_INDEX_FIELD_BITS) - 1)
-            for pv in range(num_pvs)
+    # About four in five µops of a compiled stream are access.cfg: test it first.
+    if opcode == _OP_ACCESS_CFG:
+        return AccessCfg(
+            pv_index=(word >> 16) & 0xFF,
+            generator=_generator(word),
+            register=_config_register(word),
+            immediate=(word >> 32) & 0xFFFF,
         )
-        return MimdExecute(local_indices=indices)
-    if kind == "mimd.ld":
+    if opcode == _OP_MIMD_EXE:
+        return MimdExecute(
+            local_indices=tuple(
+                (word >> shift) & _PV_INDEX_MASK
+                for shift in range(0, PV_INDEX_FIELD_BITS * num_pvs, PV_INDEX_FIELD_BITS)
+            )
+        )
+    if opcode == _OP_ACCESS_START:
+        return AccessStart(pv_index=(word >> 16) & 0xFF, generator=_generator(word))
+    if opcode == _OP_ACCESS_STOP:
+        return AccessStop(pv_index=(word >> 16) & 0xFF, generator=_generator(word))
+    if opcode == _OP_MIMD_LD:
         registers = MimdLoad._REGISTERS
         reg_index = (word >> 24) & 0x7
         if reg_index >= len(registers):
@@ -211,25 +251,10 @@ def decode_global_uop(word: int, num_pvs: int = 16) -> MicroOp:
             destination=registers[reg_index],
             immediate=(word >> 32) & 0xFFFF,
         )
-    if kind == "access.cfg":
-        return AccessCfg(
-            pv_index=(word >> 16) & 0xFF,
-            generator=AddressGenerator((word >> 24) & 0x7),
-            register=ConfigRegister((word >> 28) & 0x7),
-            immediate=(word >> 32) & 0xFFFF,
-        )
-    if kind == "access.start":
-        return AccessStart(
-            pv_index=(word >> 16) & 0xFF,
-            generator=AddressGenerator((word >> 24) & 0x7),
-        )
-    if kind == "access.stop":
-        return AccessStop(
-            pv_index=(word >> 16) & 0xFF,
-            generator=AddressGenerator((word >> 24) & 0x7),
-        )
-    # exec / repeat: SIMD broadcast of a local µop.
-    return decode_local_uop(word & 0xFFFF)
+    if opcode == _OP_EXEC or opcode == _OP_REPEAT:
+        # SIMD broadcast of a local µop.
+        return decode_local_uop(word & 0xFFFF)
+    raise IsaError(f"unknown global µop opcode {opcode:#x}")
 
 
 def is_mimd_word(word: int) -> bool:

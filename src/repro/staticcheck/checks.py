@@ -169,22 +169,66 @@ def _pass_dead_uops(program: MicroProgram, dispatched: set, emit) -> None:
                 )
 
 
-def _pass_roundtrip(program: MicroProgram, emit) -> None:
+def _check_mode_flag(index: int, word: int, decoded, emit) -> None:
+    """The ``mode-flag`` check of one decoded word."""
+    mimd = is_mimd_word(word)
+    if mimd != decoded.is_mimd:
+        emit(
+            "mode-flag", index, decoded.mnemonic,
+            f"word {word:#x} has mode bit {int(mimd)} but opcode group "
+            f"{'MIMD' if decoded.is_mimd else 'SIMD/access'}",
+        )
+
+
+def _undecodable_word(index: int, word: int, exc: Exception, emit) -> None:
+    emit(
+        "roundtrip-divergence", index, f"word {word:#x}",
+        f"encoded word does not decode: {exc}",
+    )
+
+
+def _pass_global_words(program: MicroProgram, emit) -> None:
+    """One encode and one decode per global µop feed both the round-trip
+    and the word-level checks.  Word-level findings describe the stored
+    image, so they are reported only when the whole stream encodes."""
+    num_pvs = program.num_pvs
+    word_findings: List[tuple] = []
+
+    def emit_word(*finding) -> None:
+        word_findings.append(finding)
+
+    stream_encodes = True
     for index, uop in enumerate(program.global_uops):
         try:
-            word = encode_global_uop(uop, num_pvs=program.num_pvs)
-            decoded = decode_global_uop(word, num_pvs=program.num_pvs)
+            word = encode_global_uop(uop, num_pvs=num_pvs)
+        except Exception as exc:
+            stream_encodes = False
+            emit(
+                "roundtrip-divergence", index, uop.mnemonic,
+                f"encode→decode failed: {exc}",
+            )
+            continue
+        try:
+            decoded = decode_global_uop(word, num_pvs=num_pvs)
         except Exception as exc:
             emit(
                 "roundtrip-divergence", index, uop.mnemonic,
                 f"encode→decode failed: {exc}",
             )
+            _undecodable_word(index, word, exc, emit_word)
             continue
         if decoded != uop:
             emit(
                 "roundtrip-divergence", index, uop.mnemonic,
                 f"decode({{encode}}) returned {decoded!r} instead of {uop!r}",
             )
+        _check_mode_flag(index, word, decoded, emit_word)
+    if stream_encodes:
+        for finding in word_findings:
+            emit(*finding)
+
+
+def _pass_local_roundtrip(program: MicroProgram, emit) -> None:
     for pv, buffer in enumerate(program.local_uops):
         for index, uop in enumerate(buffer):
             try:
@@ -202,23 +246,14 @@ def _pass_roundtrip(program: MicroProgram, emit) -> None:
                 )
 
 
-def _pass_mode_flags(words: Sequence[int], num_pvs: int, emit) -> None:
+def _pass_words(words: Sequence[int], num_pvs: int, emit) -> None:
     for index, word in enumerate(words):
         try:
             decoded = decode_global_uop(word, num_pvs=num_pvs)
         except Exception as exc:
-            emit(
-                "roundtrip-divergence", index, f"word {word:#x}",
-                f"encoded word does not decode: {exc}",
-            )
+            _undecodable_word(index, word, exc, emit)
             continue
-        if is_mimd_word(word) != decoded.is_mimd:
-            emit(
-                "mode-flag", index, decoded.mnemonic,
-                f"word {word:#x} has mode bit {int(is_mimd_word(word))} but "
-                f"opcode group "
-                f"{'MIMD' if decoded.is_mimd else 'SIMD/access'}",
-            )
+        _check_mode_flag(index, word, decoded, emit)
 
 
 # ----------------------------------------------------------------------
@@ -244,13 +279,8 @@ def verify_program(
     _pass_structure(program, model, collect)
     dispatched = _pass_interpret(program, model, collect)
     _pass_dead_uops(program, dispatched, collect)
-    _pass_roundtrip(program, collect)
-    try:
-        words = program.encoded_global_words()
-    except Exception:
-        words = None  # already reported by the round-trip pass
-    if words is not None:
-        _pass_mode_flags(words, program.num_pvs, collect)
+    _pass_global_words(program, collect)
+    _pass_local_roundtrip(program, collect)
     return sorted(collect.findings, key=lambda f: (f.index, f.check_id))
 
 
@@ -267,7 +297,7 @@ def verify_words(
     SIMD/MIMD mode bits inconsistent with the word's opcode group.
     """
     collect = _Collector(program_name, select)
-    _pass_mode_flags(words, num_pvs, collect)
+    _pass_words(words, num_pvs, collect)
     return collect.findings
 
 

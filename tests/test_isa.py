@@ -139,6 +139,42 @@ class TestEncoding:
         with pytest.raises(IsaError):
             decode_global_uop(1 << 72)
 
+    @pytest.mark.parametrize(
+        "uop",
+        [
+            AccessCfg(pv_index=0, generator=AddressGenerator.INPUT,
+                      register=ConfigRegister.ADDR, immediate=0),
+            AccessStart(pv_index=0, generator=AddressGenerator.INPUT),
+            AccessStop(pv_index=0, generator=AddressGenerator.INPUT),
+        ],
+        ids=lambda u: u.mnemonic,
+    )
+    @pytest.mark.parametrize("field", [5, 6, 7])
+    def test_decode_rejects_unknown_generator_index(self, uop, field):
+        word = encode_global_uop(uop) | (field << 24)
+        with pytest.raises(IsaError, match=f"^unknown address generator index {field}$"):
+            decode_global_uop(word)
+
+    @pytest.mark.parametrize("field", [5, 6, 7])
+    def test_decode_rejects_unknown_config_register_index(self, field):
+        uop = AccessCfg(pv_index=0, generator=AddressGenerator.INPUT,
+                        register=ConfigRegister.ADDR, immediate=0)
+        word = encode_global_uop(uop) | (field << 28)
+        with pytest.raises(
+            IsaError, match=f"^unknown configuration register index {field}$"
+        ):
+            decode_global_uop(word)
+
+    @pytest.mark.parametrize("num_pvs", [0, 17])
+    def test_decode_rejects_pv_count_the_encoder_rejects(self, num_pvs):
+        word = encode_global_uop(MimdExecute(local_indices=(1,) * 16), num_pvs=16)
+        with pytest.raises(IsaError) as encoded:
+            encode_global_uop(MimdExecute(local_indices=(1,)), num_pvs=num_pvs)
+        with pytest.raises(IsaError) as decoded:
+            decode_global_uop(word, num_pvs=num_pvs)
+        assert str(decoded.value) == str(encoded.value)
+        assert str(decoded.value) == f"cannot encode indices for {num_pvs} PVs in 64 bits"
+
     def test_access_cfg_cannot_be_local(self):
         with pytest.raises(IsaError):
             encode_local_uop(

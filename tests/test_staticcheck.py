@@ -255,6 +255,15 @@ class TestMutationCoverage:
         assert ids_of(findings) == {"mode-flag"}
         assert verify_words([word], num_pvs=1) == []
 
+    def test_malformed_generator_field_is_an_undecodable_word(self):
+        word = encode_global_uop(
+            AccessStart(pv_index=0, generator=INPUT), num_pvs=1
+        ) | (7 << 24)
+        assert _as_tuples(verify_words([word], num_pvs=1)) == [
+            ("roundtrip-divergence", 0, f"word {word:#x}",
+             "encoded word does not decode: unknown address generator index 7"),
+        ]
+
     def test_every_catalog_id_has_a_mutant(self):
         assert set(MUTANTS) | {"mode-flag"} == set(check_ids())
 
@@ -285,6 +294,190 @@ class TestMutationCoverage:
             + [RepeatUop(count=0), MAC]
         )
         assert verify_program(make_program(stream)) == []
+
+
+# ----------------------------------------------------------------------
+# Pinned findings: the exact (check_id, index, mnemonic, message) list of
+# every mutant, so restructuring the passes cannot reorder or reword them
+# ----------------------------------------------------------------------
+_UNCONSUMED_INPUT = (
+    "unconsumed-addresses", 5, "access.start",
+    "PV 0 INPUT generator ends the program with 2 produced address(es) never "
+    "consumed; the machine would not drain",
+)
+
+
+def _dead(index, mnemonic):
+    return (
+        "dead-uop", -1, f"local[pv0][{index}]",
+        f"PV 0 local µop {index} ({mnemonic}) is preloaded but never "
+        "dispatched by any mimd.exe",
+    )
+
+
+def _starved(index, mnemonic, count, generator):
+    return (
+        "execute-starved", index, mnemonic,
+        f"PV 0 {mnemonic} consumes {count} {generator} address(es) but only 0 "
+        "were produced; the execute engine would stall forever",
+    )
+
+
+PINNED_FINDINGS = {
+    "addr-range-overflow": [
+        ("addr-range-overflow", 5, "access.start",
+         "PV 0 INPUT pattern reaches address 10001 but the PE buffer holds 64 words"),
+        _UNCONSUMED_INPUT,
+    ],
+    "cfg-def-before-use": [
+        ("cfg-def-before-use", 0, "access.start",
+         "PV 0 INPUT generator started with unwritten configuration registers: "
+         "ADDR, OFFSET, STEP, END, REPEAT"),
+    ],
+    "cfg-invalid-at-start": [
+        ("cfg-invalid-at-start", 5, "access.start",
+         "PV 0 INPUT generator configuration is invalid: index generator Step (3) "
+         "must not exceed End (2); the modulo adder wraps within [0, End)"),
+    ],
+    "dead-uop": [_dead(0, "mac")],
+    "execute-starved": [
+        _starved(0, "mac", 1, "INPUT"),
+        _starved(0, "mac", 1, "WEIGHT"),
+    ],
+    "local-buffer-overflow": [_dead(i, "repeat") for i in range(17)] + [
+        ("local-buffer-overflow", -1, "local[pv0]",
+         "PV 0 preloads 17 local µops but the hardware provides 16 entries"),
+    ],
+    "local-index-range": [
+        _dead(0, "mac"),
+        ("local-index-range", 0, "mimd.exe",
+         "PV 0 local index 3 points past the 1 preloaded entries"),
+    ],
+    "pv-index-range": [
+        ("pv-index-range", 0, "access.cfg", "PV index 9 out of range for 1 PVs"),
+    ],
+    "reconfigure-running": [
+        _UNCONSUMED_INPUT,
+        ("reconfigure-running", 6, "access.cfg",
+         "PV 0 INPUT generator is reconfigured with 2 produced addresses still "
+         "unconsumed; the pattern in flight is clobbered"),
+    ],
+    "repeat-count": [
+        ("repeat-count", 0, "mimd.ld",
+         "mimd.ld loads repeat register with 0; the execute engine requires a "
+         "positive count"),
+    ],
+    "repeat-default": [
+        ("repeat-default", 12, "repeat",
+         "PV 0 dispatches a count-0 repeat with no prior mimd.ld of the repeat "
+         "register; the hardware falls back to the register's reset value of 1"),
+    ],
+    "repeat-pairing": [
+        ("repeat-pairing", 1, "repeat",
+         "PV 0 receives a repeat prefix while the repeat at global µop 0 still "
+         "awaits its follower execute µop"),
+        ("repeat-pairing", 1, "repeat",
+         "PV 0 repeat prefix at global µop 1 is never followed by an execute µop"),
+    ],
+    "roundtrip-divergence": [
+        ("execute-starved", 0, "act",
+         "PV 0 act consumes 1 OUTPUT address(es) but only 0 were produced; the "
+         "execute engine would stall forever"),
+        ("roundtrip-divergence", 0, "act", "encode→decode failed: 'swish'"),
+    ],
+    "stop-without-start": [
+        ("stop-without-start", 0, "access.stop",
+         "PV 0 INPUT generator is stopped but was never started"),
+    ],
+    "unconsumed-addresses": [_UNCONSUMED_INPUT],
+}
+
+#: A stream whose first µop cannot be encoded (12-bit repeat field).
+PINNED_UNENCODABLE = [
+    ("repeat-count", 0, "repeat",
+     "repeat count 4096 does not fit the 12-bit local encoding"),
+    ("roundtrip-divergence", 0, "repeat",
+     "encode→decode failed: repeat count 4096 does not fit in 12 bits"),
+    _starved(1, "mac", 4096, "INPUT"),
+    _starved(1, "mac", 4096, "WEIGHT"),
+]
+
+
+def _as_tuples(findings):
+    return [(f.check_id, f.index, f.mnemonic, f.message) for f in findings]
+
+
+class TestPinnedFindings:
+    def test_every_mutant_is_pinned(self):
+        assert set(PINNED_FINDINGS) == set(MUTANTS)
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutant_findings_match_pinned_list(self, name):
+        assert _as_tuples(verify_program(MUTANTS[name]())) == PINNED_FINDINGS[name]
+
+    def test_unencodable_program_findings_match_pinned_list(self):
+        program = make_program([RepeatUop(count=1 << 12), MAC])
+        assert _as_tuples(verify_program(program)) == PINNED_UNENCODABLE
+
+    def test_undecodable_word_is_reported_once_per_view(self):
+        # A µop that encodes to a word no decoder accepts: the round trip
+        # reports it under the µop, the stored-word check under the word.
+        bad = AccessStart(pv_index=9, generator=INPUT)
+        object.__setattr__(bad, "generator", 7)
+        program = _unsafe_replace_stream(make_program([]), [bad])
+        word = "word 0x50000000007090000"
+        assert _as_tuples(verify_program(program)) == [
+            ("pv-index-range", 0, "access.start", "PV index 9 out of range for 1 PVs"),
+            ("roundtrip-divergence", 0, "access.start",
+             "encode→decode failed: unknown address generator index 7"),
+            ("roundtrip-divergence", 0, word,
+             "encoded word does not decode: unknown address generator index 7"),
+        ]
+        # Once any µop fails to encode there is no stored image, so the
+        # word-level finding is dropped and only the round trip remains.
+        _unsafe_replace_stream(program, [bad, RepeatUop(count=1 << 12), MAC])
+        assert _as_tuples(verify_program(program)) == [
+            ("pv-index-range", 0, "access.start", "PV index 9 out of range for 1 PVs"),
+            ("roundtrip-divergence", 0, "access.start",
+             "encode→decode failed: unknown address generator index 7"),
+            ("repeat-count", 1, "repeat",
+             "repeat count 4096 does not fit the 12-bit local encoding"),
+            ("roundtrip-divergence", 1, "repeat",
+             "encode→decode failed: repeat count 4096 does not fit in 12 bits"),
+            _starved(2, "mac", 4096, "INPUT"),
+            _starved(2, "mac", 4096, "WEIGHT"),
+        ]
+
+    def test_each_global_uop_is_encoded_and_decoded_once(self, monkeypatch):
+        from repro.core.compiler import compile_layer_programs
+        from repro.staticcheck import checks
+        from repro.workloads.registry import get_workload
+
+        binding = next(
+            b for b in get_workload("dcgan").generator.bindings if b.is_transposed
+        )
+        program = compile_layer_programs(
+            binding, num_pvs=16, pes_per_pv=16, skip_zeros=True,
+            max_waves=1, max_columns=4,
+        )[0]
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            checks, "encode_global_uop", counted("encode", checks.encode_global_uop)
+        )
+        monkeypatch.setattr(
+            checks, "decode_global_uop", counted("decode", checks.decode_global_uop)
+        )
+        assert verify_program(program) == []
+        count = len(program.global_uops)
+        assert count > 0
+        assert calls == {"encode": count, "decode": count}
 
 
 # ----------------------------------------------------------------------
