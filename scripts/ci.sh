@@ -53,7 +53,13 @@
 #      (geometry x schedule) points with schedule-aware cache keys (the
 #      schedule benchmarks in benchmarks/bench_schedule.py separately
 #      enforce the same contracts under timing);
-#  11. the repository benchmark's self-tests (perfbench/selftest.py): seed
+#  11. a paper-geometry machine smoke: the DCGAN-style slice (16x16 input,
+#      5x5 kernel, stride 2) runs through GanaxLayerExecutor on the paper's
+#      16x16 array; its output must equal transposed_conv2d (atol 1e-9) and
+#      its per-wave machine cycles must sum to the pinned 18447.  It checks
+#      correctness, not time (on a 2-vCPU VM a machine that ticked every PE
+#      took 6-9 s; the event-driven machine takes ~1.5 s);
+#  12. the repository benchmark's self-tests (perfbench/selftest.py): seed
 #      determinism, metric names matching BENCHMARK.json, and traced and
 #      untraced smoke runs of every workload.  The traced runs wrap estimator
 #      and pricing entry points by name (perfbench/spans.py), so renaming or
@@ -458,6 +464,27 @@ for point in points:
 assert any(len(metrics) > 1 for metrics in by_geometry.values()), by_geometry
 print("dse schedule axis OK:", len(points), "points across",
       len(schedules), "schedules,", len(payload["frontier"]), "on the frontier")
+PY
+
+echo "== paper-geometry machine smoke (16x16 array, 16x16 input, kernel 5, stride 2) =="
+python - <<'PY'
+import numpy as np
+
+from repro.core.compiler import GanaxLayerExecutor
+from repro.nn.functional import transposed_conv2d
+
+rng = np.random.default_rng(2018)
+x = rng.standard_normal((16, 16))
+w = rng.standard_normal((5, 5))
+run = GanaxLayerExecutor(num_pvs=16, pes_per_pv=16).run_transposed_conv(
+    x, w, stride=2, padding=2
+)
+reference = transposed_conv2d(x[None], w[None, None], stride=2, padding=2)[0]
+np.testing.assert_allclose(run.output, reference, rtol=0, atol=1e-9)
+cycles = sum(s.cycles for s in run.statistics)
+assert cycles == 18447, cycles
+print("paper-geometry machine OK:", cycles, "machine cycles over",
+      run.waves, "waves, output matches transposed_conv2d")
 PY
 
 echo "== perfbench self-tests (seeded workloads, metric names, traced smoke runs) =="

@@ -74,6 +74,14 @@ class AccessEngine:
             not f.is_empty for f in self._fifos.values()
         )
 
+    @property
+    def can_push(self) -> bool:
+        """True when some running generator has room in its FIFO."""
+        for stream, generator in self._generators.items():
+            if generator.running and not self._fifos[stream].is_full:
+                return True
+        return False
+
     def pending_addresses(self, stream: AddressGenerator) -> int:
         return self._fifos[stream].occupancy
 

@@ -26,11 +26,20 @@ from ..hw.sram import Scratchpad
 from ..isa.uops import AddressGenerator, ExecuteOp, ExecuteUop, MicroOp, RepeatUop
 from .access_engine import AccessEngine
 
+
+def _sigmoid(x: float) -> float:
+    """Logistic function; exp() only ever sees a non-positive argument."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
 _ACTIVATIONS: Dict[str, Callable[[float], float]] = {
     "relu": lambda x: max(x, 0.0),
     "leaky_relu": lambda x: x if x >= 0 else 0.2 * x,
     "tanh": math.tanh,
-    "sigmoid": lambda x: 1.0 / (1.0 + math.exp(-x)),
+    "sigmoid": _sigmoid,
     "identity": lambda x: x,
 }
 
@@ -95,9 +104,27 @@ class ExecuteEngine:
         """True while µops are queued or a repeated µop is still running."""
         return not self._uop_fifo.is_empty or self._pending_repeats > 0
 
+    @property
+    def waiting(self) -> bool:
+        """True when a tick can only stall: nothing is queued that can issue.
+
+        No repeat is pending, and the µop FIFO is empty or holds a repeat
+        prefix whose follower has not arrived.
+        """
+        if self._pending_repeats > 0:
+            return False
+        head = self._uop_fifo.peek()
+        return head is None or (
+            isinstance(head, RepeatUop) and self._uop_fifo.occupancy < 2
+        )
+
     # ------------------------------------------------------------------
     # Control interface
     # ------------------------------------------------------------------
+    def add_stall_cycles(self, cycles: int) -> None:
+        """Count ``cycles`` stalls the machine skipped while this engine waited."""
+        self._stall_cycles += cycles
+
     def set_repeat_register(self, value: int) -> None:
         """The mimd.ld path: preload the repetition count register."""
         if value <= 0:

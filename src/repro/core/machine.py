@@ -28,12 +28,40 @@ One global µop is dispatched per cycle, in program order:
 
 Broadcasts apply back-pressure: if any destination µop FIFO is full the
 global µop retries on the next cycle.
+
+Time advance
+------------
+Each cycle the controller dispatches first, then the PEs tick their access
+and execute µ-engines.  :meth:`GanaxMachine.run` produces exactly the cycle
+counts, statistics, counters and outputs of a stepper that ticks every PE on
+every cycle (``tests/machine_oracle.json`` pins them), but it only ticks PEs
+that can change state:
+
+* **Quiet PEs.**  A PE is :attr:`~repro.core.pe.ProcessingEngine.quiet` when
+  every generator is stopped or has a full FIFO, no repeat is pending, and
+  its µop FIFO is empty or holds a repeat prefix whose follower has not
+  arrived.  Its tick would only count a stall, so the machine drops it from
+  the active set and credits the skipped stalls in bulk
+  (:meth:`~repro.core.pe.ProcessingEngine.idle`) when it wakes and when the
+  run ends.
+* **Waking.**  Only an enqueued µop (a SIMD broadcast or a ``mimd.exe``) or
+  an ``access.start`` on its PV wakes a quiet PE.  ``access.cfg``,
+  ``mimd.ld`` and ``access.stop`` never change what a quiet PE's tick does.
+* **Quiet array.**  While no PE is active, each cycle retires one global µop
+  and ticks nothing, until a µop wakes a PE.
+* **Deadlock.**  When no PE is active and the head µop stalls, or the stream
+  is exhausted while some PE still holds work, no later cycle can change
+  anything.  The clock jumps to the ``max_cycles`` limit and the run raises
+  the stepper's :class:`~repro.errors.SimulationError`.
+
+:meth:`GanaxMachine.step` keeps its one-cycle contract: it advances the whole
+machine by one cycle and leaves every PE accounted up to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ArchitectureConfig
 from ..errors import SimulationError
@@ -49,13 +77,17 @@ from ..isa.uops import (
     MimdLoad,
     RepeatUop,
 )
+from .pe import ProcessingEngine
 from .pv import ProcessingVector
 from .uop_buffers import GlobalUopBuffer
 
 
 @dataclass(frozen=True)
 class MachineRunStatistics:
-    """Summary of one program execution on the cycle-level machine."""
+    """Summary of one program execution on the cycle-level machine.
+
+    Every figure counts that run only, also on a machine that ran before.
+    """
 
     cycles: int
     dispatched_uops: int
@@ -100,9 +132,14 @@ class GanaxMachine:
         self._global_buffer = GlobalUopBuffer(
             entries=self._config.global_uop_entries, counters=self._counters
         )
+        self._all_pes: List[ProcessingEngine] = [pe for pv in self._pvs for pe in pv.pes]
         self._cycle = 0
         self._dispatched = 0
         self._dispatch_stalls = 0
+        # The run's active set: PEs ticked every cycle, and the quiet ones
+        # with the last cycle their stalls are accounted up to.
+        self._active: List[ProcessingEngine] = []
+        self._quiet_since: Dict[ProcessingEngine, int] = {}
 
     # ------------------------------------------------------------------
     # Accessors
@@ -155,44 +192,133 @@ class GanaxMachine:
         start_cycle = self._cycle
         start_dispatched = self._dispatched
         start_stalls = self._dispatch_stalls
-        while self.busy:
-            if self._cycle - start_cycle >= max_cycles:
-                raise SimulationError(
-                    f"machine did not finish within {max_cycles} cycles; "
-                    "the program is likely deadlocked"
-                )
-            self.step()
-        busy = sum(pe.execute.busy_cycles for pv in self._pvs for pe in pv.pes)
-        stalls = sum(pe.execute.stall_cycles for pv in self._pvs for pe in pv.pes)
-        executed = sum(pe.execute.executed_uops for pv in self._pvs for pe in pv.pes)
+        start_pe = self._pe_totals()
+        limit = start_cycle + max_cycles
+        self._wake_scan()
+        try:
+            while True:
+                quiet = not self._active
+                if quiet and self._global_buffer.exhausted:
+                    if any(pe.busy for pe in self._all_pes):
+                        # Queued work that no µop will ever consume.
+                        self._run_out_clock(limit, max_cycles)
+                    break
+                if self._cycle >= limit:
+                    self._raise_deadlock(max_cycles)
+                if not self._advance() and quiet:
+                    # Nothing ticked and nothing woke: every later cycle
+                    # stalls on the same µop.
+                    self._run_out_clock(limit, max_cycles, stalled=True)
+        finally:
+            self._settle()
+        end_pe = self._pe_totals()
         return MachineRunStatistics(
             cycles=self._cycle - start_cycle,
             dispatched_uops=self._dispatched - start_dispatched,
             dispatch_stall_cycles=self._dispatch_stalls - start_stalls,
-            executed_pe_uops=executed,
-            pe_busy_cycles=busy,
-            pe_stall_cycles=stalls,
+            executed_pe_uops=end_pe[0] - start_pe[0],
+            pe_busy_cycles=end_pe[1] - start_pe[1],
+            pe_stall_cycles=end_pe[2] - start_pe[2],
         )
 
     def step(self) -> None:
         """Advance the whole machine by one cycle."""
+        self._wake_scan()
+        try:
+            self._advance()
+        finally:
+            self._settle()
+
+    def _advance(self) -> bool:
+        """One cycle: dispatch, then tick the active PEs.
+
+        Returns False when the head µop stalled.
+        """
         self._cycle += 1
-        self._dispatch_one()
-        for pv in self._pvs:
-            pv.tick()
+        issued = self._dispatch_one()
+        self._tick_active()
+        return issued
+
+    def _tick_active(self) -> None:
+        awake = []
+        for pe in self._active:
+            pe.tick()
+            if pe.quiet:
+                self._quiet_since[pe] = self._cycle
+            else:
+                awake.append(pe)
+        self._active = awake
+
+    # ------------------------------------------------------------------
+    # Active-set bookkeeping
+    # ------------------------------------------------------------------
+    def _wake_scan(self) -> None:
+        """Split the PEs into active and quiet ones by their current state."""
+        self._active = []
+        self._quiet_since = {}
+        for pe in self._all_pes:
+            if pe.quiet:
+                self._quiet_since[pe] = self._cycle
+            else:
+                self._active.append(pe)
+
+    def _wake(self, pes: Sequence[ProcessingEngine]) -> None:
+        """Return quiet PEs to the active set before this cycle's tick."""
+        for pe in pes:
+            since = self._quiet_since.pop(pe, None)
+            if since is not None:
+                pe.idle(self._cycle - 1 - since)
+                self._active.append(pe)
+
+    def _settle(self) -> None:
+        """Credit every quiet PE the stall cycles it skipped up to now."""
+        for pe, since in self._quiet_since.items():
+            pe.idle(self._cycle - since)
+        self._quiet_since = {}
+        self._active = []
+
+    def _run_out_clock(self, limit: int, max_cycles: int, stalled: bool = False) -> None:
+        """Nothing is active and nothing can wake a PE: jump to the limit.
+
+        Every remaining cycle would repeat this one, so the clock -- and, when
+        the head µop is stalled, the dispatch stall count -- moves to
+        ``limit`` at once, and the run fails as a stepped one would.
+        """
+        if stalled:
+            self._dispatch_stalls += limit - self._cycle
+        self._cycle = limit
+        self._raise_deadlock(max_cycles)
+
+    @staticmethod
+    def _raise_deadlock(max_cycles: int) -> None:
+        raise SimulationError(
+            f"machine did not finish within {max_cycles} cycles; "
+            "the program is likely deadlocked"
+        )
+
+    def _pe_totals(self) -> Tuple[int, int, int]:
+        """(executed µops, busy cycles, stall cycles) summed over every PE."""
+        executed = busy = stalls = 0
+        for pe in self._all_pes:
+            executed += pe.execute.executed_uops
+            busy += pe.execute.busy_cycles
+            stalls += pe.execute.stall_cycles
+        return executed, busy, stalls
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch_one(self) -> None:
+    def _dispatch_one(self) -> bool:
+        """Dispatch the head µop, if any; False when it stalled."""
         uop = self._global_buffer.peek()
         if uop is None:
-            return
+            return True
         if self._try_dispatch(uop):
             self._global_buffer.advance()
             self._dispatched += 1
-        else:
-            self._dispatch_stalls += 1
+            return True
+        self._dispatch_stalls += 1
+        return False
 
     def _try_dispatch(self, uop: MicroOp) -> bool:
         if isinstance(uop, AccessCfg):
@@ -206,6 +332,7 @@ class GanaxMachine:
             if pv.any_generator_running(uop.generator):
                 return False
             pv.start_generator(uop.generator)
+            self._wake(pv.pes)
             return True
         if isinstance(uop, AccessStop):
             self.pv(uop.pv_index).stop_generator(uop.generator)
@@ -220,22 +347,20 @@ class GanaxMachine:
             )
         if isinstance(uop, (ExecuteUop, RepeatUop)):
             # SIMD mode: broadcast to every PE of every PV; all-or-nothing.
-            if any(
-                any(pe.execute.uop_fifo.is_full for pe in pv.pes) for pv in self._pvs
-            ):
+            if any(pe.execute.uop_fifo.is_full for pe in self._all_pes):
                 return False
             for pv in self._pvs:
                 pv.broadcast_uop(uop)
+            self._wake(self._all_pes)
             return True
         if isinstance(uop, MimdExecute):
             # MIMD-SIMD mode: per-PV local fetch; all-or-nothing so the PVs
             # stay aligned with the global stream.
-            if any(
-                any(pe.execute.uop_fifo.is_full for pe in pv.pes) for pv in self._pvs
-            ):
+            if any(pe.execute.uop_fifo.is_full for pe in self._all_pes):
                 return False
             for pv, index in zip(self._pvs, uop.local_indices):
                 pv.dispatch_local(index)
+            self._wake(self._all_pes)
             return True
         raise SimulationError(f"cannot dispatch µop {uop!r}")
 

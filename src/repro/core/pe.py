@@ -12,7 +12,9 @@ Each PE (Figure 7a) owns:
 The PE exposes a single :meth:`tick` that advances both µ-engines by one
 cycle; they communicate only through the address FIFOs, so either engine can
 run ahead of (or stall behind) the other — the decoupled access-execute
-behaviour the paper relies on to amortise MIMD overheads.
+behaviour the paper relies on to amortise MIMD overheads.  A PE whose engines
+cannot move is :attr:`~ProcessingEngine.quiet`; the machine stops ticking it
+and credits the skipped stall cycles through :meth:`~ProcessingEngine.idle`.
 """
 
 from __future__ import annotations
@@ -192,3 +194,18 @@ class ProcessingEngine:
         self._cycles += 1
         self._access.tick()
         return self._execute.tick()
+
+    @property
+    def quiet(self) -> bool:
+        """True when a tick would only count one stall cycle.
+
+        Neither µ-engine can move: no generator can push an address and the
+        execute engine has nothing it can issue.  A quiet PE stays quiet until
+        the controller enqueues a µop or starts one of its generators.
+        """
+        return self._execute.waiting and not self._access.can_push
+
+    def idle(self, cycles: int) -> None:
+        """Count ``cycles`` quiet ticks at once: each is one cycle and one stall."""
+        self._cycles += cycles
+        self._execute.add_stall_cycles(cycles)

@@ -147,13 +147,6 @@ class ProcessingVector:
             pe.set_repeat_register(value)
 
     # ------------------------------------------------------------------
-    # Cycle behaviour
-    # ------------------------------------------------------------------
-    def tick(self) -> int:
-        """Advance every PE one cycle; returns how many PEs did useful work."""
-        return sum(1 for pe in self._pes if pe.tick())
-
-    # ------------------------------------------------------------------
     # Horizontal accumulation
     # ------------------------------------------------------------------
     def accumulate_rows(self, width: int, active_pes: Optional[int] = None) -> List[float]:

@@ -144,6 +144,21 @@ class TestExecuteEngine:
             engine.tick()
         assert out.read(0) == 0.0
 
+    @pytest.mark.parametrize("weight, expected", [(1.0, 1.0), (-1.0, 0.0)])
+    def test_sigmoid_saturates_on_a_huge_accumulator(self, weight, expected):
+        engine, access, inp, wgt, out = _make_execute()
+        inp.load([1000.0])
+        wgt.load([weight])
+        for stream in AddressGenerator:
+            access.configure(stream, GeneratorConfig(end=1, repeat=1))
+            access.start(stream)
+        engine.enqueue(ExecuteUop(op=ExecuteOp.MAC))
+        engine.enqueue(ExecuteUop(op=ExecuteOp.ACT, activation="sigmoid"))
+        for _ in range(6):
+            access.tick()
+            engine.tick()
+        assert out.read(0) == expected
+
     def test_stalls_without_addresses(self):
         engine, _access, _inp, _wgt, _out = _make_execute()
         engine.enqueue(ExecuteUop(op=ExecuteOp.MAC))

@@ -158,3 +158,47 @@ class TestMachineExecution:
         machine = _machine()
         with pytest.raises(SimulationError):
             machine.pv(5)
+
+
+def _started_generator(pv, generator, end):
+    """A 2-PV program builder that configures and starts one generator."""
+    builder = MicroProgramBuilder(name="access-only", num_pvs=2)
+    builder.preload_local_everywhere(ExecuteUop(op=ExecuteOp.NOP))
+    builder.emit_access_cfg(pv, generator, ConfigRegister.END, end)
+    builder.emit_access_cfg(pv, generator, ConfigRegister.REPEAT, 1)
+    builder.emit_access_start(pv, generator)
+    return builder
+
+
+class TestRunAccounting:
+    def test_a_second_run_reports_only_its_own_statistics(self):
+        machine = _machine()
+        runs = []
+        for _ in range(2):
+            for pv in range(2):
+                for pe in range(2):
+                    machine.load_pe_operands(pv, pe, [1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
+            machine.load_program(_dot_product_program(2, 3, simd=True))
+            runs.append(machine.run())
+        assert runs[0].cycles == 43
+        assert runs[1] == runs[0]
+
+    def test_cfg_to_a_running_generator_with_no_consumer_deadlocks(self):
+        """The FIFO fills, the generator never stops, the cfg never issues."""
+        machine = _machine()
+        builder = _started_generator(0, AddressGenerator.INPUT, 1000)
+        builder.emit_access_cfg(0, AddressGenerator.INPUT, ConfigRegister.ADDR, 0)
+        machine.load_program(builder.build())
+        with pytest.raises(SimulationError, match="within 200 cycles"):
+            machine.run(max_cycles=200)
+        assert machine.cycle == 200
+        assert all(pe.cycles == 200 for pv in machine.pvs for pe in pv.pes)
+
+    def test_addresses_left_queued_after_the_stream_ends_deadlock(self):
+        machine = _machine()
+        machine.load_program(_started_generator(1, AddressGenerator.WEIGHT, 2).build())
+        with pytest.raises(SimulationError, match="within 200 cycles"):
+            machine.run(max_cycles=200)
+        assert machine.cycle == 200
+        assert machine.pv(1).pe(0).access.pending_addresses(AddressGenerator.WEIGHT) == 2
+        assert all(pe.cycles == 200 for pv in machine.pvs for pe in pv.pes)
