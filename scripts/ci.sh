@@ -59,7 +59,13 @@
 #      its per-wave machine cycles must sum to the pinned 18447.  It checks
 #      correctness, not time (on a 2-vCPU VM a machine that ticked every PE
 #      took 6-9 s; the event-driven machine takes ~1.5 s);
-#  12. the repository benchmark's self-tests (perfbench/selftest.py): seed
+#  12. a CLI-surface smoke: `<verb> --help` must exit 0 for every verb, and
+#      each of these must exit 2 (a usage error or a clean `error:`, never
+#      a silent pass): a flag another verb owns (`figure8 --strategy`), a
+#      compile bound below 1 (`check --max-columns 0`), a `check --layer`
+#      filter that matches no layer, and `lint --paths` on a missing path.
+#      It checks correctness, not time;
+#  13. the repository benchmark's self-tests (perfbench/selftest.py): seed
 #      determinism, metric names matching BENCHMARK.json, and traced and
 #      untraced smoke runs of every workload.  The traced runs wrap estimator
 #      and pricing entry points by name (perfbench/spans.py), so renaming or
@@ -486,6 +492,35 @@ assert cycles == 18447, cycles
 print("paper-geometry machine OK:", cycles, "machine cycles over",
       run.waves, "waves, output matches transposed_conv2d")
 PY
+
+echo "== CLI surface smoke (per-verb --help, usage errors, empty selections) =="
+VERBS="$(python - <<'PY'
+from repro.experiments import experiment_ids
+
+modes = (
+    "list list-accelerators list-workloads list-schedules cache-prune serve "
+    "remote-compare stats check lint disasm compare sweep dse all"
+).split()
+print(" ".join(modes + [e for e in experiment_ids() if e not in modes]))
+PY
+)"
+for VERB in $VERBS; do
+    python -m repro.cli "$VERB" --help > /dev/null
+done
+expect_exit_2() {
+    status=0
+    python -m repro.cli "$@" > /dev/null 2> "$SMOKE_DIR/cli.err" || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "CLI surface smoke FAILED: '$*' exited $status, expected 2" >&2
+        cat "$SMOKE_DIR/cli.err" >&2
+        exit 1
+    fi
+}
+expect_exit_2 figure8 --strategy random
+expect_exit_2 check --workloads dcgan --max-columns 0
+expect_exit_2 check --workloads dcgan --layer nosuchlayer
+expect_exit_2 lint --paths "$SMOKE_DIR/missing"
+echo "CLI surface OK: $(echo $VERBS | wc -w) verbs answer --help, 4 bad invocations exit 2"
 
 echo "== perfbench self-tests (seeded workloads, metric names, traced smoke runs) =="
 python -m pytest -q -p no:cacheprovider perfbench/selftest.py

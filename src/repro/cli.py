@@ -33,6 +33,11 @@ Installed as ``repro-experiments`` (see ``pyproject.toml``).  Examples::
     repro-experiments sweep --parameter num_pvs --values 4,8 --metrics m.json
     repro-experiments stats --port 8642            # telemetry of a service
 
+Each verb owns its flags, and they follow it: ``repro-experiments <verb>
+--help`` lists exactly what that verb accepts, and a flag the verb does not
+own is a usage error (exit 2), as is a flag placed before the verb.  With no
+verb, or only flags, the CLI runs ``all``.
+
 Every simulation runs through one shared
 :class:`~repro.runner.SimulationRunner`, so the whole invocation shares a
 content-addressed result cache, and ``--cache-dir`` persists results across
@@ -49,9 +54,10 @@ per-job progress line to stderr the moment each simulation finishes (or is
 answered from cache), and ``--jsonl PATH|-`` writes one machine-readable
 JSON record per job *as it terminates* — ``completed``, ``cache-hit``,
 ``failed`` or ``cancelled`` (result fields are present only on the first
-two; PATH is rewritten each run).  Both work in every mode, because they
-subscribe to the runner's typed event stream rather than wrapping any
-particular mode.
+two; PATH is rewritten each run).  Both subscribe to the runner's typed
+event stream, so one harness serves every simulating verb: ``--progress``
+follows any verb, ``--jsonl`` follows ``compare``, ``sweep``, ``dse`` and
+``remote-compare``.
 
 The ``serve`` mode hosts one shared runner as a long-running TCP service
 (see :mod:`repro.service`): multiple clients stream batches through the
@@ -77,7 +83,8 @@ import json
 import sys
 import threading
 import time
-from typing import IO, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .accelerators.registry import accelerator_names, create_accelerator, get_accelerator
 from .analysis.charts import frontier_chart, multi_comparison_chart
@@ -88,7 +95,7 @@ from .dse.engine import DesignSpaceExplorer
 from .dse.strategies import get_strategy
 from .errors import ReproError, UnknownAcceleratorError, UnknownWorkloadError
 from .experiments.base import ExperimentContext
-from .experiments.registry import experiment_ids, run_all, run_experiment
+from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from .runner import (
     DiskResultCache,
     RunnerEvent,
@@ -110,303 +117,304 @@ from .workloads.registry import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``repro-experiments``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the tables and figures of the GANAX paper (ISCA 2018).",
-    )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="all",
-        help=(
-            "experiment id (e.g. figure8, table3), 'all', 'list', "
-            "'list-accelerators', 'list-workloads', 'list-schedules', "
-            "'compare' (N-way "
-            "accelerator comparison), 'sweep' (one-parameter configuration "
-            "sweep), 'dse' (design-space exploration), 'cache-prune', "
-            "'serve' (host the simulation service), 'remote-compare' "
-            "(run a comparison grid against a running service), 'stats' "
-            "(query a running service for its telemetry snapshot), 'check' "
-            "(statically verify compiled µop programs over a workload x "
-            "accelerator grid), 'lint' (repo-invariant lints over the "
-            "source tree), or 'disasm' (compile one layer and print its "
-            "µop program)"
-        ),
-    )
-    parser.add_argument(
-        "--accelerators",
+#: The flags every verb accepts: output and result-cache controls.
+_COMMON_FLAGS = (
+    "--json", "--quiet", "--progress", "--cache-dir", "--no-cache", "--cache-stats"
+)
+
+#: The runner-stream outputs of the simulating verbs.
+_STREAM_FLAGS = ("--jsonl", "--trace", "--metrics")
+
+#: Every flag, declared once; each verb adds the ones it owns (``_add_verb``).
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--accelerators": dict(
         metavar="NAMES",
-        default=None,
-        help=(
-            "comma-separated registered accelerator names for "
-            "'compare'/'sweep' (default: every registered accelerator)"
-        ),
-    )
-    parser.add_argument(
-        "--workloads",
+        help="comma-separated registered accelerator names (see 'list-accelerators')",
+    ),
+    "--workloads": dict(
         metavar="SPECS",
-        default=None,
-        help=(
-            "comma-separated workload names or family spec strings (e.g. "
-            "dcgan@64x64,synthetic@d8c256) for 'compare'/'sweep'/'dse' "
-            "(default: every registered workload; see 'list-workloads')"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
+        help="comma-separated workload names or family spec strings (e.g. "
+        "dcgan@64x64,synthetic@d8c256; default: every registered workload; "
+        "see 'list-workloads')",
+    ),
+    "--baseline": dict(
         metavar="NAME",
-        default=None,
-        help=(
-            "baseline accelerator for 'compare'/'sweep'/'dse' ratios "
-            "(default: eyeriss)"
-        ),
-    )
-    parser.add_argument(
-        "--parameter",
-        metavar="FIELD",
-        default=None,
-        help="ArchitectureConfig field the 'sweep' mode varies",
-    )
-    parser.add_argument(
-        "--values",
-        metavar="VALUES",
-        default=None,
-        help="comma-separated values for the swept 'sweep' field",
-    )
-    parser.add_argument(
-        "--accelerator",
+        help="baseline accelerator of the speedup and energy ratios (default: eyeriss)",
+    ),
+    "--parameter": dict(metavar="FIELD", help="the ArchitectureConfig field to vary"),
+    "--values": dict(metavar="VALUES", help="comma-separated values of that field"),
+    "--accelerator": dict(
         metavar="NAME",
-        default=None,
-        help="accelerator whose design space 'dse' explores (default: ganax)",
-    )
-    parser.add_argument(
-        "--strategy",
+        default="ganax",
+        help="accelerator whose design space is explored (default: %(default)s)",
+    ),
+    "--strategy": dict(
         metavar="NAME",
-        default=None,
-        help="search strategy for 'dse': exhaustive, random or hillclimb",
-    )
-    parser.add_argument(
-        "--budget",
+        default="exhaustive",
+        help="search strategy: exhaustive, random or hillclimb (default: %(default)s)",
+    ),
+    "--budget": dict(type=int, metavar="N", help="maximum design points evaluated"),
+    "--seed": dict(
         type=int,
         metavar="N",
-        default=None,
-        help="maximum design points 'dse' evaluates",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        metavar="N",
-        default=None,
-        help="random seed for the 'dse' random/hillclimb strategies (default 0)",
-    )
-    parser.add_argument(
-        "--fields",
+        default=0,
+        help="seed of the random and hillclimb strategies (default: %(default)s)",
+    ),
+    "--fields": dict(
         metavar="NAMES",
-        default=None,
-        help=(
-            "comma-separated axes spanning the 'dse' space: "
-            "ArchitectureConfig fields plus the special 'schedule' axis "
-            "(default: num_pvs,pes_per_pv,dram_bandwidth_bytes_per_cycle)"
-        ),
-    )
-    parser.add_argument(
-        "--schedule",
+        help="comma-separated axes spanning the space: ArchitectureConfig fields "
+        "plus the special 'schedule' axis "
+        "(default: num_pvs,pes_per_pv,dram_bandwidth_bytes_per_cycle)",
+    ),
+    "--schedule": dict(
         metavar="SPEC",
-        default=None,
-        help=(
-            "µop schedule spec string for 'check'/'disasm'/'compare'/'dse' "
-            "(e.g. default, hoisted, colmajor@tile64; see 'list-schedules')"
-        ),
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        metavar="N",
-        default=None,
-        help="size budget for 'cache-prune' (oldest entries evicted first)",
-    )
-    parser.add_argument(
-        "--json",
+        help="µop schedule spec string (e.g. default, hoisted, colmajor@tile64; "
+        "see 'list-schedules')",
+    ),
+    "--max-bytes": dict(
+        type=int, metavar="N", help="size budget (oldest entries evicted first)"
+    ),
+    "--json": dict(
         metavar="PATH",
-        default=None,
-        help="also write the computed data as JSON to PATH",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the rendered report (useful with --json)",
-    )
-    parser.add_argument(
-        "--progress",
+        help="also write the computed data as JSON to PATH ('-' for stdout)",
+    ),
+    "--quiet": dict(
+        action="store_true", help="suppress the rendered report (useful with --json)"
+    ),
+    "--progress": dict(
         action="store_true",
         help="print a live per-job progress line to stderr as results stream",
-    )
-    parser.add_argument(
-        "--jsonl",
+    ),
+    "--jsonl": dict(
         metavar="PATH",
-        default=None,
-        help=(
-            "stream one JSON record per terminated job (completed/cache-hit/"
-            "failed/cancelled) to PATH ('-' for stdout) for "
-            "'compare'/'sweep'/'dse'; PATH is rewritten each run"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
+        help="stream one JSON record per terminated job (completed/cache-hit/"
+        "failed/cancelled) to PATH ('-' for stdout); PATH is rewritten each run",
+    ),
+    "--cache-dir": dict(
         metavar="PATH",
-        default=None,
         help="persist simulation results in a content-addressed disk cache",
-    )
-    parser.add_argument(
-        "--no-cache",
+    ),
+    "--no-cache": dict(
+        action="store_true", help="disable result caching (every job re-simulates)"
+    ),
+    "--cache-stats": dict(
+        action="store_true", help="print cache hit/miss accounting after the run"
+    ),
+    "--host": dict(
+        metavar="ADDR", default="127.0.0.1", help="service address (default: %(default)s)"
+    ),
+    "--port": dict(
+        type=int,
+        metavar="N",
+        default=DEFAULT_PORT,
+        help="service TCP port (default: %(default)s; 0 binds an ephemeral port)",
+    ),
+    "--port-file": dict(
+        metavar="PATH", help="write the bound port to PATH (for scripted clients)"
+    ),
+    "--quota": dict(
+        type=int,
+        metavar="N",
+        default=64,
+        help="per-client in-flight job quota (default: %(default)s)",
+    ),
+    "--queue-limit": dict(
+        type=int,
+        metavar="N",
+        default=1024,
+        help="server-wide in-flight job bound (default: %(default)s)",
+    ),
+    "--max-active": dict(
+        type=int,
+        metavar="N",
+        default=4,
+        help="batches dispatched to the shared runner at once (default: %(default)s)",
+    ),
+    "--journal": dict(
+        metavar="PATH", help="journal terminal job events to PATH (JSONL, fsync'd)"
+    ),
+    "--resume": dict(
         action="store_true",
-        help="disable result caching (every job re-simulates)",
-    )
-    parser.add_argument(
-        "--cache-stats",
-        action="store_true",
-        help="print cache hit/miss accounting after the run",
-    )
-    parser.add_argument(
-        "--host",
-        metavar="ADDR",
-        default=None,
-        help=(
-            "service address for 'serve'/'remote-compare' "
-            "(default: 127.0.0.1)"
-        ),
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "service TCP port for 'serve'/'remote-compare' "
-            f"(default: {DEFAULT_PORT}; 0 binds an ephemeral port)"
-        ),
-    )
-    parser.add_argument(
-        "--port-file",
+        help="replay the --journal into the result cache at startup so a "
+        "restarted sweep re-runs only missing jobs",
+    ),
+    "--client-id": dict(metavar="ID", help="client identity announced to the service"),
+    "--trace": dict(
         metavar="PATH",
-        default=None,
-        help="'serve' writes its bound port to PATH (for scripted clients)",
-    )
-    parser.add_argument(
-        "--quota",
-        type=int,
-        metavar="N",
-        default=None,
-        help="'serve' per-client in-flight job quota",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        metavar="N",
-        default=None,
-        help="'serve' server-wide in-flight job bound",
-    )
-    parser.add_argument(
-        "--max-active",
-        type=int,
-        metavar="N",
-        default=None,
-        help="'serve' batches concurrently dispatched to the shared runner",
-    )
-    parser.add_argument(
-        "--journal",
+        help="record tracing spans and write Chrome trace-event JSON to PATH after "
+        "the run (open in Perfetto); a PATH ending in .jsonl gets one span per line",
+    ),
+    "--metrics": dict(
         metavar="PATH",
-        default=None,
-        help="'serve' journals terminal job events to PATH (JSONL, fsync'd)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        default=None,
-        help=(
-            "'serve' replays the --journal into the result cache at startup "
-            "so a restarted sweep re-runs only missing jobs"
-        ),
-    )
-    parser.add_argument(
-        "--client-id",
-        metavar="ID",
-        default=None,
-        help="client identity 'remote-compare' announces to the service",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "record tracing spans for 'compare'/'sweep'/'dse' and write "
-            "Chrome trace-event JSON to PATH after the run (open in "
-            "Perfetto); a PATH ending in .jsonl gets one span per line"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the metrics-registry snapshot (counters/gauges/"
-            "histograms) as JSON to PATH ('-' for stdout) after "
-            "'compare'/'sweep'/'dse'"
-        ),
-    )
-    parser.add_argument(
-        "--workload",
+        help="write the metrics-registry snapshot (counters/gauges/histograms) as "
+        "JSON to PATH ('-' for stdout) after the run",
+    ),
+    "--workload": dict(metavar="NAME", help="workload of the layer (e.g. dcgan)"),
+    "--layer": dict(
         metavar="NAME",
-        default=None,
-        help="workload whose layer 'disasm' compiles (e.g. dcgan)",
-    )
-    parser.add_argument(
-        "--layer",
-        metavar="NAME",
-        default=None,
-        help=(
-            "layer name for 'disasm' (exact) or 'check' (substring filter "
-            "over binding names)"
-        ),
-    )
-    parser.add_argument(
-        "--max-columns",
+        help="layer name ('disasm': exact; 'check': substring of binding names)",
+    ),
+    "--max-columns": dict(
         type=int,
         metavar="N",
-        default=None,
-        help=(
-            "output columns compiled per wave for 'check'/'disasm' "
-            "(default: 8 for check, 4 for disasm — the golden-test tile)"
-        ),
-    )
-    parser.add_argument(
-        "--max-waves",
+        help="output columns compiled per wave (default: %(default)s)",
+    ),
+    "--max-waves": dict(
         type=int,
         metavar="N",
-        default=None,
-        help="waves compiled per layer for 'check'/'disasm' (default: 1)",
-    )
-    parser.add_argument(
-        "--no-skip-zeros",
+        default=1,
+        help="waves compiled per layer (default: %(default)s)",
+    ),
+    "--no-skip-zeros": dict(
         action="store_true",
-        default=None,
-        help=(
-            "'disasm' compiles the dense (EYERISS-style) lowering instead "
-            "of the zero-skipping GANAX one; 'check' always verifies both"
-        ),
-    )
-    parser.add_argument(
-        "--paths",
+        help="compile the dense (EYERISS-style) lowering, not the zero-skipping one",
+    ),
+    "--paths": dict(
         metavar="PATHS",
-        default=None,
-        help=(
-            "comma-separated files/directories 'lint' scans "
-            "(default: the installed repro package source)"
+        help="comma-separated files/directories to scan "
+        "(default: the installed repro package source)",
+    ),
+}
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """The top-level parser: an invocation that names no verb runs ``all``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        if not args or (args[0].startswith("-") and args[0] not in ("-h", "--help")):
+            args.insert(0, "all")
+        return super().parse_known_args(args, namespace)
+
+
+def _add_verb(
+    subparsers: Any,
+    name: str,
+    run: Callable[[argparse.Namespace], int],
+    summary: str,
+    flags: Sequence[str] = (),
+    required: Sequence[str] = (),
+    **defaults: Any,
+) -> None:
+    """One subparser: the verb's own flags, then the common ones."""
+    parser = subparsers.add_parser(
+        name, help=summary, description=summary, allow_abbrev=False
+    )
+    for flag in (*required, *flags, *_COMMON_FLAGS):
+        parser.add_argument(flag, required=flag in required, **_FLAGS[flag])
+    parser.set_defaults(run=run, **defaults)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for ``repro-experiments``: one subparser per verb."""
+    parser = _VerbParser(
+        prog="repro-experiments",
+        description=(
+            "Regenerate the tables and figures of the GANAX paper (ISCA 2018). "
+            "Each verb owns its flags, which follow it "
+            "(repro-experiments <verb> --help); with no verb, runs 'all'."
         ),
     )
+    # read by the stdout-claim check and the runner harness on every verb
+    parser.set_defaults(jsonl=None, trace=None, metrics=None)
+    verbs = parser.add_subparsers(
+        dest="experiment", metavar="VERB", parser_class=argparse.ArgumentParser
+    )
+    _add_verb(verbs, "list", _list_experiments, "list the experiment ids")
+    _add_verb(
+        verbs, "list-accelerators", _list_accelerators,
+        "list the registered accelerator models",
+    )
+    _add_verb(
+        verbs, "list-workloads", _list_workloads,
+        "list the registered workloads and workload families",
+    )
+    _add_verb(
+        verbs, "list-schedules", _list_schedules,
+        "list the registered µop schedules and schedule families",
+    )
+    _add_verb(
+        verbs, "compare", partial(_with_runner, _run_compare),
+        "N-way accelerator comparison over the workloads",
+        ("--accelerators", "--workloads", "--baseline", "--schedule", *_STREAM_FLAGS),
+    )
+    _add_verb(
+        verbs, "sweep", partial(_with_runner, _run_sweep),
+        "one-parameter configuration sweep over the comparison grid",
+        ("--accelerators", "--workloads", "--baseline", *_STREAM_FLAGS),
+        required=("--parameter", "--values"),
+    )
+    _add_verb(
+        verbs, "dse", partial(_with_runner, _run_dse),
+        "design-space exploration of one accelerator: the Pareto frontier",
+        (
+            "--accelerator", "--workloads", "--baseline", "--strategy", "--budget",
+            "--seed", "--fields", "--schedule", *_STREAM_FLAGS,
+        ),
+        baseline="eyeriss",
+    )
+    _add_verb(
+        verbs, "check", _run_check,
+        "statically verify compiled µop programs over a workload x "
+        "accelerator grid (accelerators default to eyeriss,ganax)",
+        (
+            "--accelerators", "--workloads", "--layer", "--max-columns",
+            "--max-waves", "--schedule",
+        ),
+        max_columns=8,
+    )
+    _add_verb(
+        verbs, "lint", _run_lint, "repo-invariant lints over the source tree",
+        ("--paths",),
+    )
+    _add_verb(
+        verbs, "disasm", _run_disasm,
+        "compile one layer and print its µop program "
+        "(--max-columns defaults to the golden-test tile)",
+        ("--max-columns", "--max-waves", "--no-skip-zeros", "--schedule"),
+        required=("--workload", "--layer"),
+        max_columns=4,
+    )
+    _add_verb(
+        verbs, "cache-prune", _run_cache_prune,
+        "evict the oldest --cache-dir entries down to a size budget",
+        required=("--max-bytes",),
+    )
+    _add_verb(
+        verbs, "serve", _run_serve, "host the simulation service until interrupted",
+        (
+            "--host", "--port", "--port-file", "--quota", "--queue-limit",
+            "--max-active", "--journal", "--resume",
+        ),
+    )
+    _add_verb(
+        verbs, "remote-compare", _run_remote_compare,
+        "run the comparison grid against a running service",
+        ("--accelerators", "--workloads", "--jsonl", "--host", "--port", "--client-id"),
+    )
+    _add_verb(
+        verbs, "stats", _run_stats,
+        "query a running service for its telemetry snapshot",
+        ("--host", "--port"),
+    )
+    run_experiments = partial(_with_runner, _run_experiments)
+    _add_verb(
+        verbs, "all", run_experiments, "regenerate every table and figure",
+        experiments=experiment_ids(),
+    )
+    for experiment_id, (title, _run) in EXPERIMENTS.items():
+        # the 'dse' mode owns its name; the dse experiment runs under 'all'
+        if experiment_id not in verbs.choices:
+            _add_verb(
+                verbs, experiment_id, run_experiments, title,
+                experiments=(experiment_id,),
+            )
     return parser
+
+
+def _tokens(spec: str) -> Tuple[str, ...]:
+    """The non-empty entries of a comma-separated flag value."""
+    return tuple(token.strip() for token in spec.split(",") if token.strip())
 
 
 def parse_accelerator_list(spec: Optional[str]) -> Optional[Tuple[str, ...]]:
@@ -418,7 +426,7 @@ def parse_accelerator_list(spec: Optional[str]) -> Optional[Tuple[str, ...]]:
     """
     if spec is None:
         return None
-    names = tuple(token.strip() for token in spec.split(",") if token.strip())
+    names = _tokens(spec)
     if not names:
         raise UnknownAcceleratorError(spec, accelerator_names())
     return tuple(get_accelerator(name).name for name in names)
@@ -435,7 +443,7 @@ def parse_workload_list(spec: Optional[str]) -> Optional[Tuple[str, ...]]:
     """
     if spec is None:
         return None
-    names = tuple(token.strip() for token in spec.split(",") if token.strip())
+    names = _tokens(spec)
     if not names:
         raise UnknownWorkloadError(spec, workload_names(), workload_families())
     return tuple(resolve_workload(name).name for name in names)
@@ -472,9 +480,22 @@ def build_runner(args: argparse.Namespace) -> SimulationRunner:
     return SimulationRunner(cache=cache)
 
 
+def _stdout_claims(args: argparse.Namespace) -> List[str]:
+    """The machine-readable streams written to stdout ('-')."""
+    return [
+        flag
+        for flag, value in (
+            ("--json", args.json),
+            ("--jsonl", args.jsonl),
+            ("--metrics", args.metrics),
+        )
+        if value == "-"
+    ]
+
+
 def _owns_stdout(args: argparse.Namespace) -> bool:
     """Whether a machine-readable stream claimed stdout (implies quiet text)."""
-    return args.json == "-" or args.jsonl == "-" or args.metrics == "-"
+    return bool(_stdout_claims(args))
 
 
 class _ProgressPrinter:
@@ -575,21 +596,14 @@ def _hit_rate(hits: int, misses: int) -> float:
     return hits / lookups if lookups else 0.0
 
 
-def _print_cache_stats(runner: SimulationRunner, args: argparse.Namespace) -> None:
-    # The accounting is read from the metrics registry (the same numbers every
-    # other telemetry surface reports); runner.stats / memo.stats remain the
-    # fallback when metrics are disabled.  Output format is pinned by
-    # tests/test_cli.py — keep it byte-stable.
-    registry = get_metrics()
-    if registry is not None:
-        counters = registry.snapshot()["counters"]
-        hits = counters.get("runner.cache.hits", 0)
-        misses = counters.get("runner.cache.misses", 0)
-        deduplicated = counters.get("runner.cache.deduplicated", 0)
-    else:
-        stats = runner.stats
-        hits, misses = stats.hits, stats.misses
-        deduplicated = stats.deduplicated
+def _print_cache_stats(args: argparse.Namespace) -> None:
+    # The accounting is read from the metrics registry the runner harness
+    # configured (the same numbers every other telemetry surface reports).
+    # Output format is pinned by tests/test_cli.py — keep it byte-stable.
+    counters = get_metrics().snapshot()["counters"]
+    hits = counters.get("runner.cache.hits", 0)
+    misses = counters.get("runner.cache.misses", 0)
+    deduplicated = counters.get("runner.cache.deduplicated", 0)
     # with '--json -' / '--jsonl -' stdout is the machine-readable payload,
     # so the accounting line goes to stderr instead of corrupting it
     stream = sys.stderr if _owns_stdout(args) else sys.stdout
@@ -602,12 +616,8 @@ def _print_cache_stats(runner: SimulationRunner, args: argparse.Namespace) -> No
     )
     memo = get_layer_memo()
     if memo is not None:
-        if registry is not None:
-            counters = registry.snapshot()["counters"]
-            layer_hits = counters.get("runner.layer_memo.hits", 0)
-            layer_misses = counters.get("runner.layer_memo.misses", 0)
-        else:
-            layer_hits, layer_misses = memo.stats.hits, memo.stats.misses
+        layer_hits = counters.get("runner.layer_memo.hits", 0)
+        layer_misses = counters.get("runner.layer_memo.misses", 0)
         print(
             "layer memo: "
             f"{layer_hits} hits, {layer_misses} misses "
@@ -618,8 +628,8 @@ def _print_cache_stats(runner: SimulationRunner, args: argparse.Namespace) -> No
 
 
 def _export_telemetry(args: argparse.Namespace, tracer) -> None:
-    """Write the --trace and --metrics artifacts after a streaming-mode run."""
-    if tracer is not None and args.trace:
+    """Write the --trace and --metrics artifacts after a simulating verb."""
+    if tracer is not None:
         tracer.export(args.trace)
         if not args.quiet:
             kind = "span JSONL" if args.trace.endswith(".jsonl") else (
@@ -628,8 +638,7 @@ def _export_telemetry(args: argparse.Namespace, tracer) -> None:
             )
             print(f"wrote {kind} to {args.trace}", file=sys.stderr)
     if args.metrics:
-        registry = get_metrics()
-        snapshot = registry.snapshot() if registry is not None else {}
+        snapshot = get_metrics().snapshot()
         if args.metrics == "-":
             print(json.dumps(snapshot, indent=2, sort_keys=True))
         else:
@@ -648,6 +657,13 @@ def _write_json(payload: dict, destination: str, quiet: bool) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
     if not quiet:
         print(f"wrote JSON results to {destination}")
+
+
+def _list_experiments(args: argparse.Namespace) -> int:
+    """The ``list`` mode: the experiment ids, in paper order."""
+    for experiment_id in experiment_ids():
+        print(experiment_id)
+    return 0
 
 
 def _list_accelerators(args: argparse.Namespace) -> int:
@@ -716,14 +732,7 @@ def _run_cache_prune(args: argparse.Namespace) -> int:
     if not args.cache_dir:
         print("error: cache-prune requires --cache-dir", file=sys.stderr)
         return 2
-    if args.max_bytes is None:
-        print("error: cache-prune requires --max-bytes", file=sys.stderr)
-        return 2
-    try:
-        stats = DiskResultCache(args.cache_dir).prune(max_bytes=args.max_bytes)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stats = DiskResultCache(args.cache_dir).prune(max_bytes=args.max_bytes)
     if not args.quiet and not _owns_stdout(args):
         print(
             f"pruned {stats.removed_entries} entries "
@@ -749,14 +758,14 @@ def _run_serve(args: argparse.Namespace) -> int:
         runner.subscribe(_ProgressPrinter())
     try:
         server = SimulationServer(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
+            host=args.host,
+            port=args.port,
             runner=runner,
-            quota=args.quota if args.quota is not None else 64,
-            queue_limit=args.queue_limit if args.queue_limit is not None else 1024,
-            max_active_requests=args.max_active if args.max_active is not None else 4,
+            quota=args.quota,
+            queue_limit=args.queue_limit,
+            max_active_requests=args.max_active,
             journal_path=args.journal,
-            resume=bool(args.resume),
+            resume=args.resume,
         )
         server.start_in_thread()
     except (ReproError, OSError) as exc:  # bad knobs, port in use, bad journal
@@ -806,12 +815,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_remote_compare(args: argparse.Namespace) -> int:
     """The ``remote-compare`` mode: the comparison grid, via a running service."""
-    try:
-        accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
-        workloads = parse_workload_list(args.workloads) or workload_names()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
+    workloads = parse_workload_list(args.workloads) or workload_names()
     specs = grid_specs(workloads, accelerators)
     jsonl_handle: Optional[IO[str]] = None
     if args.jsonl:
@@ -827,9 +832,7 @@ def _run_remote_compare(args: argparse.Namespace) -> int:
     records = []
     try:
         with Client(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
-            client_id=args.client_id,
+            host=args.host, port=args.port, client_id=args.client_id
         ) as client:
             for record in client.submit(specs):
                 records.append(record)
@@ -869,10 +872,7 @@ def _run_remote_compare(args: argparse.Namespace) -> int:
 def _run_stats(args: argparse.Namespace) -> int:
     """The ``stats`` mode: a running service's telemetry snapshot, over the wire."""
     try:
-        with Client(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
-        ) as client:
+        with Client(host=args.host, port=args.port) as client:
             payload = client.stats()
     except (ReproError, OSError) as exc:  # unreachable, old server, shutdown
         print(f"error: {exc}", file=sys.stderr)
@@ -925,24 +925,15 @@ def _run_check(args: argparse.Namespace) -> int:
     """
     from .staticcheck import Severity, run_check_grid
 
-    workloads = parse_workload_list(args.workloads)
-    accelerators = (
-        [token.strip() for token in args.accelerators.split(",") if token.strip()]
-        if args.accelerators
-        else ["eyeriss", "ganax"]
+    accelerators = _tokens(args.accelerators) if args.accelerators else ("eyeriss", "ganax")
+    report = run_check_grid(
+        parse_workload_list(args.workloads),
+        accelerators,
+        max_waves=args.max_waves,
+        max_columns=args.max_columns,
+        layer=args.layer,
+        schedule=args.schedule,
     )
-    try:
-        report = run_check_grid(
-            workloads,
-            accelerators,
-            max_waves=args.max_waves if args.max_waves is not None else 1,
-            max_columns=args.max_columns if args.max_columns is not None else 8,
-            layer=args.layer,
-            schedule=args.schedule,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if not args.quiet and not _owns_stdout(args):
         for entry in report.entries:
             for finding in entry.findings:
@@ -971,14 +962,10 @@ def _run_lint(args: argparse.Namespace) -> int:
     from .staticcheck import run_lints
 
     if args.paths:
-        paths = [Path(token.strip()) for token in args.paths.split(",") if token.strip()]
+        paths = [Path(token) for token in _tokens(args.paths)]
     else:
         paths = [Path(__file__).parent]
-    try:
-        findings = run_lints(paths)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    findings = run_lints(paths)
     if not args.quiet and not _owns_stdout(args):
         for finding in findings:
             print(str(finding))
@@ -1007,37 +994,24 @@ def _run_disasm(args: argparse.Namespace) -> int:
     from .staticcheck import iter_compilable_bindings
     from .workloads.registry import get_workload
 
-    if not args.workload or not args.layer:
-        print("error: disasm requires --workload and --layer", file=sys.stderr)
-        return 2
-    try:
-        model = get_workload(args.workload)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = get_workload(args.workload)
     bindings = {b.name: b for _, b in iter_compilable_bindings(model)}
     binding = bindings.get(args.layer)
     if binding is None:
-        print(
-            f"error: no compilable layer '{args.layer}' in {model.name} "
-            f"(available: {', '.join(sorted(bindings))})",
-            file=sys.stderr,
+        raise ReproError(
+            f"no compilable layer '{args.layer}' in {model.name} "
+            f"(available: {', '.join(sorted(bindings))})"
         )
-        return 2
     config = ArchitectureConfig.paper_default()
-    try:
-        programs = compile_layer_programs(
-            binding,
-            num_pvs=config.num_pvs,
-            pes_per_pv=config.pes_per_pv,
-            skip_zeros=not args.no_skip_zeros,
-            max_waves=args.max_waves if args.max_waves is not None else 1,
-            max_columns=args.max_columns if args.max_columns is not None else 4,
-            schedule=args.schedule,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    programs = compile_layer_programs(
+        binding,
+        num_pvs=config.num_pvs,
+        pes_per_pv=config.pes_per_pv,
+        skip_zeros=not args.no_skip_zeros,
+        max_waves=args.max_waves,
+        max_columns=args.max_columns,
+        schedule=args.schedule,
+    )
     if not args.quiet and not _owns_stdout(args):
         for index, program in enumerate(programs):
             if index:
@@ -1059,299 +1033,194 @@ def _run_disasm(args: argparse.Namespace) -> int:
 
 def _run_dse(args: argparse.Namespace, runner: SimulationRunner) -> int:
     """The ``dse`` mode: search one accelerator's design space, report the frontier."""
-    try:
-        options = None
-        if args.schedule is not None:
-            options = SimulationOptions(schedule=args.schedule)
-        explorer = DesignSpaceExplorer(
-            accelerator=args.accelerator or "ganax",
-            baseline=args.baseline or "eyeriss",
-            models=parse_workload_list(args.workloads),
-            options=options,
-            runner=runner,
-        )
-        fields = None
-        if args.fields is not None:
-            fields = tuple(
-                token.strip() for token in args.fields.split(",") if token.strip()
-            )
-        space = explorer.space(fields=fields)
-        strategy = get_strategy(
-            args.strategy or "exhaustive",
-            seed=args.seed if args.seed is not None else 0,
-        )
-        result = explorer.explore(space=space, strategy=strategy, budget=args.budget)
+    options = None
+    if args.schedule is not None:
+        options = SimulationOptions(schedule=args.schedule)
+    explorer = DesignSpaceExplorer(
+        accelerator=args.accelerator,
+        baseline=args.baseline,
+        models=parse_workload_list(args.workloads),
+        options=options,
+        runner=runner,
+    )
+    fields = _tokens(args.fields) if args.fields is not None else None
+    space = explorer.space(fields=fields)
+    strategy = get_strategy(args.strategy, seed=args.seed)
+    result = explorer.explore(space=space, strategy=strategy, budget=args.budget)
 
-        # with '--json -' / '--jsonl -' stdout *is* the payload; the text
-        # report would corrupt it, so it is implied-quiet in that case
-        if not args.quiet and not _owns_stdout(args):
-            print(result.report())
-            print()
-            print(frontier_chart("Pareto frontier (first objective)", result.frontier))
-        if args.json:
-            _write_json({"dse": result.summary()}, args.json, args.quiet)
-        if args.cache_stats:
-            _print_cache_stats(runner, args)
-    except ReproError as exc:  # unknown accelerator/strategy/field, bad budget
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        runner.close()
+    # with '--json -' / '--jsonl -' stdout *is* the payload; the text
+    # report would corrupt it, so it is implied-quiet in that case
+    if not args.quiet and not _owns_stdout(args):
+        print(result.report())
+        print()
+        print(frontier_chart("Pareto frontier (first objective)", result.frontier))
+    if args.json:
+        _write_json({"dse": result.summary()}, args.json, args.quiet)
     return 0
 
 
 def _run_compare(args: argparse.Namespace, runner: SimulationRunner) -> int:
     """The ``compare`` mode: N workloads across N registered accelerators."""
-    try:
-        accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
-        workloads = parse_workload_list(args.workloads)
-        options = None
-        if args.schedule is not None:
-            options = SimulationOptions(schedule=args.schedule)
-        session = Session(
-            accelerators=accelerators,
-            baseline=args.baseline,
-            options=options,
-            runner=runner,
-        )
-        comparisons = session.compare(workloads)
+    accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
+    workloads = parse_workload_list(args.workloads)
+    options = None
+    if args.schedule is not None:
+        options = SimulationOptions(schedule=args.schedule)
+    session = Session(
+        accelerators=accelerators,
+        baseline=args.baseline,
+        options=options,
+        runner=runner,
+    )
+    comparisons = session.compare(workloads)
 
-        if not args.quiet and not _owns_stdout(args):
-            rows = [
-                [
-                    row["model"],
-                    row["accelerator"],
-                    row["speedup"],
-                    row["energy_reduction"],
-                    row["pe_utilization"],
-                ]
-                for row in multi_comparison_rows(comparisons)
+    if not args.quiet and not _owns_stdout(args):
+        rows = [
+            [
+                row["model"],
+                row["accelerator"],
+                row["speedup"],
+                row["energy_reduction"],
+                row["pe_utilization"],
             ]
+            for row in multi_comparison_rows(comparisons)
+        ]
+        print(
+            format_table(
+                [
+                    "Model",
+                    "Accelerator",
+                    f"Speedup vs {session.baseline}",
+                    "Energy reduction",
+                    "PE utilization",
+                ],
+                rows,
+                title="N-way accelerator comparison (generator)",
+                float_format="{:.2f}",
+            )
+        )
+        # The chart only has bars for non-baseline accelerators, so a
+        # baseline-only comparison keeps its (valid) table-only output.
+        if any(name != session.baseline for name in session.accelerators):
+            print()
             print(
-                format_table(
-                    [
-                        "Model",
-                        "Accelerator",
-                        f"Speedup vs {session.baseline}",
-                        "Energy reduction",
-                        "PE utilization",
-                    ],
-                    rows,
-                    title="N-way accelerator comparison (generator)",
-                    float_format="{:.2f}",
+                multi_comparison_chart(
+                    f"Generator speedup vs {session.baseline}", comparisons
                 )
             )
-            # The chart only has bars for non-baseline accelerators, so a
-            # baseline-only comparison keeps its (valid) table-only output.
-            if any(name != session.baseline for name in session.accelerators):
-                print()
-                print(
-                    multi_comparison_chart(
-                        f"Generator speedup vs {session.baseline}", comparisons
-                    )
-                )
 
-        if args.json:
-            payload = {
-                "compare": {
-                    "baseline": session.baseline,
-                    "accelerators": list(session.accelerators),
-                    "models": {
-                        name: comparison.summary()
-                        for name, comparison in comparisons.items()
-                    },
-                }
+    if args.json:
+        payload = {
+            "compare": {
+                "baseline": session.baseline,
+                "accelerators": list(session.accelerators),
+                "models": {
+                    name: comparison.summary()
+                    for name, comparison in comparisons.items()
+                },
             }
-            _write_json(payload, args.json, args.quiet)
-
-        if args.cache_stats:
-            _print_cache_stats(runner, args)
-    except ReproError as exc:  # e.g. unknown --accelerators / --workloads
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        runner.close()
+        }
+        _write_json(payload, args.json, args.quiet)
     return 0
 
 
 def _run_sweep(args: argparse.Namespace, runner: SimulationRunner) -> int:
     """The ``sweep`` mode: one configuration field across the session grid."""
-    try:
-        if not args.parameter:
-            raise ReproError("sweep requires --parameter")
-        if not args.values:
-            raise ReproError("sweep requires --values")
-        known_fields = sorted(ArchitectureConfig.paper_default().to_mapping())
-        if args.parameter not in known_fields:
-            raise ReproError(
-                f"unknown ArchitectureConfig field '{args.parameter}'; "
-                f"known fields: {', '.join(known_fields)}"
-            )
-        values = parse_value_list(args.values)
-        accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
-        workloads = parse_workload_list(args.workloads)
-        session = Session(
-            accelerators=accelerators, baseline=args.baseline, runner=runner
+    known_fields = sorted(ArchitectureConfig.paper_default().to_mapping())
+    if args.parameter not in known_fields:
+        raise ReproError(
+            f"unknown ArchitectureConfig field '{args.parameter}'; "
+            f"known fields: {', '.join(known_fields)}"
         )
-        grid = session.sweep(args.parameter, values, models=workloads)
+    values = parse_value_list(args.values)
+    accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
+    workloads = parse_workload_list(args.workloads)
+    session = Session(accelerators=accelerators, baseline=args.baseline, runner=runner)
+    grid = session.sweep(args.parameter, values, models=workloads)
 
-        if not args.quiet and not _owns_stdout(args):
-            rows = []
-            for label, comparisons in grid.items():
-                for row in multi_comparison_rows(comparisons):
-                    rows.append(
-                        [
-                            label,
-                            row["model"],
-                            row["accelerator"],
-                            row["speedup"],
-                            row["energy_reduction"],
-                        ]
-                    )
-            print(
-                format_table(
+    if not args.quiet and not _owns_stdout(args):
+        rows = []
+        for label, comparisons in grid.items():
+            for row in multi_comparison_rows(comparisons):
+                rows.append(
                     [
-                        "Point",
-                        "Model",
-                        "Accelerator",
-                        f"Speedup vs {session.baseline}",
-                        "Energy reduction",
-                    ],
-                    rows,
-                    title=f"Sweep of {args.parameter} (generator)",
-                    float_format="{:.2f}",
+                        label,
+                        row["model"],
+                        row["accelerator"],
+                        row["speedup"],
+                        row["energy_reduction"],
+                    ]
                 )
+        print(
+            format_table(
+                [
+                    "Point",
+                    "Model",
+                    "Accelerator",
+                    f"Speedup vs {session.baseline}",
+                    "Energy reduction",
+                ],
+                rows,
+                title=f"Sweep of {args.parameter} (generator)",
+                float_format="{:.2f}",
             )
+        )
 
-        if args.json:
-            payload = {
-                "sweep": {
-                    "parameter": args.parameter,
-                    "values": list(values),
-                    "baseline": session.baseline,
-                    "accelerators": list(session.accelerators),
-                    "points": {
-                        label: {
-                            name: comparison.summary()
-                            for name, comparison in comparisons.items()
-                        }
-                        for label, comparisons in grid.items()
-                    },
-                }
+    if args.json:
+        payload = {
+            "sweep": {
+                "parameter": args.parameter,
+                "values": list(values),
+                "baseline": session.baseline,
+                "accelerators": list(session.accelerators),
+                "points": {
+                    label: {
+                        name: comparison.summary()
+                        for name, comparison in comparisons.items()
+                    }
+                    for label, comparisons in grid.items()
+                },
             }
-            _write_json(payload, args.json, args.quiet)
-
-        if args.cache_stats:
-            _print_cache_stats(runner, args)
-    except ReproError as exc:  # unknown field/value/workload/accelerator
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        runner.close()
+        }
+        _write_json(payload, args.json, args.quiet)
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run_experiments(args: argparse.Namespace, runner: SimulationRunner) -> int:
+    """An experiment id, or ``all``: regenerate the paper's tables and figures."""
+    context = ExperimentContext(runner=runner)
+    results = [run_experiment(name, context) for name in args.experiments]
 
-    # Mode-specific flags are rejected elsewhere: a silently ignored selection
-    # would report numbers for a run the user did not ask for.
-    flag_gates = (
-        ("--accelerators", args.accelerators, {"compare", "sweep", "remote-compare", "check"}),
-        ("--workloads", args.workloads, {"compare", "sweep", "dse", "remote-compare", "check"}),
-        ("--baseline", args.baseline, {"compare", "sweep", "dse"}),
-        ("--parameter", args.parameter, {"sweep"}),
-        ("--values", args.values, {"sweep"}),
-        ("--accelerator", args.accelerator, {"dse"}),
-        ("--strategy", args.strategy, {"dse"}),
-        ("--budget", args.budget, {"dse"}),
-        ("--seed", args.seed, {"dse"}),
-        ("--fields", args.fields, {"dse"}),
-        ("--max-bytes", args.max_bytes, {"cache-prune"}),
-        ("--jsonl", args.jsonl, {"compare", "sweep", "dse", "remote-compare"}),
-        ("--host", args.host, {"serve", "remote-compare", "stats"}),
-        ("--port", args.port, {"serve", "remote-compare", "stats"}),
-        ("--port-file", args.port_file, {"serve"}),
-        ("--quota", args.quota, {"serve"}),
-        ("--queue-limit", args.queue_limit, {"serve"}),
-        ("--max-active", args.max_active, {"serve"}),
-        ("--journal", args.journal, {"serve"}),
-        ("--resume", args.resume, {"serve"}),
-        ("--client-id", args.client_id, {"remote-compare"}),
-        ("--trace", args.trace, {"compare", "sweep", "dse"}),
-        ("--metrics", args.metrics, {"compare", "sweep", "dse"}),
-        ("--workload", args.workload, {"disasm"}),
-        ("--layer", args.layer, {"check", "disasm"}),
-        ("--max-columns", args.max_columns, {"check", "disasm"}),
-        ("--max-waves", args.max_waves, {"check", "disasm"}),
-        ("--no-skip-zeros", args.no_skip_zeros, {"disasm"}),
-        ("--schedule", args.schedule, {"check", "disasm", "compare", "dse"}),
-        ("--paths", args.paths, {"lint"}),
-    )
-    for flag, value, modes in flag_gates:
-        if value is not None and args.experiment not in modes:
-            print(
-                f"error: {flag} only applies to the "
-                f"{'/'.join(sorted(repr(m) for m in modes))} mode",
-                file=sys.stderr,
-            )
-            return 2
+    if not args.quiet and not _owns_stdout(args):
+        for result in results:
+            print(result.report)
+            print()
 
-    stdout_claims = [
-        flag
-        for flag, value in (
-            ("--json", args.json),
-            ("--jsonl", args.jsonl),
-            ("--metrics", args.metrics),
-        )
-        if value == "-"
-    ]
-    if len(stdout_claims) > 1:
-        # the streams would interleave on stdout, corrupting each other
-        print(
-            f"error: {' - and '.join(stdout_claims)} - both claim stdout; "
-            "write at least one of them to a file",
-            file=sys.stderr,
-        )
-        return 2
+    if args.json:
+        payload = {
+            result.experiment_id: {
+                "title": result.title,
+                "data": result.data,
+                "paper_reference": result.paper_reference,
+            }
+            for result in results
+        }
+        _write_json(payload, args.json, args.quiet)
+    return 0
 
-    if args.experiment == "list":
-        for experiment_id in experiment_ids():
-            print(experiment_id)
-        return 0
 
-    if args.experiment == "list-accelerators":
-        return _list_accelerators(args)
+def _with_runner(
+    verb: Callable[[argparse.Namespace, SimulationRunner], int],
+    args: argparse.Namespace,
+) -> int:
+    """Run a simulating verb on a fresh runner: the harness around its body.
 
-    if args.experiment == "list-workloads":
-        return _list_workloads(args)
-
-    if args.experiment == "list-schedules":
-        return _list_schedules(args)
-
-    if args.experiment == "cache-prune":
-        return _run_cache_prune(args)
-
-    if args.experiment == "serve":
-        return _run_serve(args)
-
-    if args.experiment == "remote-compare":
-        return _run_remote_compare(args)
-
-    if args.experiment == "stats":
-        return _run_stats(args)
-
-    if args.experiment == "check":
-        return _run_check(args)
-
-    if args.experiment == "lint":
-        return _run_lint(args)
-
-    if args.experiment == "disasm":
-        return _run_disasm(args)
-
+    It configures telemetry, builds the runner, subscribes the live
+    ``--progress`` / ``--jsonl`` consumers, runs the verb (a
+    :class:`~repro.errors.ReproError` becomes a clean ``error:`` and exit
+    2), prints ``--cache-stats`` after a successful run, closes the runner
+    and exports the ``--trace`` / ``--metrics`` artifacts.
+    """
     # Each invocation starts its telemetry from zero: a fresh metrics
     # registry (metrics are on by default), and — only with --trace — a
     # fresh tracer (tracing is off by default; spans cost allocations).
@@ -1364,30 +1233,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except Exception as exc:  # bad --cache-dir
             print(f"error: {exc}", file=sys.stderr)
             return 2
-
-        # Live consumers of the runner's event stream: every job any mode
-        # submits reports the moment it terminates.
-        if args.progress:
-            runner.subscribe(_ProgressPrinter())
-        if args.jsonl:
+        try:
+            # Live consumers of the runner's event stream: every job the
+            # verb submits reports the moment it terminates.
+            if args.progress:
+                runner.subscribe(_ProgressPrinter())
+            if args.jsonl:
+                try:
+                    jsonl_writer = _JsonlWriter(args.jsonl)
+                except OSError as exc:  # unwritable --jsonl destination
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
+                runner.subscribe(jsonl_writer)
             try:
-                jsonl_writer = _JsonlWriter(args.jsonl)
-            except OSError as exc:  # unwritable --jsonl destination
+                code = verb(args, runner)
+            except ReproError as exc:  # reported before the runner closes
                 print(f"error: {exc}", file=sys.stderr)
-                runner.close()
-                return 2
-            runner.subscribe(jsonl_writer)
-
-        code: Optional[int] = None
-        if args.experiment == "compare":
-            code = _run_compare(args, runner)
-        elif args.experiment == "sweep":
-            code = _run_sweep(args, runner)
-        elif args.experiment == "dse":
-            code = _run_dse(args, runner)
-        if code is not None:
-            _export_telemetry(args, tracer)
-            return code
+                code = 2
+            if code == 0 and args.cache_stats:
+                _print_cache_stats(args)
+        finally:
+            runner.close()
+        _export_telemetry(args, tracer)
+        return code
     finally:
         if jsonl_writer is not None:
             jsonl_writer.close()
@@ -1396,38 +1264,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the invocation it was asked for
             configure_tracing(enabled=False)
 
-    context = ExperimentContext(runner=runner)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+    stdout_claims = _stdout_claims(args)
+    if len(stdout_claims) > 1:
+        # the streams would interleave on stdout, corrupting each other
+        print(
+            f"error: {' - and '.join(stdout_claims)} - both claim stdout; "
+            "write at least one of them to a file",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        if args.experiment == "all":
-            results = run_all(context)
-        else:
-            try:
-                results = [run_experiment(args.experiment, context)]
-            except Exception as exc:  # surfaced as a clean CLI error
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-
-        if not args.quiet and not _owns_stdout(args):
-            for result in results:
-                print(result.report)
-                print()
-
-        if args.json:
-            payload = {
-                result.experiment_id: {
-                    "title": result.title,
-                    "data": result.data,
-                    "paper_reference": result.paper_reference,
-                }
-                for result in results
-            }
-            _write_json(payload, args.json, args.quiet)
-
-        if args.cache_stats:
-            _print_cache_stats(runner, args)
-    finally:
-        runner.close()
-    return 0
+        return args.run(args)
+    except ReproError as exc:  # unknown names, bad values, empty selections
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

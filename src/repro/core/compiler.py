@@ -649,6 +649,11 @@ def compile_layer_programs(
     """
     if num_pvs <= 0 or pes_per_pv <= 0:
         raise CompilationError("compile dimensions must be positive")
+    # a bound < 1 would slice the tile away (or drop the last wave), so the
+    # caller would verify or print less than it asked for without noticing
+    for bound_name, bound in (("max_waves", max_waves), ("max_columns", max_columns)):
+        if bound is not None and bound < 1:
+            raise CompilationError(f"{bound_name} must be at least 1, got {bound}")
     spec = resolve_schedule(schedule)
     layer = binding.layer
     if not isinstance(layer, (ConvLayer, TransposedConvLayer)):

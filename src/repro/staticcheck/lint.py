@@ -128,6 +128,9 @@ def _iter_py_files(paths: Sequence[Path]) -> List[Path]:
             files.extend(sorted(path.rglob("*.py")))
         elif path.suffix == ".py":
             files.append(path)
+        elif not path.exists():
+            # a mistyped path would otherwise lint nothing and report clean
+            raise LintError(f"cannot lint {path}: no such file or directory")
     return files
 
 

@@ -16,12 +16,12 @@ six-workload grid a few-second CI step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..accelerators.registry import get_accelerator
 from ..config import ArchitectureConfig
 from ..core.compiler import compile_layer_programs
-from ..errors import CompilationError
+from ..errors import CompilationError, ReproError
 from ..nn.network import GANModel, LayerBinding
 from ..schedule import ScheduleLike, resolve_schedule
 from ..workloads.registry import get_workload, resolve_workload, workload_names
@@ -164,6 +164,8 @@ def run_check_grid(
     spec_schedule = resolve_schedule(schedule)
     names = list(workloads) if workloads is not None else list(workload_names())
     entries: List[ProgramReport] = []
+    available: Set[str] = set()
+    matched = False
     for accelerator_name in accelerators:
         accelerator = get_accelerator(accelerator_name).create()
         config = getattr(accelerator, "config", None) or ArchitectureConfig.paper_default()
@@ -171,8 +173,10 @@ def run_check_grid(
             spec = resolve_workload(workload)
             model = get_workload(spec)
             for network_name, binding in iter_compilable_bindings(model):
+                available.add(binding.name)
                 if layer is not None and layer not in binding.name:
                     continue
+                matched = True
                 for skip_zeros in skip_zeros_modes:
                     try:
                         programs, uops, findings = check_binding(
@@ -204,4 +208,10 @@ def run_check_grid(
                             findings=tuple(findings),
                         )
                     )
+    if layer is not None and not matched:
+        # an empty selection would verify nothing and still report success
+        raise ReproError(
+            f"no compilable layer matches '{layer}' "
+            f"(available: {', '.join(sorted(available))})"
+        )
     return GridReport(entries=tuple(entries))

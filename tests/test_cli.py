@@ -13,6 +13,14 @@ from repro.experiments import experiment_ids
 from repro.telemetry import get_tracer
 
 
+def usage_error(capsys, argv) -> str:
+    """Run ``main(argv)``, expect argparse's usage error (exit 2), return stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestParser:
     def test_defaults_to_all(self):
         args = build_parser().parse_args([])
@@ -39,8 +47,7 @@ class TestMain:
         assert "DDR4" in out
 
     def test_unknown_experiment_returns_error(self, capsys):
-        assert main(["figure42"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "invalid choice: 'figure42'" in usage_error(capsys, ["figure42"])
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "results.json"
@@ -122,10 +129,10 @@ class TestAcceleratorOptions:
         assert "error" in capsys.readouterr().err
 
     def test_accelerator_flags_rejected_outside_compare(self, capsys):
-        assert main(["figure8", "--accelerators", "eyeriss,ideal"]) == 2
-        assert "'compare'" in capsys.readouterr().err
-        assert main(["all", "--baseline", "ganax"]) == 2
-        assert "'compare'" in capsys.readouterr().err
+        err = usage_error(capsys, ["figure8", "--accelerators", "eyeriss,ideal"])
+        assert "unrecognized arguments: --accelerators" in err
+        err = usage_error(capsys, ["all", "--baseline", "ganax"])
+        assert "unrecognized arguments: --baseline" in err
 
 
 class TestListAcceleratorsJson:
@@ -218,20 +225,20 @@ class TestDseCli:
         assert "error" in capsys.readouterr().err
 
     def test_dse_flags_rejected_elsewhere(self, capsys):
-        assert main(["figure8", "--strategy", "random"]) == 2
-        assert "'dse'" in capsys.readouterr().err
-        assert main(["all", "--budget", "4"]) == 2
-        assert "'dse'" in capsys.readouterr().err
-        assert main(["figure8", "--seed", "7"]) == 2
-        assert "'dse'" in capsys.readouterr().err
+        err = usage_error(capsys, ["figure8", "--strategy", "random"])
+        assert "unrecognized arguments: --strategy" in err
+        err = usage_error(capsys, ["all", "--budget", "4"])
+        assert "unrecognized arguments: --budget" in err
+        err = usage_error(capsys, ["figure8", "--seed", "7"])
+        assert "unrecognized arguments: --seed" in err
 
 
 class TestCachePruneCli:
     def test_requires_cache_dir_and_max_bytes(self, capsys):
         assert main(["cache-prune", "--max-bytes", "10"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
-        assert main(["cache-prune", "--cache-dir", "/tmp/x-cache-prune"]) == 2
-        assert "--max-bytes" in capsys.readouterr().err
+        err = usage_error(capsys, ["cache-prune", "--cache-dir", "/tmp/x-cache-prune"])
+        assert "the following arguments are required: --max-bytes" in err
 
     def test_prunes_populated_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -311,8 +318,8 @@ class TestCachePruneCli:
         assert payload["removed_entries"] == 0
 
     def test_max_bytes_rejected_elsewhere(self, capsys):
-        assert main(["compare", "--max-bytes", "10"]) == 2
-        assert "'cache-prune'" in capsys.readouterr().err
+        err = usage_error(capsys, ["compare", "--max-bytes", "10"])
+        assert "unrecognized arguments: --max-bytes" in err
 
 
 class TestWorkloadOptions:
@@ -388,9 +395,8 @@ class TestWorkloadOptions:
         assert "Generator speedup" not in out  # chart skipped, not crashed
 
     def test_workloads_flag_rejected_elsewhere(self, capsys):
-        assert main(["figure8", "--workloads", "DCGAN"]) == 2
-        err = capsys.readouterr().err
-        assert "'compare'" in err and "'sweep'" in err and "'dse'" in err
+        err = usage_error(capsys, ["figure8", "--workloads", "DCGAN"])
+        assert "unrecognized arguments: --workloads" in err
 
 
 class TestSweepCli:
@@ -421,20 +427,20 @@ class TestSweepCli:
         assert point["ganax"]["speedup"] > 1.0
 
     def test_sweep_requires_parameter_and_values(self, capsys):
-        assert main(["sweep", "--values", "8"]) == 2
-        assert "--parameter" in capsys.readouterr().err
-        assert main(["sweep", "--parameter", "num_pvs"]) == 2
-        assert "--values" in capsys.readouterr().err
+        err = usage_error(capsys, ["sweep", "--values", "8"])
+        assert "the following arguments are required: --parameter" in err
+        err = usage_error(capsys, ["sweep", "--parameter", "num_pvs"])
+        assert "the following arguments are required: --values" in err
 
     def test_sweep_unknown_field_is_clean_error(self, capsys):
         assert main(["sweep", "--parameter", "warp_speed", "--values", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_sweep_flags_rejected_elsewhere(self, capsys):
-        assert main(["figure8", "--parameter", "num_pvs"]) == 2
-        assert "'sweep'" in capsys.readouterr().err
-        assert main(["compare", "--values", "8"]) == 2
-        assert "'sweep'" in capsys.readouterr().err
+        err = usage_error(capsys, ["figure8", "--parameter", "num_pvs"])
+        assert "unrecognized arguments: --parameter" in err
+        err = usage_error(capsys, ["compare", "--values", "8"])
+        assert "unrecognized arguments: --values" in err
 
 
 class TestDseWorkloads:
@@ -511,9 +517,8 @@ class TestStreamingFlags:
         assert all(record["model"] == "DCGAN" for record in records)
 
     def test_jsonl_rejected_outside_streaming_modes(self, capsys):
-        assert main(["figure8", "--jsonl", "-"]) == 2
-        err = capsys.readouterr().err
-        assert "--jsonl" in err and "'compare'" in err
+        err = usage_error(capsys, ["figure8", "--jsonl", "-"])
+        assert "unrecognized arguments: --jsonl" in err
 
     def test_progress_reports_each_job_on_stderr(self, capsys):
         assert main([*self.COMPARE, "--progress", "--quiet"]) == 0
@@ -578,9 +583,8 @@ class TestServiceVerbs:
             ["--port", "8642"],
             ["--client-id", "w1"],
         ):
-            assert main(["compare", *flags]) == 2
-            err = capsys.readouterr().err
-            assert flags[0] in err
+            err = usage_error(capsys, ["compare", *flags])
+            assert f"unrecognized arguments: {flags[0]}" in err
         for flags in (
             ["--port-file", "p"],
             ["--quota", "4"],
@@ -589,9 +593,8 @@ class TestServiceVerbs:
             ["--journal", "j.jsonl"],
             ["--resume"],
         ):
-            assert main(["remote-compare", *flags]) == 2
-            err = capsys.readouterr().err
-            assert flags[0] in err and "'serve'" in err
+            err = usage_error(capsys, ["remote-compare", *flags])
+            assert f"unrecognized arguments: {flags[0]}" in err
 
     def test_remote_compare_against_a_live_server(self, tmp_path, capsys):
         from repro.service import SimulationServer
@@ -697,10 +700,10 @@ class TestTelemetryFlags:
         assert f"cache: 0 hits, {misses} misses" in out
 
     def test_trace_and_metrics_rejected_outside_streaming_modes(self, capsys):
-        assert main(["figure8", "--trace", "t.json"]) == 2
-        assert "--trace" in capsys.readouterr().err
-        assert main(["all", "--metrics", "-"]) == 2
-        assert "--metrics" in capsys.readouterr().err
+        err = usage_error(capsys, ["figure8", "--trace", "t.json"])
+        assert "unrecognized arguments: --trace" in err
+        err = usage_error(capsys, ["all", "--metrics", "-"])
+        assert "unrecognized arguments: --metrics" in err
 
     def test_bad_cache_dir_does_not_leak_the_tracer(self, tmp_path, capsys):
         not_a_dir = tmp_path / "cache"
@@ -748,3 +751,210 @@ class TestTelemetryFlags:
         probe.close()
         assert main(["stats", "--port", str(port)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+#: The CLI's non-experiment verbs.
+MODES = (
+    "list",
+    "list-accelerators",
+    "list-workloads",
+    "list-schedules",
+    "cache-prune",
+    "serve",
+    "remote-compare",
+    "stats",
+    "check",
+    "lint",
+    "disasm",
+    "compare",
+    "sweep",
+    "dse",
+)
+
+#: Every verb: the modes, 'all', and each experiment id (the dse experiment
+#: runs under 'all'; the 'dse' verb is the design-space search).
+VERBS = (*MODES, "all", *(e for e in experiment_ids() if e not in MODES))
+
+#: Each verb-owned flag: a sample value (None for a switch) and its verbs.
+OWNED_FLAGS = {
+    "--accelerators": ("eyeriss", {"compare", "sweep", "remote-compare", "check"}),
+    "--workloads": ("dcgan", {"compare", "sweep", "dse", "remote-compare", "check"}),
+    "--baseline": ("eyeriss", {"compare", "sweep", "dse"}),
+    "--parameter": ("num_pvs", {"sweep"}),
+    "--values": ("4,8", {"sweep"}),
+    "--accelerator": ("ganax", {"dse"}),
+    "--strategy": ("random", {"dse"}),
+    "--budget": ("4", {"dse"}),
+    "--seed": ("7", {"dse"}),
+    "--fields": ("num_pvs", {"dse"}),
+    "--max-bytes": ("10", {"cache-prune"}),
+    "--jsonl": ("out.jsonl", {"compare", "sweep", "dse", "remote-compare"}),
+    "--host": ("127.0.0.1", {"serve", "remote-compare", "stats"}),
+    "--port": ("8642", {"serve", "remote-compare", "stats"}),
+    "--port-file": ("port", {"serve"}),
+    "--quota": ("4", {"serve"}),
+    "--queue-limit": ("8", {"serve"}),
+    "--max-active": ("2", {"serve"}),
+    "--journal": ("j.jsonl", {"serve"}),
+    "--resume": (None, {"serve"}),
+    "--client-id": ("w1", {"remote-compare"}),
+    "--trace": ("t.json", {"compare", "sweep", "dse"}),
+    "--metrics": ("m.json", {"compare", "sweep", "dse"}),
+    "--workload": ("dcgan", {"disasm"}),
+    "--layer": ("tconv1", {"check", "disasm"}),
+    "--max-columns": ("2", {"check", "disasm"}),
+    "--max-waves": ("2", {"check", "disasm"}),
+    "--no-skip-zeros": (None, {"disasm"}),
+    "--schedule": ("hoisted", {"check", "disasm", "compare", "dse"}),
+    "--paths": ("src", {"lint"}),
+}
+
+#: The flags every verb accepts.
+COMMON_FLAGS = ("--json", "--quiet", "--progress", "--cache-dir", "--no-cache", "--cache-stats")
+
+#: The flags a verb cannot run without, with sample values.
+REQUIRED = {
+    "sweep": ["--parameter", "num_pvs", "--values", "4,8"],
+    "disasm": ["--workload", "dcgan", "--layer", "tconv1"],
+    "cache-prune": ["--max-bytes", "10"],
+}
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return build_parser()
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+class TestVerbFlagSurface:
+    """Pins which verb owns which flag, the required flags and per-verb help."""
+
+    @pytest.mark.parametrize("flag", sorted(OWNED_FLAGS))
+    def test_flag_parses_on_exactly_its_verbs(self, flag, parser, capsys):
+        sample, owners = OWNED_FLAGS[flag]
+        for verb in VERBS:
+            argv = [verb, *REQUIRED.get(verb, []), flag, *([sample] if sample else [])]
+            if verb in owners:
+                value = getattr(parser.parse_args(argv), _dest(flag))
+                assert (value is True) if sample is None else (str(value) == sample), (
+                    verb,
+                    flag,
+                    value,
+                )
+            else:
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args(argv)
+                assert excinfo.value.code == 2, (verb, flag)
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {flag}" in err, (verb, flag, err)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_common_flags_parse_after_every_verb(self, verb, parser):
+        args = parser.parse_args(
+            [
+                verb,
+                *REQUIRED.get(verb, []),
+                "--json",
+                "out.json",
+                "--quiet",
+                "--progress",
+                "--cache-dir",
+                "cache",
+                "--no-cache",
+                "--cache-stats",
+            ]
+        )
+        assert args.experiment == verb
+        assert args.json == "out.json" and args.cache_dir == "cache"
+        assert args.quiet and args.progress and args.no_cache and args.cache_stats
+
+    @pytest.mark.parametrize(
+        "verb,flag",
+        [(verb, argv[i]) for verb, argv in REQUIRED.items() for i in range(0, len(argv), 2)],
+    )
+    def test_required_flags_are_required(self, verb, flag, parser, capsys):
+        argv = REQUIRED[verb]
+        at = argv.index(flag)
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([verb, *argv[:at], *argv[at + 2 :]])
+        assert excinfo.value.code == 2
+        assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_help_lists_only_its_own_flags(self, verb, monkeypatch, capsys):
+        import re
+
+        monkeypatch.setenv("COLUMNS", "1000")  # no line wraps inside a flag
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--help"])
+        assert excinfo.value.code == 0
+        mentioned = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        owned = {flag for flag, (_, owners) in OWNED_FLAGS.items() if verb in owners}
+        assert mentioned == owned | set(COMMON_FLAGS) | {"--help"}
+
+    def test_a_flag_before_the_verb_is_a_usage_error(self, capsys):
+        err = usage_error(capsys, ["--quiet", "figure8"])
+        assert "unrecognized arguments: figure8" in err
+
+    def test_only_flags_runs_all(self, parser):
+        args = parser.parse_args(["--quiet", "--cache-stats"])
+        assert args.experiment == "all" and args.quiet and args.cache_stats
+
+    def test_verb_defaults_live_in_the_parser(self, parser):
+        assert parser.parse_args(["check"]).max_columns == 8
+        disasm = parser.parse_args(["disasm", *REQUIRED["disasm"]])
+        assert (disasm.max_columns, disasm.max_waves, disasm.no_skip_zeros) == (4, 1, False)
+        dse = parser.parse_args(["dse"])
+        assert (dse.accelerator, dse.baseline, dse.strategy, dse.seed) == (
+            "ganax",
+            "eyeriss",
+            "exhaustive",
+            0,
+        )
+        serve = parser.parse_args(["serve"])
+        assert (serve.host, serve.quota, serve.queue_limit, serve.max_active) == (
+            "127.0.0.1",
+            64,
+            1024,
+            4,
+        )
+        assert serve.resume is False
+
+
+class TestEmptyOrInvalidSelections:
+    """Selections that would verify nothing are errors, not clean passes."""
+
+    def test_check_unknown_workload_is_clean_error(self, capsys):
+        assert main(["check", "--workloads", "stylegan"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown workload 'stylegan'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--workloads", "dcgan", "--max-columns", "0"],
+            ["check", "--workloads", "dcgan", "--max-waves", "-1"],
+            ["disasm", "--workload", "dcgan", "--layer", "tconv1", "--max-columns", "0"],
+            ["disasm", "--workload", "dcgan", "--layer", "tconv1", "--max-waves", "0"],
+        ],
+    )
+    def test_compile_bounds_below_one_are_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert captured.out == ""  # nothing verified, nothing printed
+
+    def test_check_layer_matching_nothing_is_clean_error(self, capsys):
+        assert main(["check", "--workloads", "dcgan", "--layer", "nosuchlayer"]) == 2
+        err = capsys.readouterr().err
+        assert "no compilable layer matches 'nosuchlayer'" in err
+        assert "tconv1" in err  # lists what is available
+
+    def test_lint_missing_path_is_clean_error(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        assert main(["lint", "--paths", str(missing)]) == 2
+        assert f"cannot lint {missing}" in capsys.readouterr().err

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.compiler import GanaxLayerExecutor
+from repro.core.compiler import GanaxLayerExecutor, compile_layer_programs
 from repro.errors import CompilationError
 from repro.nn.functional import conv2d, transposed_conv2d
+from repro.workloads.registry import get_workload
 
 
 class TestGanaxDataflowCorrectness:
@@ -122,3 +123,19 @@ class TestZeroSkippingBenefit:
             two_pvs.run_transposed_conv(x, w, 2, 1).waves
             > four_pvs.run_transposed_conv(x, w, 2, 1).waves
         )
+
+
+class TestCompileLayerPrograms:
+    @pytest.mark.parametrize(
+        "bounds", [{"max_columns": 0}, {"max_waves": 0}, {"max_waves": -1}, {"max_columns": -2}]
+    )
+    def test_compile_bounds_below_one_are_rejected(self, bounds):
+        # Python slicing would silently drop the tile (0) or the last wave (-1)
+        binding = next(b for b in get_workload("dcgan").generator.bindings if b.is_transposed)
+        with pytest.raises(CompilationError, match="must be at least 1"):
+            compile_layer_programs(binding, num_pvs=16, pes_per_pv=16, **bounds)
+        # the smallest legal bounds still compile a (one-wave, one-column) tile
+        programs = compile_layer_programs(
+            binding, num_pvs=16, pes_per_pv=16, max_waves=1, max_columns=1
+        )
+        assert len(programs) == 1

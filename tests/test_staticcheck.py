@@ -536,6 +536,15 @@ class TestCheckGrid:
         with pytest.raises(ReproError):
             run_check_grid(["dcgan"], ["definitely-not-real"])
 
+    def test_layer_filter_matching_nothing_is_rejected(self):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError) as excinfo:
+            run_check_grid(["dcgan"], ["ganax"], layer="nosuchlayer")
+        message = str(excinfo.value)
+        assert "no compilable layer matches 'nosuchlayer'" in message
+        assert "conv5" in message and "tconv1" in message  # what is available
+
 
 # ----------------------------------------------------------------------
 # Encoding diagnostics (satellite: errors carry program offsets)
@@ -744,6 +753,11 @@ class TestLints:
     def test_unknown_select_id_raises(self, tmp_path):
         with pytest.raises(LintError):
             run_lints([tmp_path], select=["not-a-lint"])
+
+    def test_missing_path_raises(self, tmp_path):
+        missing = tmp_path / "nonexistent"
+        with pytest.raises(LintError, match="no such file or directory"):
+            run_lints([tmp_path, missing])
 
     def test_repo_source_tree_is_lint_clean(self):
         from pathlib import Path
