@@ -9,7 +9,7 @@
 #      contract, the cold/warm parity of the sweep results, the six-GAN
 #      comparison-grid wall-clock budget, and the layer-memo speedup
 #      contract on a synthetic family sweep (median of 7 alternating
-#      cold/warm pairs >= 3.2x, a bar set from recorded runs);
+#      cold/warm pairs >= 7.2x, a bar set from recorded runs);
 #   3. an accelerator-registry smoke: a Session runs one small workload
 #      through every registered accelerator and fails if the registry is
 #      thinner than expected or any registered model cannot complete it;
@@ -53,19 +53,25 @@
 #      (geometry x schedule) points with schedule-aware cache keys (the
 #      schedule benchmarks in benchmarks/bench_schedule.py separately
 #      enforce the same contracts under timing);
-#  11. a paper-geometry machine smoke: the DCGAN-style slice (16x16 input,
+#  11. a stale-memo smoke: one process, one layer memo, no cache cleared.  A
+#      schedule name is registered, a DCGAN job runs under it, the name is
+#      re-registered with different knobs and the same job runs again; the
+#      second result must equal a memo-off run under the new knobs (the memo
+#      keys the schedule by its knobs, not its name).  It checks
+#      correctness, not time;
+#  12. a paper-geometry machine smoke: the DCGAN-style slice (16x16 input,
 #      5x5 kernel, stride 2) runs through GanaxLayerExecutor on the paper's
 #      16x16 array; its output must equal transposed_conv2d (atol 1e-9) and
 #      its per-wave machine cycles must sum to the pinned 18447.  It checks
 #      correctness, not time (on a 2-vCPU VM a machine that ticked every PE
 #      took 6-9 s; the event-driven machine takes ~1.5 s);
-#  12. a CLI-surface smoke: `<verb> --help` must exit 0 for every verb, and
+#  13. a CLI-surface smoke: `<verb> --help` must exit 0 for every verb, and
 #      each of these must exit 2 (a usage error or a clean `error:`, never
 #      a silent pass): a flag another verb owns (`figure8 --strategy`), a
 #      compile bound below 1 (`check --max-columns 0`), a `check --layer`
 #      filter that matches no layer, and `lint --paths` on a missing path.
 #      It checks correctness, not time;
-#  13. the repository benchmark's self-tests (perfbench/selftest.py): seed
+#  14. the repository benchmark's self-tests (perfbench/selftest.py): seed
 #      determinism, metric names matching BENCHMARK.json, and traced and
 #      untraced smoke runs of every workload.  The traced runs wrap estimator
 #      and pricing entry points by name (perfbench/spans.py), so renaming or
@@ -470,6 +476,39 @@ for point in points:
 assert any(len(metrics) > 1 for metrics in by_geometry.values()), by_geometry
 print("dse schedule axis OK:", len(points), "points across",
       len(schedules), "schedules,", len(payload["frontier"]), "on the frontier")
+PY
+
+echo "== stale-memo smoke (schedule re-registered with new knobs, one memo) =="
+python - <<'PY'
+from repro.config import ArchitectureConfig, SimulationOptions
+from repro.runner import SimulationJob, configure_layer_memo, execute_job
+from repro.schedule import ScheduleSpec, register_schedule, unregister_schedule
+
+
+def run(**knobs):
+    register_schedule(ScheduleSpec(name="tuned-x", **knobs))
+    try:
+        job = SimulationJob("dcgan", "ganax", ArchitectureConfig.paper_default(),
+                            SimulationOptions(schedule="tuned-x"))
+        return job.cache_key, execute_job(job)
+    finally:
+        unregister_schedule("tuned-x")
+
+
+memo = configure_layer_memo()
+old_key, old = run(repeat_unroll=1)
+new_key, new = run(repeat_unroll=4, column_tile=2)
+assert old_key != new_key, "re-registered knobs must move the job's cache key"
+assert memo.stats.lookups > 0, memo.stats
+configure_layer_memo(enabled=False)
+_, reference = run(repeat_unroll=4, column_tile=2)
+assert new == reference, (
+    f"memo served stale layers: {new.total_cycles} cycles, "
+    f"memo-off {reference.total_cycles}"
+)
+assert old.total_cycles != new.total_cycles, "the knobs must move the result"
+print("stale-memo OK: re-registered tuned-x reads", new.total_cycles,
+      "cycles with the memo on and off (old knobs:", old.total_cycles, "cycles)")
 PY
 
 echo "== paper-geometry machine smoke (16x16 array, 16x16 input, kernel 5, stride 2) =="

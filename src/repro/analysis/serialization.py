@@ -25,7 +25,7 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import AnalysisError
@@ -129,22 +129,55 @@ def _simulation_context_fingerprint(
     accelerator_version: str,
     config: ArchitectureConfig,
     options: SimulationOptions,
+    schedule_knobs: str,
 ) -> str:
     """Content hash of everything about a simulation *except* the layer.
 
     The schedule enters twice, deliberately: the canonical spec string rides
-    in ``options.to_mapping()``, and the resolved spec's knob fingerprint is
-    folded in explicitly so a re-registered schedule name with *different*
-    knobs can never collide with results computed under the old knobs.
+    in ``options.to_mapping()``, and ``schedule_knobs`` — the resolved spec's
+    :func:`~repro.schedule.schedule_fingerprint` — is both hashed and part of
+    the memo key, so a re-registered schedule name with *different* knobs can
+    never be served a digest computed under the old knobs.
     """
     return fingerprint_data(
         {
             "accelerator": {"name": accelerator_name, "version": accelerator_version},
             "config": config.to_mapping(),
             "options": options.to_mapping(),
-            "schedule": schedule_fingerprint(resolve_schedule(options.schedule)),
+            "schedule": schedule_knobs,
         }
     )
+
+
+def layer_memo_context(
+    accelerator_name: str,
+    accelerator_version: str,
+    config: ArchitectureConfig,
+    options: SimulationOptions,
+) -> str:
+    """The context half of a layer-memo key: one digest per job.
+
+    Resolves the schedule on every call, so the knobs registered *now* pick
+    the memoized digest.  Callers must pass options already canonicalized
+    for the accelerator (``spec.canonical_options``).
+    """
+    return _simulation_context_fingerprint(
+        accelerator_name,
+        accelerator_version,
+        config,
+        options,
+        schedule_fingerprint(resolve_schedule(options.schedule)),
+    )
+
+
+def layer_memo_key(binding: LayerBinding, context: str) -> Tuple[str, str]:
+    """The layer-memo key of ``binding`` under a :func:`layer_memo_context`.
+
+    An exact tuple of two memoized digests — the context and the layer's
+    structure (name excluded) — so a lookup pays no JSON walk and no SHA-256.
+    :func:`layer_fingerprint` is the content digest of the same two parts.
+    """
+    return (context, _layer_structure_fingerprint(binding.layer, binding.input_shape))
 
 
 @lru_cache(maxsize=16384)
@@ -157,24 +190,25 @@ def layer_fingerprint(
 ) -> str:
     """Deterministic content hash identifying one layer-grain simulation.
 
-    Combines the layer's structural fingerprint (parameters + input shape,
-    name excluded) with the simulation context (accelerator identity and
-    version, architecture configuration, canonicalized options).  Two bindings
-    from *different* workloads that share a layer shape under the same context
-    fingerprint identically — the property the runner's layer memo exploits.
-    Callers must pass options already canonicalized for the accelerator
+    The SHA-256 content digest of the layer-memo key: the layer's structural
+    fingerprint (parameters + input shape, name excluded) and the simulation
+    context (accelerator identity and version, architecture configuration,
+    canonicalized options, schedule knobs).  Two bindings from *different*
+    workloads that share a layer shape under the same context fingerprint
+    identically — the property the runner's layer memo exploits.  Two memo
+    keys are equal exactly when their fingerprints are.  Callers must pass
+    options already canonicalized for the accelerator
     (``spec.canonical_options``) so ignored option fields collapse.
-    Memoized end-to-end (every argument is hashable), so warm layer-memo
-    lookups pay a dict probe instead of a JSON walk and a SHA-256.
+
+    Memoized per argument tuple, which names the schedule but not its knobs:
+    clear the cache after re-registering a schedule name.  The runner's job
+    path keys its memo by :func:`layer_memo_key` and never calls this.
     """
-    return fingerprint_data(
-        {
-            "layer": _layer_structure_fingerprint(binding.layer, binding.input_shape),
-            "context": _simulation_context_fingerprint(
-                accelerator_name, accelerator_version, config, options
-            ),
-        }
+    context, layer = layer_memo_key(
+        binding,
+        layer_memo_context(accelerator_name, accelerator_version, config, options),
     )
+    return fingerprint_data({"layer": layer, "context": context})
 
 
 @lru_cache(maxsize=256)

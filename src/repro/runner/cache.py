@@ -26,7 +26,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.results import GanResult, LayerResult
 from ..errors import AnalysisError
@@ -276,7 +276,12 @@ class DiskResultCache(ResultCache):
 # ----------------------------------------------------------------------
 @dataclass
 class LayerMemoStats:
-    """Counters for the layer-grain memo (one tier below :class:`CacheStats`)."""
+    """Counters for the layer-grain memo (one tier below :class:`CacheStats`).
+
+    ``hits`` and ``misses`` count layer lookups; ``stores`` counts entries
+    written — the runner writes each distinct missing key of a network once,
+    however often its shape repeats in that network.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -307,14 +312,17 @@ class LayerMemoStats:
 class LayerMemoStore:
     """Thread-safe LRU memo of per-layer simulation results.
 
-    Keys are :func:`~repro.analysis.serialization.layer_fingerprint` digests —
-    content hashes over (layer structure × input shape × accelerator identity
-    × configuration × canonical options) — so any two jobs whose networks
-    share a layer shape under the same simulation context share one entry,
-    across workloads and across sweeps.
+    Keys are :func:`~repro.analysis.serialization.layer_memo_key` tuples —
+    (simulation-context digest, layer-structure digest), whose content digest
+    is :func:`~repro.analysis.serialization.layer_fingerprint` — so any two
+    jobs whose networks share a layer shape under the same simulation context
+    share one entry, across workloads and across sweeps.
 
     The memo is an in-memory ``OrderedDict`` LRU bounded by ``max_entries``;
-    it lives and dies with the process.
+    it lives and dies with the process.  The runner looks up and stores one
+    network's layers at a time (:meth:`get_many` / :meth:`put_many`): one
+    lock and one metrics update per batch.  :meth:`get` and :meth:`put` are
+    the one-key case.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
@@ -322,11 +330,11 @@ class LayerMemoStore:
             raise AnalysisError(f"max_entries must be > 0, got {max_entries}")
         self._max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, LayerResult]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, LayerResult]" = OrderedDict()
         self._stats = LayerMemoStats()
-        # Cached registry instruments for the hot per-layer path: resolved
-        # once per installed registry instead of per lookup (the registry can
-        # be swapped by configure_metrics, hence the identity check).
+        # Cached registry instruments for the hot path: resolved once per
+        # installed registry instead of per batch (the registry can be
+        # swapped by configure_metrics, hence the identity check).
         self._metrics_for: Optional[object] = None
         self._m_hits = self._m_misses = self._m_stores = self._m_resident = None
 
@@ -347,38 +355,56 @@ class LayerMemoStore:
             self._m_resident = registry.gauge("runner.layer_memo.resident")
         return True
 
-    def get(self, key: str) -> Optional[LayerResult]:
-        """The memoized layer result for ``key``, or None on a miss."""
-        with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-        if result is not None:
-            if self._refresh_instruments():
-                self._m_hits.inc()
-            return result
-        with self._lock:
-            self._stats.misses += 1
-        if self._refresh_instruments():
-            self._m_misses.inc()
-        return None
+    def get_many(self, keys: Sequence[Hashable]) -> List[Optional[LayerResult]]:
+        """The memoized result for each key (None on a miss), in key order.
 
-    def put(self, key: str, result: LayerResult) -> None:
-        """Memoize ``result`` under ``key`` (overwrites silently)."""
+        Every key counts as one lookup, and each hit refreshes its LRU
+        recency in key order, exactly as a loop of :meth:`get` calls would.
+        """
         with self._lock:
-            self._insert_locked(key, result)
-            self._stats.stores += 1
-            resident = len(self._entries)
+            entries = self._entries
+            results = [entries.get(key) for key in keys]
+            hits = 0
+            for key, result in zip(keys, results):
+                if result is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+            misses = len(keys) - hits
+            self._stats.hits += hits
+            self._stats.misses += misses
         if self._refresh_instruments():
-            self._m_stores.inc()
+            if hits:
+                self._m_hits.inc(hits)
+            if misses:
+                self._m_misses.inc(misses)
+        return results
+
+    def put_many(self, items: Sequence[Tuple[Hashable, LayerResult]]) -> None:
+        """Memoize each ``(key, result)`` in order (overwrites silently).
+
+        Counts one store per item and evicts exactly as a loop of
+        :meth:`put` calls would.
+        """
+        with self._lock:
+            entries = self._entries
+            for key, result in items:
+                entries[key] = result
+                entries.move_to_end(key)
+                while len(entries) > self._max_entries:
+                    entries.popitem(last=False)
+            self._stats.stores += len(items)
+            resident = len(entries)
+        if items and self._refresh_instruments():
+            self._m_stores.inc(len(items))
             self._m_resident.set(resident)
 
-    def _insert_locked(self, key: str, result: LayerResult) -> None:
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
+    def get(self, key: Hashable) -> Optional[LayerResult]:
+        """The memoized layer result for ``key``, or None on a miss."""
+        return self.get_many((key,))[0]
+
+    def put(self, key: Hashable, result: LayerResult) -> None:
+        """Memoize ``result`` under ``key`` (overwrites silently)."""
+        self.put_many(((key, result),))
 
     def __len__(self) -> int:
         with self._lock:

@@ -25,10 +25,9 @@ simulator is built through the registry when the job runs.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..accelerators.registry import AcceleratorSpec, get_accelerator
 from ..analysis.results import GanResult, LayerResult
@@ -36,7 +35,8 @@ from ..errors import AnalysisError
 from ..analysis.serialization import (
     config_fingerprint,
     fingerprint_data,
-    layer_fingerprint,
+    layer_memo_context,
+    layer_memo_key,
     options_fingerprint,
     workload_fingerprint,
 )
@@ -170,6 +170,18 @@ class SimulationJob:
         return eyeriss, ganax
 
 
+def _relabelled(result: LayerResult, layer_name: str) -> LayerResult:
+    """A copy of a memoized ``result`` that differs only in ``layer_name``.
+
+    Skips ``dataclasses.replace``'s ``__init__`` / ``__post_init__`` rerun:
+    the memoized original already passed them, and the name is not checked.
+    """
+    clone = object.__new__(type(result))
+    clone.__dict__.update(result.__dict__)
+    clone.__dict__["layer_name"] = layer_name
+    return clone
+
+
 def _memoized_layer_fn(
     spec: AcceleratorSpec, simulator: object, job: SimulationJob
 ) -> Optional[Callable[[Sequence[object]], Tuple[LayerResult, ...]]]:
@@ -181,12 +193,15 @@ def _memoized_layer_fn(
     guaranteed to route every layer through ``layer_fn``, so memoizing behind
     a custom aggregation could silently change results.
 
-    Memo keys are :func:`layer_fingerprint` digests over (layer structure ×
-    input shape × accelerator identity × config × canonical options) — the
-    layer *name* is excluded, so distinct workloads sharing a layer shape
-    share the entry; hits are re-labelled with the requesting binding's name.
-    Misses are computed in one :meth:`simulate_layers` batch, so the
-    simulator's batch entry point still sees every layer it has to estimate.
+    Memo keys are :func:`layer_memo_key` tuples: the job's context digest
+    (accelerator identity × config × canonical options × schedule knobs),
+    computed once per job, paired with each layer's structure digest (layer
+    *name* excluded, so distinct workloads sharing a layer shape share the
+    entry; hits are re-labelled with the requesting binding's name).  Each
+    network is looked up and stored as one batch, and its distinct missing
+    keys are computed in one :meth:`simulate_layers` call, so the
+    simulator's batch entry point still sees every layer it has to estimate
+    — once, however often the shape repeats in the network.
     """
     # Late imports: the accelerators package (and the cache module) are still
     # initializing when this module is first imported through them.
@@ -202,7 +217,9 @@ def _memoized_layer_fn(
         or cls.simulate_network is not GanSimulatorBase.simulate_network
     ):
         return None
-    canonical = spec.canonical_options(job.options)
+    context = layer_memo_context(
+        spec.name, spec.version, job.config, spec.canonical_options(job.options)
+    )
 
     def layer_fn(bindings: Sequence[object]) -> Tuple[LayerResult, ...]:
         tracer = get_tracer()
@@ -211,29 +228,27 @@ def _memoized_layer_fn(
             # Nests under the simulate_layers span via the thread-local span
             # stack pushed by execute_job's context manager.
             span = tracer.begin("layer-memo", layers=len(bindings))
-        keys = [
-            layer_fingerprint(b, spec.name, spec.version, job.config, canonical)
-            for b in bindings
-        ]
-        results: List[Optional[LayerResult]] = [None] * len(bindings)
-        missing: List[int] = []
-        for index, (binding, key) in enumerate(zip(bindings, keys)):
-            hit = memo.get(key)
-            if hit is not None:
-                if hit.layer_name != binding.name:
-                    hit = dataclasses.replace(hit, layer_name=binding.name)
-                results[index] = hit
-            else:
-                missing.append(index)
+        keys = [layer_memo_key(b, context) for b in bindings]
+        results = memo.get_many(keys)
+        # distinct missing key -> the indices waiting on it, first-seen order
+        missing: Dict[Tuple[str, str], List[int]] = {}
+        for index, hit in enumerate(results):
+            if hit is None:
+                missing.setdefault(keys[index], []).append(index)
         if missing:
-            computed = simulator.simulate_layers([bindings[i] for i in missing])
-            for index, result in zip(missing, computed):
-                memo.put(keys[index], result)
-                results[index] = result
-        if span is not None:
-            tracer.end(
-                span, hits=len(bindings) - len(missing), misses=len(missing)
+            computed = simulator.simulate_layers(
+                [bindings[indices[0]] for indices in missing.values()]
             )
+            memo.put_many(list(zip(missing, computed)))
+            for indices, result in zip(missing.values(), computed):
+                for index in indices:
+                    results[index] = result
+        for index, (binding, result) in enumerate(zip(bindings, results)):
+            if result.layer_name != binding.name:
+                results[index] = _relabelled(result, binding.name)
+        if span is not None:
+            misses = sum(len(indices) for indices in missing.values())
+            tracer.end(span, hits=len(bindings) - misses, misses=misses)
         return tuple(results)
 
     return layer_fn

@@ -1,13 +1,17 @@
 """Layer-grain memoization: fingerprints, the memo store, and result parity.
 
 The runner caches below the job level: each (layer structure x input shape x
-accelerator identity x config x canonical options) combination fingerprints
-to one memo key (:func:`repro.analysis.serialization.layer_fingerprint`), and
+accelerator identity x config x canonical options x schedule knobs)
+combination maps to one memo key
+(:func:`repro.analysis.serialization.layer_memo_key`, whose content digest is
+:func:`~repro.analysis.serialization.layer_fingerprint`), and
 :func:`repro.runner.execute_job` assembles network totals from per-layer memo
-hits.  These tests pin the contract: fingerprints are stable across registry
-round-trips and exclude the layer name, memo hits never change results
-(cold == warm, enabled == disabled), and per-layer sums equal the job-level
-golden totals with the memo on or off.
+hits, looked up and stored once per network.  These tests pin the contract:
+fingerprints are stable across registry round-trips and exclude the layer
+name, memo keys distinguish exactly what fingerprints do, batch lookups and
+stores behave like loops of single-key calls, memo hits never change results
+(cold == warm, enabled == disabled, across a schedule re-registration), and
+per-layer sums equal the job-level golden totals with the memo on or off.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.accelerators.registry import get_accelerator
-from repro.analysis.serialization import layer_fingerprint
+from repro.analysis.serialization import (
+    layer_fingerprint,
+    layer_memo_context,
+    layer_memo_key,
+)
 from repro.config import ArchitectureConfig, SimulationOptions
 from repro.errors import AnalysisError
 from repro.nn.layers import ConvLayer, TransposedConvLayer
@@ -33,6 +41,8 @@ from repro.runner import (
     get_layer_memo,
 )
 from repro.runner import cache as cache_module
+from repro.schedule import ScheduleSpec, register_schedule, unregister_schedule
+from repro.telemetry import configure_metrics
 from repro.workloads.registry import get_workload, resolve_workload, workload_names
 from repro.workloads.synthetic import build_synthetic
 
@@ -56,11 +66,13 @@ def fresh_memo(memo_state):
     return configure_layer_memo()
 
 
-def _tconv_binding(name: str) -> LayerBinding:
+def _tconv_binding(
+    name: str, out_channels: int = 8, input_size: int = 8
+) -> LayerBinding:
     layer = TransposedConvLayer(
-        name=name, out_channels=8, kernel=4, stride=2, padding=1
+        name=name, out_channels=out_channels, kernel=4, stride=2, padding=1
     )
-    input_shape = FeatureMapShape.image(16, 8, 8)
+    input_shape = FeatureMapShape.image(16, input_size, input_size)
     return LayerBinding(
         index=0,
         layer=layer,
@@ -86,6 +98,54 @@ def _tiny_gan(model_name: str, layer_prefix: str) -> GANModel:
             f"{model_name}_disc", FeatureMapShape.image(3, 16, 16), [disc_layer]
         ),
     )
+
+
+def _repeated_shape_gan() -> GANModel:
+    """A GAN whose generator repeats one layer shape under two names."""
+    same = dict(out_channels=16, kernel=3, stride=1, padding=1)
+    generator = Network(
+        "repeated_gen",
+        FeatureMapShape.image(16, 8, 8),
+        [
+            ConvLayer(name="rep_a", **same),
+            ConvLayer(name="rep_b", **same),
+            TransposedConvLayer(
+                name="rep_up", out_channels=3, kernel=4, stride=2, padding=1
+            ),
+        ],
+    )
+    discriminator = Network(
+        "repeated_disc",
+        FeatureMapShape.image(3, 16, 16),
+        [ConvLayer(name="rep_conv", out_channels=8, kernel=4, stride=2, padding=1)],
+    )
+    return GANModel(name="repeated", generator=generator, discriminator=discriminator)
+
+
+#: Small input pools, so random pairs often agree on some fields and differ
+#: on others; the first two bindings share a structure under distinct names.
+_KEY_BINDINGS = (
+    _tconv_binding("probe"),
+    _tconv_binding("renamed"),
+    _tconv_binding("probe", out_channels=16),
+    _tconv_binding("probe", input_size=16),
+)
+_KEY_CONFIGS = (
+    ArchitectureConfig.paper_default(),
+    ArchitectureConfig.paper_default().with_updates(num_pvs=4),
+)
+_KEY_OPTIONS = (
+    SimulationOptions(),
+    SimulationOptions(batch_size=2),
+    SimulationOptions(schedule="hoisted"),
+)
+_memo_inputs = st.tuples(
+    st.sampled_from(_KEY_BINDINGS),
+    st.sampled_from(("ganax", "eyeriss")),
+    st.sampled_from(("1", "2")),
+    st.sampled_from(_KEY_CONFIGS),
+    st.sampled_from(_KEY_OPTIONS),
+)
 
 
 class TestLayerFingerprint:
@@ -187,6 +247,27 @@ class TestLayerFingerprint:
             ) == layer_fingerprint(b, "ganax", "1", config, options)
 
 
+class TestLayerMemoKey:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=_memo_inputs,
+        other=_memo_inputs,
+        keep=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_keys_equal_exactly_when_fingerprints_do(self, first, other, keep):
+        """The tuple key distinguishes exactly what its content digest does."""
+        second = tuple(a if same else b for a, b, same in zip(first, other, keep))
+
+        def key(binding, name, version, config, options):
+            return layer_memo_key(
+                binding, layer_memo_context(name, version, config, options)
+            )
+
+        assert (key(*first) == key(*second)) == (
+            layer_fingerprint(*first) == layer_fingerprint(*second)
+        )
+
+
 class TestLayerMemoStore:
     def _result(self, key_name: str = "probe"):
         simulator = get_accelerator("ganax").create()
@@ -264,6 +345,32 @@ class TestLayerMemoStore:
         assert store.stats.stores > 1
         assert len(store) == 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("get", "put")),
+                st.lists(st.sampled_from("abcdef"), max_size=6),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_batch_calls_match_a_loop_of_single_key_calls(self, capacity, ops):
+        """Recency, eviction order, answers and counters all agree."""
+        batched = LayerMemoStore(max_entries=capacity)
+        looped = LayerMemoStore(max_entries=capacity)
+        for step, (kind, keys) in enumerate(ops):
+            if kind == "get":
+                assert batched.get_many(keys) == [looped.get(key) for key in keys]
+            else:
+                items = [(key, f"{step}.{i}") for i, key in enumerate(keys)]
+                batched.put_many(items)
+                for key, value in items:
+                    looped.put(key, value)
+            assert list(batched._entries.items()) == list(looped._entries.items())
+        assert batched.stats == looped.stats
+
 
 class TestMemoizedExecution:
     def test_cold_equals_warm(self, fresh_memo, dcgan_model, paper_config, options):
@@ -313,6 +420,79 @@ class TestMemoizedExecution:
         assert fresh_memo.stats.hits > 0  # b's layers were served from a's runs
         names = [layer.layer_name for layer in result_b.generator.layer_results]
         assert names == ["beta_tconv"]
+
+    def test_repeated_shape_is_estimated_once_per_batch(
+        self, memo_state, monkeypatch, paper_config, options
+    ):
+        model = _repeated_shape_gan()
+        job = SimulationJob(model, "ganax", paper_config, options)
+        configure_layer_memo(enabled=False)
+        reference = execute_job(job)
+        memo = configure_layer_memo()
+        simulator_cls = type(get_accelerator("ganax").create())
+        original = simulator_cls.simulate_layers
+        estimated = []
+
+        def spy(self, bindings):
+            estimated.append([binding.name for binding in bindings])
+            return original(self, bindings)
+
+        monkeypatch.setattr(simulator_cls, "simulate_layers", spy)
+        assert execute_job(job) == reference  # rep_b relabelled from rep_a
+        assert estimated == [["rep_a", "rep_up"], ["rep_conv"]]
+        # four lookups, each a miss; three distinct keys written
+        assert (memo.stats.hits, memo.stats.misses, memo.stats.stores) == (0, 4, 3)
+        assert len(memo) == 3
+
+    def test_metrics_counters_equal_stats_after_batched_runs(
+        self, fresh_memo, paper_config, options
+    ):
+        registry = configure_metrics()
+        try:
+            for name in ("dcgan", "magan"):
+                for job in SimulationJob.comparison_pair(name, paper_config, options):
+                    execute_job(job)
+                    execute_job(job)  # warm: every layer hits
+            stats = fresh_memo.stats
+            assert stats.hits > 0 and stats.misses > 0
+            for counter in ("hits", "misses", "stores"):
+                assert registry.counter_value(
+                    f"runner.layer_memo.{counter}"
+                ) == getattr(stats, counter)
+            assert registry.gauge("runner.layer_memo.resident").value == len(
+                fresh_memo
+            )
+        finally:
+            configure_metrics()
+
+
+class TestScheduleReregistration:
+    def test_memo_on_equals_memo_off_across_reregistration(
+        self, memo_state, paper_config
+    ):
+        """A name re-registered with new knobs is never served the old knobs'
+        layers: one memo serves both registrations, and no cache is cleared."""
+        registrations = ({"repeat_unroll": 1}, {"repeat_unroll": 4, "column_tile": 2})
+
+        def run(knobs):
+            register_schedule(ScheduleSpec(name="tuned-x", **knobs))
+            try:
+                return execute_job(
+                    SimulationJob(
+                        "dcgan",
+                        "ganax",
+                        paper_config,
+                        SimulationOptions(schedule="tuned-x"),
+                    )
+                )
+            finally:
+                unregister_schedule("tuned-x")
+
+        configure_layer_memo(enabled=False)
+        memo_off = [run(knobs) for knobs in registrations]
+        assert memo_off[0].total_cycles != memo_off[1].total_cycles
+        configure_layer_memo()
+        assert [run(knobs) for knobs in registrations] == memo_off
 
 
 class TestLayerTotals:
