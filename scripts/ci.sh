@@ -28,9 +28,11 @@
 #      must leave exactly one simulation per distinct job, the `stats` verb
 #      must report the same (8 jobs done, 4 cache misses, 4 jobs dispatched
 #      to the serial backend), and SIGINT must shut the server down cleanly
-#      with a complete event journal (the service benchmark in step 2
-#      separately enforces that the served sweep stays within 1.5x of
-#      direct submit());
+#      with a complete event journal: 8 lines, exactly 4 of them carrying a
+#      result payload (one per distinct job: the journal writes a key's
+#      payload once), and `EventJournal.replay_into` of the file must
+#      restore 4 entries (the service benchmark in step 2 separately
+#      enforces that the served sweep stays within 1.5x of direct submit());
 #   8. a telemetry smoke: `compare --trace --metrics` must write valid
 #      Chrome trace-event JSON (one batch span, one job span per job) and a
 #      metrics snapshot whose counters match the submitted grid (the
@@ -265,6 +267,16 @@ assert {(r["model"], r["accelerator"]) for r in journal} == {
     ("DCGAN", "eyeriss"), ("DCGAN", "ganax"),
     ("MAGAN", "eyeriss"), ("MAGAN", "ganax"),
 }
+# Each distinct job's result is journaled once; the repeats carry none, and
+# the journal alone restores every job.
+payloads = [r["cache_key"] for r in journal if "result_pickle" in r]
+assert len(payloads) == 4, f"expected 4 payload lines, got {len(payloads)}"
+assert len(set(payloads)) == 4, payloads
+from repro.runner import InMemoryResultCache
+from repro.service import EventJournal
+
+restored = EventJournal.replay_into(sys.argv[3], InMemoryResultCache())
+assert restored == 4, f"expected replay to restore 4 entries, got {restored}"
 
 # The server's own accounting agrees: every job answered, each distinct
 # job run exactly once, on the serial backend.
@@ -276,7 +288,8 @@ if "metrics" in stats:
     dispatched = stats["metrics"]["counters"]["backend.jobs.dispatched{backend=serial}"]
     assert dispatched == 4, dispatched
 print("service smoke OK: 2 clients x 4 jobs, 4 simulated + 4 dedup,",
-      len(journal), "journal records, stats agree, clean shutdown")
+      len(journal), "journal records,", len(payloads), "payloads,",
+      "stats agree, clean shutdown")
 PY
 
 echo "== telemetry smoke (compare --trace --metrics) =="

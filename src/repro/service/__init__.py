@@ -14,8 +14,12 @@ content-addressed result cache, and one durable journal:
   draining shutdown.
 * :mod:`repro.service.client` — :class:`Client`: synchronous streaming
   client with connect retry/backoff.
-* :mod:`repro.service.journal` — :class:`EventJournal`: fsync'd JSONL
-  journal with atomic compaction and crash-resume replay.
+* :mod:`repro.service.journal` — :class:`EventJournal`: JSONL journal of
+  terminal events, written in groups with one fsync each before they are
+  forwarded, carrying each result's payload once per key per journal
+  generation, with atomic compaction (threshold: the larger of
+  ``rotate_bytes`` and twice the last compacted size) and crash-resume
+  replay.
 * :mod:`repro.service.admission` — :class:`AdmissionController` and
   :class:`RoundRobinQueue`.
 

@@ -23,15 +23,18 @@ Layering, top to bottom:
   ``max_active_requests`` batches in the runner at once, so a saturating
   client cannot starve a light one.
 * **Execution** — a dispatched batch is submitted to the shared runner from
-  an executor thread, which also drives its jobs, with a per-request event
-  listener forwarding every terminal
-  :class:`~repro.runner.RunnerEvent` to the owning client as a wire
-  ``event`` record and appending it to the journal.
-* **Durability** — with a journal configured, every terminal event is
-  fsync'd to JSONL (:class:`~repro.service.journal.EventJournal`);
-  ``resume=True`` replays an existing journal into the result cache at
-  startup, so a server restarted after a crash answers already-finished
-  jobs from cache and a re-submitted sweep re-runs only the missing ones.
+  an executor thread, which also drives its jobs.  Terminal
+  :class:`~repro.runner.RunnerEvent` values are buffered and published in
+  groups — the cache hits and duplicates resolved at submission, then each
+  executed job as it completes — as wire ``event`` records to the owning
+  client and as lines of the journal.
+* **Durability** — with a journal configured, each group of terminal events
+  is written with one fsync (:class:`~repro.service.journal.EventJournal`)
+  before any of its records is forwarded; a result's payload is journaled
+  once per key per journal generation.  ``resume=True`` replays an existing
+  journal into the result cache at startup, so a server restarted after a
+  crash answers already-finished jobs from cache and a re-submitted sweep
+  re-runs only the missing ones.
 * **Shutdown** — :meth:`stop` stops accepting connections, refuses new
   submits (``rejected`` / ``shutting-down``), drains every queued and
   in-flight batch to completion, notifies connected clients with a
@@ -61,7 +64,7 @@ from .admission import (
     AdmissionController,
     RoundRobinQueue,
 )
-from .journal import DEFAULT_ROTATE_BYTES, EventJournal, journal_record
+from .journal import DEFAULT_ROTATE_BYTES, EventJournal
 
 PathLike = Union[str, Path]
 
@@ -565,15 +568,12 @@ class SimulationServer:
             for key in keys:
                 self._inflight_keys[key] = asyncio.Event()
             try:
-                forwarded = asyncio.Event()
-                listener = self._make_listener(pending, forwarded)
+                # Event records reach the loop through call_soon_threadsafe,
+                # queued before the executor future resolves, so `done` is
+                # always the last record of the batch.
                 counts = await loop.run_in_executor(
-                    self._executor, self._execute, pending.jobs, listener
+                    self._executor, self._execute, pending
                 )
-                # Event records reach the loop through call_soon_threadsafe;
-                # wait until every terminal event record has been forwarded
-                # so `done` is always the last record of the batch.
-                await forwarded.wait()
                 pending.conn.push(
                     protocol.done_record(pending.request_id, counts)
                 )
@@ -672,59 +672,63 @@ class SimulationServer:
                 file=sys.stderr,
             )
 
-    def _execute(self, jobs: List[SimulationJob], listener) -> Dict[str, int]:
-        """Submit and drain one batch (executor thread; drives its jobs)."""
-        handle = self._runner.submit(jobs, on_event=listener)
-        for _completion in handle.as_completed(raise_on_error=False):
-            pass
-        return handle.counts()
+    def _execute(self, pending: _PendingRequest) -> Dict[str, int]:
+        """Submit and drain one batch (executor thread; drives its jobs).
 
-    def _make_listener(self, pending: _PendingRequest, forwarded: asyncio.Event):
-        """Per-request runner listener: journal + forward terminal events.
-
-        Called from the executor thread that drives the jobs; hands the
-        wire record to the loop thread via ``call_soon_threadsafe``.  Sets
-        ``forwarded`` (on the loop) once every job's terminal event has been
-        pushed — the event grammar guarantees exactly one per job — so the
-        batch's ``done`` record can be sequenced after the last event record.
+        Terminal events collect in a buffer as the runner emits them (in
+        this thread: the serial backend runs each job in the thread that
+        drives it) and are published as groups: once after ``submit()``
+        returns, which covers every cache hit and batch duplicate, after
+        each ``as_completed`` step, and once at the end for any left over.
         """
-        loop = self._loop
-        assert loop is not None
-        lock = threading.Lock()
-        state = {"remaining": len(pending.jobs)}
+        buffered: List[RunnerEvent] = []
 
         def listener(event: RunnerEvent) -> None:
-            if not event.is_terminal:
-                return
-            with self._counts_lock:
-                self._jobs_done += 1
-            registry = get_metrics()
-            if registry is not None:
-                registry.counter("service.jobs.done").inc()
-            if self._journal is not None:
-                try:
-                    self._journal.append(
-                        journal_record(event, pending.request_id)
-                    )
-                except Exception as exc:
-                    # Journal failure must not fail the batch; it only costs
-                    # resumability.  Say so instead of dying silently.
-                    print(
-                        f"repro-service: journal append failed: {exc}",
-                        file=sys.stderr,
-                    )
-            record = protocol.event_record(event, pending.request_id)
+            if event.is_terminal:
+                buffered.append(event)
+
+        handle = self._runner.submit(pending.jobs, on_event=listener)
+        self._publish(pending, buffered)
+        for _completion in handle.as_completed(raise_on_error=False):
+            self._publish(pending, buffered)
+        self._publish(pending, buffered)
+        return handle.counts()
+
+    def _publish(self, pending: _PendingRequest, buffered: List[RunnerEvent]) -> None:
+        """Journal a group of terminal events, then forward them to the client.
+
+        Each event becomes one wire record, used for both the journal and
+        the wire.  The whole group is fsync'd with one append before any of
+        its records is handed to the loop thread, so no client sees an
+        event whose journal line is not yet durable.  The pushes are queued
+        before the executor future resolves, so ``done`` stays last.
+        """
+        if not buffered:
+            return
+        events = list(buffered)
+        buffered.clear()
+        records = [protocol.event_record(e, pending.request_id) for e in events]
+        with self._counts_lock:
+            self._jobs_done += len(events)
+        registry = get_metrics()
+        if registry is not None:
+            registry.counter("service.jobs.done").inc(len(events))
+        if self._journal is not None:
+            try:
+                self._journal.append(
+                    [(record, e.result) for record, e in zip(records, events)]
+                )
+            except Exception as exc:
+                # Journal failure must not fail the batch; it only costs
+                # resumability.  Say so instead of dying silently.
+                print(
+                    f"repro-service: journal append failed: {exc}",
+                    file=sys.stderr,
+                )
+        loop = self._loop
+        assert loop is not None
+        for record in records:
             try:
                 loop.call_soon_threadsafe(pending.conn.push, record)
             except RuntimeError:
                 return  # loop already closed (shutdown race): nothing to narrate
-            with lock:
-                state["remaining"] -= 1
-                last = state["remaining"] == 0
-            if last:
-                try:
-                    loop.call_soon_threadsafe(forwarded.set)
-                except RuntimeError:
-                    pass
-
-        return listener

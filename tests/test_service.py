@@ -21,10 +21,14 @@ The load-bearing guarantees of the service subsystem:
 
 from __future__ import annotations
 
+import base64
 import json
 import pickle
 import socket
+import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -46,6 +50,7 @@ from repro.service import (
     SimulationServer,
     grid_specs,
 )
+from repro.service import journal as journal_module
 from repro.service import protocol
 from repro.service.journal import decode_result, journal_record
 
@@ -212,19 +217,29 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 # Journal
 # ----------------------------------------------------------------------
-def _terminal_event_records(runner_jobs, request_id="req"):
-    """Run jobs on a throwaway runner, capturing journal-form records."""
-    records = []
+def _wire_entries(runner_jobs, request_id="req"):
+    """Run jobs on a throwaway runner, capturing (wire record, result) pairs."""
+    entries = []
     with SimulationRunner() as runner:
         handle = runner.submit(
             runner_jobs,
-            on_event=lambda e: records.append(journal_record(e, request_id))
+            on_event=lambda e: entries.append(
+                (protocol.event_record(e, request_id), e.result)
+            )
             if e.is_terminal
             else None,
         )
         for _ in handle.as_completed(raise_on_error=False):
             pass
-    return records
+    return entries
+
+
+def _terminal_event_records(runner_jobs, request_id="req"):
+    """Run jobs on a throwaway runner, capturing journal-form records."""
+    return [
+        journal_record(record, result)
+        for record, result in _wire_entries(runner_jobs, request_id)
+    ]
 
 
 class TestJournal:
@@ -237,7 +252,7 @@ class TestJournal:
         path = tmp_path / "journal.jsonl"
         with EventJournal(path) as journal:
             for record in sample_records:
-                journal.append(record)
+                journal.append([(record, None)])
         assert EventJournal.read_records(path) == sample_records
 
     def test_journal_records_decode_their_results(self, sample_records):
@@ -249,7 +264,7 @@ class TestJournal:
     def test_torn_final_line_is_skipped(self, tmp_path, sample_records):
         path = tmp_path / "journal.jsonl"
         with EventJournal(path) as journal:
-            journal.append(sample_records[0])
+            journal.append([(sample_records[0], None)])
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"schema_version": 1, "torn": tru')  # crash mid-append
         assert EventJournal.read_records(path) == [sample_records[0]]
@@ -279,10 +294,10 @@ class TestJournal:
         with EventJournal(path) as journal:
             for _ in range(3):  # the same sweep journaled three times over
                 for record in sample_records:
-                    journal.append(record)
+                    journal.append([(record, None)])
             # terminal non-result records never shortcut a resume
             journal.append(
-                dict(sample_records[0], event="failed", result_pickle=None)
+                [(dict(sample_records[0], event="failed", result_pickle=None), None)]
             )
             survivors = journal.compact()
         assert survivors == len(sample_records)
@@ -300,7 +315,7 @@ class TestJournal:
         with EventJournal(path, rotate_bytes=6 * line_bytes) as journal:
             for _ in range(20):
                 for record in sample_records:
-                    journal.append(record)
+                    journal.append([(record, None)])
             # auto-compaction kept the journal bounded: never more than the
             # rotation budget plus the append that tripped it
             assert path.stat().st_size <= 7 * line_bytes
@@ -314,7 +329,7 @@ class TestJournal:
         path = tmp_path / "journal.jsonl"
         with EventJournal(path) as journal:
             for record in sample_records:
-                journal.append(record)
+                journal.append([(record, None)])
         cache = InMemoryResultCache()
         restored = EventJournal.replay_into(path, cache)
         assert restored == len(sample_records)
@@ -330,6 +345,211 @@ class TestJournal:
         cache = InMemoryResultCache()
         assert EventJournal.replay_into(path, cache) == 0
         assert len(cache) == 0
+
+
+def _padded_record(key, pad=700):
+    """A journal-form record for ``key`` whose payload is ~1 KB."""
+    record = protocol.stamp(
+        {"type": "event", "event": "completed", "cache_key": key}
+    )
+    record["result_pickle"] = base64.b64encode(
+        pickle.dumps({"key": key, "pad": "x" * pad})
+    ).decode("ascii")
+    return record
+
+
+def _count_compactions(monkeypatch):
+    calls = []
+    compact = EventJournal._compact_locked
+
+    def counting(self):
+        calls.append(1)
+        return compact(self)
+
+    monkeypatch.setattr(EventJournal, "_compact_locked", counting)
+    return calls
+
+
+class TestJournalGroups:
+    """Group commit, payload once per key, the rotation rule, streaming."""
+
+    @pytest.fixture(scope="class")
+    def sample_entries(self):
+        return _wire_entries([spec.build() for spec in small_grid()])
+
+    def test_a_group_is_one_write_and_one_fsync(
+        self, tmp_path, monkeypatch, sample_entries
+    ):
+        fsyncs = []
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: fsyncs.append(fd)
+        )
+        path = tmp_path / "journal.jsonl"
+        with EventJournal(path) as journal:
+            journal.append(sample_entries * 3)
+        assert len(fsyncs) == 1
+        assert len(EventJournal.read_records(path)) == 3 * len(sample_entries)
+
+    def test_payload_is_written_once_per_key(self, tmp_path, sample_entries):
+        path = tmp_path / "journal.jsonl"
+        with EventJournal(path) as journal:
+            journal.append(sample_entries + sample_entries)  # one group
+            journal.append(sample_entries)  # a later group
+        records = EventJournal.read_records(path)
+        assert len(records) == 3 * len(sample_entries)
+        carrying = [r for r in records if "result_pickle" in r]
+        assert carrying == [
+            journal_record(record, result) for record, result in sample_entries
+        ]
+        cache = InMemoryResultCache()
+        assert EventJournal.replay_into(path, cache) == len(sample_entries)
+        for record, result in sample_entries:
+            assert cache.get(record["cache_key"]) == result
+
+    def test_a_reopened_journal_writes_each_payload_again(
+        self, tmp_path, sample_entries
+    ):
+        path = tmp_path / "journal.jsonl"
+        for _ in range(2):
+            with EventJournal(path) as journal:
+                journal.append(sample_entries)
+                journal.append(sample_entries)
+        carrying = [
+            r for r in EventJournal.read_records(path) if "result_pickle" in r
+        ]
+        assert len(carrying) == 2 * len(sample_entries)
+
+    def test_compaction_keeps_one_payload_line_per_key(
+        self, tmp_path, sample_entries
+    ):
+        path = tmp_path / "journal.jsonl"
+        with EventJournal(path) as journal:
+            for _ in range(3):  # one line with a payload per key, then repeats
+                journal.append(sample_entries)
+        with EventJournal(path) as journal:  # a new generation knows no keys
+            assert journal.compact() == len(sample_entries)
+            # ... until compaction names the survivors: no payload again
+            journal.append(sample_entries)
+        kept = EventJournal.read_records(path)
+        assert len(kept) == 2 * len(sample_entries)
+        carrying = [r for r in kept if "result_pickle" in r]
+        assert sorted(r["cache_key"] for r in carrying) == sorted(
+            record["cache_key"] for record, _ in sample_entries
+        )
+        assert all(decode_result(r) is not None for r in carrying)
+
+    def test_a_key_is_remembered_only_after_its_fsync(
+        self, tmp_path, monkeypatch, sample_entries
+    ):
+        path = tmp_path / "journal.jsonl"
+        fsync = journal_module.os.fsync
+        with EventJournal(path) as journal:
+            def failing(fd):
+                raise OSError("disk gone")
+
+            monkeypatch.setattr(journal_module.os, "fsync", failing)
+            with pytest.raises(OSError):
+                journal.append(sample_entries)
+            monkeypatch.setattr(journal_module.os, "fsync", fsync)
+            journal.append(sample_entries)
+        records = EventJournal.read_records(path)
+        # the unacknowledged group's lines may linger, but the retry must
+        # carry the payloads again
+        assert all("result_pickle" in r for r in records[-len(sample_entries):])
+
+    def test_concurrent_groups_lose_no_line_and_no_payload(
+        self, tmp_path, sample_entries
+    ):
+        path = tmp_path / "journal.jsonl"
+        threads_count, groups = 8, 20
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EventJournal(path, rotate_bytes=200_000) as journal:
+                def writer():
+                    for _ in range(groups):
+                        journal.append(sample_entries)
+
+                threads = [
+                    threading.Thread(target=writer) for _ in range(threads_count)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                journal.compact()
+        finally:
+            sys.setswitchinterval(interval)
+        cache = InMemoryResultCache()
+        assert EventJournal.replay_into(path, cache) == len(sample_entries)
+        for record, result in sample_entries:
+            assert cache.get(record["cache_key"]) == result
+
+    def test_live_set_above_rotate_bytes_does_not_compact_every_append(
+        self, tmp_path, monkeypatch
+    ):
+        compactions = _count_compactions(monkeypatch)
+        keys = [f"{index:064x}" for index in range(40)]
+        path = tmp_path / "journal.jsonl"
+        with EventJournal(path, rotate_bytes=20_000) as journal:
+            for index in range(200):
+                journal.append([(_padded_record(keys[index % 40]), None)])
+        assert 1 <= len(compactions) <= 8
+        cache = InMemoryResultCache()
+        EventJournal.replay_into(path, cache)
+        assert len(cache) == 40
+        assert all(cache.get(key)["key"] == key for key in keys)
+
+    def test_compaction_streams_the_journal(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        lines = [
+            json.dumps(_padded_record(f"{index % 40:064x}", pad=7000)) + "\n"
+            for index in range(800)
+        ]
+        path.write_text("".join(lines), encoding="utf-8")
+        size = path.stat().st_size
+        assert size > 7_000_000
+        with EventJournal(path) as journal:
+            tracemalloc.start()
+            try:
+                assert journal.compact() == 40
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < size / 8
+
+    def test_crash_mid_group_leaves_a_torn_final_line(
+        self, tmp_path, sample_entries
+    ):
+        whole = tmp_path / "whole.jsonl"
+        with EventJournal(whole) as journal:
+            journal.append(sample_entries + sample_entries)
+        data = whole.read_bytes()
+        lines = data.split(b"\n")[:-1]
+        complete = EventJournal.read_records(whole)[:2]
+        # the crash cut the third line of the group halfway through
+        cut = len(lines[0]) + len(lines[1]) + 2 + len(lines[2]) // 2
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data[:cut])
+        assert EventJournal.read_records(torn) == complete
+
+    def test_appending_after_a_torn_tail_keeps_the_journal_readable(
+        self, tmp_path, sample_entries
+    ):
+        path = tmp_path / "journal.jsonl"
+        with EventJournal(path) as journal:
+            journal.append(sample_entries[:1])
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"schema_version": 2, "event": "comp')  # crash
+        with EventJournal(path) as journal:  # a restarted server
+            journal.append(sample_entries[1:])
+        records = EventJournal.read_records(path)
+        assert [r["cache_key"] for r in records] == [
+            record["cache_key"] for record, _ in sample_entries
+        ]
+        cache = InMemoryResultCache()
+        assert EventJournal.replay_into(path, cache) == len(sample_entries)
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +887,139 @@ class TestServer:
 # ----------------------------------------------------------------------
 # Schema compatibility shim (v1 -> v2)
 # ----------------------------------------------------------------------
+def _journal_lines(path):
+    return [
+        json.loads(line)
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+
+
+class TestServedJournal:
+    """The server's journal: group commit, payload once, durability order."""
+
+    def test_repeated_grid_journals_each_payload_once(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        specs = grid_specs(["DCGAN", "MAGAN"], ["eyeriss", "ganax"])
+        with SimulationServer(port=0, journal_path=journal) as server:
+            with Client(port=server.port) as client:
+                first = client.run(specs)
+                second = client.run(specs)
+        assert all(r["event"] == "completed" for r in first)
+        assert all(r["event"] == "cache-hit" for r in second)
+        lines = _journal_lines(journal)
+        assert len(lines) == 2 * len(specs)
+        second_ids = {r["job_uid"] for r in second}
+        repeats = [r for r in lines if r["job_uid"] in second_ids]
+        assert len(repeats) == len(specs)
+        assert not any("result_pickle" in r for r in repeats)
+        # replay restores every key, and the results equal a direct submit
+        cache = InMemoryResultCache()
+        assert EventJournal.replay_into(journal, cache) == len(specs)
+        jobs = [spec.build() for spec in specs]
+        with SimulationRunner() as runner:
+            direct = runner.submit(jobs).results()
+        for job, result in zip(jobs, direct):
+            assert cache.get(job.cache_key) == result
+        for record in first + second:
+            result = direct[record["index"]]
+            assert record["cache_key"] == jobs[record["index"]].cache_key
+            assert record["generator_cycles"] == result.generator.cycles
+            assert record["total_cycles"] == result.total_cycles
+            assert record["total_energy_pj"] == result.total_energy_pj
+
+    def test_prewarmed_cache_journals_the_first_hit_with_its_payload(
+        self, tmp_path
+    ):
+        journal = tmp_path / "journal.jsonl"
+        specs = grid_specs(["DCGAN", "MAGAN"], ["eyeriss", "ganax"])
+        runner = SimulationRunner()
+        runner.run_jobs([spec.build() for spec in specs])  # no journal yet
+        with SimulationServer(port=0, runner=runner, journal_path=journal) as server:
+            with Client(port=server.port) as client:
+                for _ in range(2):
+                    assert all(
+                        r["event"] == "cache-hit" for r in client.run(specs)
+                    )
+        lines = _journal_lines(journal)
+        first_lines = {}
+        for record in lines:
+            first_lines.setdefault(record["cache_key"], record)
+        assert len(first_lines) == len(specs)
+        assert all("result_pickle" in r for r in first_lines.values())
+        assert sum("result_pickle" in r for r in lines) == len(specs)
+
+    def test_one_fsync_per_group(self, tmp_path, monkeypatch):
+        fsyncs = []
+        fsync = journal_module.os.fsync
+
+        def counting(fd):
+            fsyncs.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", counting)
+        specs = grid_specs(SIX_GANS, ["eyeriss", "ganax"])
+        runner = SimulationRunner()
+        runner.run_jobs([spec.build() for spec in specs[4:]])
+        journal = tmp_path / "journal.jsonl"
+        with SimulationServer(port=0, runner=runner, journal_path=journal) as server:
+            with Client(port=server.port) as client:
+                fsyncs.clear()
+                misses = client.run(specs[:4])
+                assert [r["event"] for r in misses] == ["completed"] * 4
+                assert len(fsyncs) == 4  # one per executed job
+                fsyncs.clear()
+                hits = client.run(specs)
+                assert len(hits) == 12
+                assert all(r["event"] == "cache-hit" for r in hits)
+                assert len(fsyncs) == 1  # the whole all-hit batch
+
+    def test_an_event_reaches_the_client_after_its_line_is_durable(
+        self, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / "journal.jsonl"
+        durable = set()
+        fsync = journal_module.os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.02)  # a forward that did not wait would land now
+            fsync(fd)
+            durable.update(r["job_uid"] for r in _journal_lines(journal))
+
+        monkeypatch.setattr(journal_module.os, "fsync", slow_fsync)
+        specs = grid_specs(["DCGAN", "MAGAN"], ["eyeriss", "ganax"])
+        seen = 0
+        with SimulationServer(port=0, journal_path=journal) as server:
+            with Client(port=server.port) as client:
+                for _ in range(2):  # misses, then hits
+                    for record in client.submit(specs):
+                        assert record["job_uid"] in durable
+                        seen += 1
+        assert seen == 2 * len(specs)
+
+    def test_done_is_the_last_record_of_a_mixed_batch(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        specs = grid_specs(["DCGAN", "MAGAN"], ["eyeriss", "ganax"])
+        with SimulationServer(port=0, journal_path=journal) as server:
+            with Client(port=server.port) as client:
+                client.run(specs[:2])  # warm half the grid
+            sock, handle = _raw_connection(server.port)
+            try:
+                handle.write(protocol.encode(protocol.hello_record("raw")))
+                # the first two specs again: in-batch duplicates of hits
+                handle.write(protocol.encode(
+                    protocol.submit_record(specs + specs[:2], "mixed")
+                ))
+                handle.flush()
+                types = []
+                while not types or types[-1] != "done":
+                    types.append(protocol.decode(handle.readline())["type"])
+            finally:
+                sock.close()
+        assert types[:2] == ["welcome", "accepted"]
+        assert types[2:] == ["event"] * (len(specs) + 2) + ["done"]
+
+
 class TestSchemaCompatShim:
     def test_current_and_previous_versions_are_accepted(self):
         for version in range(protocol.MIN_COMPATIBLE_SCHEMA_VERSION, SCHEMA_VERSION + 1):
