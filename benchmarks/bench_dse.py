@@ -22,7 +22,7 @@ from conftest import emit
 from repro.analysis.report import format_table
 from repro.dse.engine import DesignSpaceExplorer
 from repro.dse.strategies import ExhaustiveSearch
-from repro.runner import SerialBackend, SimulationRunner
+from repro.runner import SimulationRunner
 
 #: PE-array geometry grid explored by the benchmark search.
 GRID = {"num_pvs": (8, 16, 32), "pes_per_pv": (8, 16)}
@@ -44,7 +44,7 @@ def timed(fn):
 
 def test_dse_warm_cache_speedup(benchmark):
     """Re-searching a warm cache must be >= 5x faster with 100% hits."""
-    runner = SimulationRunner(backend=SerialBackend())
+    runner = SimulationRunner()
     explorer = DesignSpaceExplorer(runner=runner)
 
     cold_result, cold_seconds = benchmark.pedantic(

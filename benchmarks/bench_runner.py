@@ -20,7 +20,7 @@ from conftest import emit
 
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ParameterSweep
-from repro.runner import SerialBackend, SimulationJob, SimulationRunner, execute_job
+from repro.runner import SimulationJob, SimulationRunner, execute_job
 from repro.runner import cache as cache_module
 from repro.runner.cache import configure_layer_memo
 from repro.workloads.registry import all_workloads
@@ -104,7 +104,7 @@ def test_runner_execution_modes(benchmark):
     """Compare cold-serial / warm-cache sweep wall time."""
     models = all_workloads()
 
-    serial_runner = SimulationRunner(backend=SerialBackend())
+    serial_runner = SimulationRunner()
     cold_points, cold_seconds = benchmark.pedantic(
         lambda: timed(lambda: run_sweep(serial_runner, models)),
         iterations=1,

@@ -15,27 +15,42 @@ the served grid stays within **1.5x** of the direct path's wall time.
 Both paths run fully cold — fresh runner, cold job-level result cache,
 and the process-global layer memo disabled for the timed region — so each
 round performs the identical full simulation and the ratio isolates
-protocol + scheduling overhead.  Both sides are measured best-of-N to
-shave scheduler noise.  A second served submission against a warm server
-must then resolve entirely from cache (the multi-client dedup story),
-byte-agreeing with the direct path's numbers.
+protocol + scheduling overhead.  A second served submission against a
+warm server must then resolve entirely from cache (the multi-client dedup
+story), byte-agreeing with the direct path's numbers.
+
+Measurement: ``ROUNDS`` direct rounds and ``ROUNDS`` served rounds
+alternate (direct, served, direct, served, ...), so a slow spell of the
+host lands on both paths alike.  Each pair gives one served/direct ratio,
+and the gate is on the median of those per-pair ratios (the method of
+``bench_layercache.py``).  The gate used to compare the best of 3 served
+rounds with the best of 3 direct rounds; that read 1.03-1.62x over 6
+standalone runs of one commit and failed once against the same 1.5x bar.
+
+Recorded runs: ``scripts/ci.sh`` step 2 (this file among the other runner
+benchmarks, one pytest process) was run 12 times with this method on a
+2-vCPU VM.  Sorted, the medians read 1.05, 1.05, 1.09, 1.09, 1.10, 1.10,
+1.10, 1.14, 1.14, 1.14, 1.19 and 1.27x, all under the bar, so the bar stays
+at 1.5x.  Interleaved with those runs, the best-of-3 method read
+0.93-1.34x in 11 runs and failed at 1.57x in the twelfth.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import emit
 
 from repro.analysis.report import format_table
-from repro.runner import SerialBackend, SimulationRunner, configure_layer_memo
+from repro.runner import SimulationRunner, configure_layer_memo
 from repro.service import Client, SimulationServer, grid_specs
 
 #: Maximum tolerated served wall time, as a fraction of the direct path.
 MAX_SERVED_OVERHEAD = 1.5
 
-#: Timing repetitions; the best run is compared to shave scheduler noise.
-ROUNDS = 3
+#: Timed rounds per path; direct and served rounds alternate.
+ROUNDS = 7
 
 SIX_GANS = ("3D-GAN", "ArtGAN", "DCGAN", "DiscoGAN", "GP-GAN", "MAGAN")
 
@@ -55,7 +70,7 @@ def grid():
 
 def run_direct():
     """The in-process streaming path on a fresh (cold result cache) runner."""
-    with SimulationRunner(backend=SerialBackend()) as runner:
+    with SimulationRunner() as runner:
         jobs = [spec.build() for spec in grid()]
         handle = runner.submit(jobs)
         completions = list(handle.as_completed())
@@ -66,69 +81,74 @@ def run_direct():
         }
 
 
-def timed_best(fn, rounds=ROUNDS):
-    best_result, best_seconds = None, float("inf")
+def run_served(specs):
+    """The served path on a fresh runner; returns (cycles, client seconds)."""
+    # a fresh runner per round keeps the job-level cache cold; server and
+    # connection setup stay outside the timed region below
+    with SimulationRunner() as runner:
+        with SimulationServer(port=0, runner=runner) as server:
+            with Client(port=server.port) as client:
+                start = time.perf_counter()
+                records = client.run(specs)
+                seconds = time.perf_counter() - start
+    cycles = {
+        (
+            r["model"],
+            r["accelerator"],
+            specs[r["index"]].config["num_pvs"],
+        ): r["generator_cycles"]
+        for r in records
+    }
+    return cycles, seconds
+
+
+def _alternating_rounds(specs, rounds=ROUNDS):
+    """Alternate direct and served rounds; per-pair times and the last cycles.
+
+    Returns ``(pairs, direct_cycles, served_cycles)`` with one
+    ``(direct_seconds, served_seconds)`` tuple per pair.
+    """
+    pairs = []
+    direct_cycles = served_cycles = None
     for _ in range(rounds):
         start = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - start
-        if seconds < best_seconds:
-            best_result, best_seconds = result, seconds
-    return best_result, best_seconds
+        direct_cycles = run_direct()
+        direct_seconds = time.perf_counter() - start
+        served_cycles, served_seconds = run_served(specs)
+        pairs.append((direct_seconds, served_seconds))
+    return pairs, direct_cycles, served_cycles
 
 
 def test_served_grid_overhead_within_budget(benchmark):
     """The served six-GAN grid must stay within 1.5x of direct submit()."""
 
     specs = grid()
-
-    def run_served():
-        # a fresh runner per round keeps the job-level cache cold; server
-        # and connection setup stay outside the timed region below
-        with SimulationRunner(backend=SerialBackend()) as runner:
-            with SimulationServer(port=0, runner=runner) as server:
-                with Client(port=server.port) as client:
-                    start = time.perf_counter()
-                    records = client.run(specs)
-                    seconds = time.perf_counter() - start
-        cycles = {
-            (
-                r["model"],
-                r["accelerator"],
-                specs[r["index"]].config["num_pvs"],
-            ): r["generator_cycles"]
-            for r in records
-        }
-        return cycles, seconds
-
     # Disable the process-global layer memo so every round — direct and
     # served alike — performs the full cold-grid simulation.
     configure_layer_memo(enabled=False)
     try:
-        direct_cycles, direct_seconds = benchmark.pedantic(
-            lambda: timed_best(run_direct), iterations=1, rounds=1
+        pairs, direct_cycles, served_cycles = benchmark.pedantic(
+            lambda: _alternating_rounds(specs), iterations=1, rounds=1
         )
-
-        served_seconds = float("inf")
-        served_cycles = None
-        for _ in range(ROUNDS):
-            cycles, seconds = run_served()
-            if seconds < served_seconds:
-                served_cycles, served_seconds = cycles, seconds
     finally:
         configure_layer_memo()
 
     # The wire records carry the same numbers the direct path computed.
     assert served_cycles == direct_cycles
 
-    overhead = served_seconds / direct_seconds if direct_seconds > 0 else 1.0
+    ratios = [
+        served / direct if direct > 0 else 1.0 for direct, served in pairs
+    ]
+    overhead = statistics.median(ratios)
     assert overhead <= MAX_SERVED_OVERHEAD, (
-        f"served grid took {overhead:.2f}x the direct path; "
+        f"served grid took {overhead:.2f}x the direct path (median of "
+        f"{len(ratios)} alternating pairs: "
+        f"{', '.join(f'{r:.2f}' for r in sorted(ratios))}); "
         f"budget is {MAX_SERVED_OVERHEAD:.2f}x"
     )
 
     # Warm server: a duplicate sweep resolves entirely from cache.
-    with SimulationRunner(backend=SerialBackend()) as runner:
+    with SimulationRunner() as runner:
         with SimulationServer(port=0, runner=runner) as server:
             with Client(port=server.port) as first:
                 first.run(grid())
@@ -140,14 +160,19 @@ def test_served_grid_overhead_within_budget(benchmark):
     assert warm_counts["completed"] == 0
 
     jobs = len(grid())
+    direct_ms = 1e3 * statistics.median(direct for direct, _ in pairs)
+    served_ms = 1e3 * statistics.median(served for _, served in pairs)
     emit(
         format_table(
-            ["Path", "Wall time (ms)", "vs direct"],
+            ["Path", "Median wall time (ms)", "Median pair ratio"],
             [
-                ["direct submit()", 1e3 * direct_seconds, 1.0],
-                ["served (TCP + JSONL)", 1e3 * served_seconds, overhead],
+                ["direct submit()", direct_ms, 1.0],
+                ["served (TCP + JSONL)", served_ms, overhead],
             ],
-            title=f"Service overhead: {jobs}-job six-GAN PV sweep (serial backend)",
+            title=(
+                f"Service overhead: {jobs}-job six-GAN PV sweep "
+                f"({len(pairs)} alternating pairs, bar {MAX_SERVED_OVERHEAD:.1f}x)"
+            ),
             float_format="{:.2f}",
         )
     )

@@ -23,7 +23,7 @@ import time
 from conftest import emit
 
 from repro.analysis.report import format_table
-from repro.runner import SerialBackend, SimulationJob, SimulationRunner
+from repro.runner import SimulationJob, SimulationRunner
 from repro.workloads.registry import all_workloads
 
 #: Maximum tolerated streaming wall time, as a fraction of the batch path.
@@ -53,13 +53,13 @@ def timed_best(fn, rounds=ROUNDS):
 
 
 def run_batch():
-    runner = SimulationRunner(backend=SerialBackend())
+    runner = SimulationRunner()
     return runner.run_jobs(grid_jobs())
 
 
 def run_streaming():
     events = []
-    runner = SimulationRunner(backend=SerialBackend())
+    runner = SimulationRunner()
     handle = runner.submit(grid_jobs(), on_event=events.append)
     results = [None] * len(handle)
     for completion in handle.as_completed():
@@ -85,7 +85,7 @@ def test_streaming_overhead_within_budget(benchmark):
     )
 
     # A warm streaming submission answers everything at submit time.
-    warm_runner = SimulationRunner(backend=SerialBackend())
+    warm_runner = SimulationRunner()
     warm_runner.run_jobs(grid_jobs())
     warm_handle = warm_runner.submit(grid_jobs())
     assert warm_handle.done()

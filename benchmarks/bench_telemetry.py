@@ -27,7 +27,6 @@ from conftest import emit
 
 from repro.analysis.report import format_table
 from repro.runner import (
-    SerialBackend,
     SimulationJob,
     SimulationRunner,
     configure_layer_memo,
@@ -78,7 +77,7 @@ def timed_best(fn, rounds=ROUNDS):
 def run_grid():
     # use_cache=False: every round simulates for real instead of replaying
     # the first round's results out of the content-addressed cache.
-    runner = SimulationRunner(backend=SerialBackend(), use_cache=False)
+    runner = SimulationRunner(use_cache=False)
     try:
         return runner.run_jobs(grid_jobs())
     finally:

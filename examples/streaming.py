@@ -69,7 +69,7 @@ def main() -> int:
     print(
         f"warm re-submission: {len(provenances)} jobs, "
         f"provenances: {sorted(set(provenances))}, "
-        f"backend untouched: {handle.counts()['completed'] == 0}"
+        f"nothing executed: {handle.counts()['completed'] == 0}"
     )
     return 0
 

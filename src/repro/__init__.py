@@ -144,7 +144,6 @@ from .runner import (
     BatchHandle,
     JobCompletion,
     RunnerEvent,
-    SerialBackend,
     SimulationJob,
     SimulationRunner,
     get_default_runner,
@@ -213,7 +212,6 @@ __all__ = [
     "BatchHandle",
     "JobCompletion",
     "RunnerEvent",
-    "SerialBackend",
     "SimulationJob",
     "SimulationRunner",
     "get_default_runner",

@@ -1,11 +1,13 @@
-"""Shared simulation execution layer: jobs, the backend, caching, streaming.
+"""Shared simulation execution layer: jobs, caching, streaming.
 
-See ``README.md`` in this directory for the architecture and usage guide —
-including the streaming API (``SimulationRunner.submit`` ->
-``BatchHandle.as_completed`` plus the typed ``RunnerEvent`` stream).
+A :class:`SimulationRunner` deduplicates and cache-filters each submitted
+batch; the :class:`BatchHandle` it returns runs the remaining jobs itself,
+each in the thread that drives the handle.  See ``README.md`` in this
+directory for the architecture and usage guide — including the streaming
+API (``SimulationRunner.submit`` -> ``BatchHandle.as_completed`` plus the
+typed ``RunnerEvent`` stream).
 """
 
-from .backends import JobFuture, SerialBackend
 from .cache import (
     CachePruneStats,
     CacheStats,
@@ -50,12 +52,10 @@ __all__ = [
     "DiskResultCache",
     "InMemoryResultCache",
     "JobCompletion",
-    "JobFuture",
     "LayerMemoStats",
     "LayerMemoStore",
     "ResultCache",
     "RunnerEvent",
-    "SerialBackend",
     "SimulationJob",
     "SimulationRunner",
     "configure_layer_memo",

@@ -62,7 +62,7 @@ class CacheStats:
     hits:
         Jobs answered directly from the cache.
     misses:
-        Jobs that had to be executed by a backend.
+        Jobs that had to be executed.
     stores:
         Results written into the cache (== misses unless storing failed).
     deduplicated:

@@ -7,7 +7,7 @@ batch however suits it:
 * :meth:`BatchHandle.as_completed` — yield :class:`~repro.runner.events.
   JobCompletion` records *in completion order*, as results land.  Cache hits
   and batch duplicates resolve immediately, so warm batches stream without
-  touching the backend at all.
+  executing anything.
 * :meth:`BatchHandle.iter_results` — yield plain results in *submission
   order*, blocking per slot (the streaming counterpart of the old batch
   return value).
@@ -15,10 +15,14 @@ batch however suits it:
   the full list (this is exactly what ``run_jobs()`` does).
 * :meth:`BatchHandle.cancel` — cancel every job that has not started.
 
-Jobs execute lazily *in the consuming thread* as the handle's iterators
-drive them — streaming costs nothing and completion order equals submission
-order.  Another thread may :meth:`BatchHandle.cancel` the batch meanwhile:
-the job being driven finishes and delivers its result, the rest cancel.
+The handle runs its jobs itself, lazily, *in the consuming thread*: nothing
+executes at submission, and a job runs when an iterator reaches for it —
+streaming costs nothing and completion order equals submission order.  Each
+slot is taken exactly once, under the handle's lock, by setting its
+``started`` flag: the thread that takes it either executes the job or (for
+:meth:`BatchHandle.cancel`) cancels it.  So another thread's ``cancel()``
+only wins for jobs nobody has started, and a second thread that wants a
+running job waits for it instead of executing it again.
 
 Listeners subscribed on the runner (or passed per batch via ``on_event``)
 receive the :class:`~repro.runner.events.RunnerEvent` narration of the batch;
@@ -37,15 +41,22 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequenc
 from concurrent.futures import CancelledError
 
 from ..analysis.results import GanResult
-from .backends import JobFuture
 from .events import (
     PROVENANCE_DEDUPLICATED,
     JobCompletion,
     RunnerEvent,
 )
-from .job import SimulationJob
+from .job import SimulationJob, execute_job
 
 EventListener = Callable[[RunnerEvent], None]
+
+#: The runner's settle step for an executed (or cancelled) slot:
+#: ``finish(handle, entry, kind, result, error)`` caches and accounts the
+#: outcome, then calls :meth:`BatchHandle._resolve`.
+FinishStep = Callable[
+    ["BatchHandle", "_Entry", str, Optional[GanResult], Optional[BaseException]],
+    None,
+]
 
 _KIND_CACHE_HIT = "cache-hit"
 _KIND_COMPLETED = "completed"
@@ -69,10 +80,9 @@ class _Entry:
         "result",
         "error",
         "provenance",
-        "future",
         "primary",
         "duplicates",
-        "driven",
+        "started",
         "span",
     )
 
@@ -84,10 +94,9 @@ class _Entry:
         self.result: Optional[GanResult] = None
         self.error: Optional[BaseException] = None
         self.provenance: Optional[str] = None
-        self.future: Optional[JobFuture] = None
         self.primary: Optional["_Entry"] = None  # set on batch duplicates
         self.duplicates: List["_Entry"] = []
-        self.driven = False  # handed to a consumer to drive
+        self.started = False  # taken by a thread, to execute or to cancel
         self.span: Optional[Any] = None  # open tracing span (tracing on only)
 
 
@@ -100,10 +109,12 @@ class BatchHandle:
     def __init__(
         self,
         jobs: Sequence[SimulationJob],
-        listeners: Sequence[EventListener] = (),
+        listeners: Sequence[EventListener],
+        finish: FinishStep,
     ) -> None:
         self._jobs: Tuple[SimulationJob, ...] = tuple(jobs)
         self._listeners: Tuple[EventListener, ...] = tuple(listeners)
+        self._finish = finish
         self._cond = threading.Condition()
         self._entries: List[_Entry] = [
             _Entry(job, index) for index, job in enumerate(self._jobs)
@@ -123,6 +134,9 @@ class BatchHandle:
         # last entry terminates.
         self._tracer: Optional[Any] = None
         self._batch_span: Optional[Any] = None
+        # The backend.jobs.inflight gauge the runner raised at dispatch
+        # (metrics on only); the finish step lowers it once per slot.
+        self._inflight: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -177,13 +191,13 @@ class BatchHandle:
                         break
                     if self._terminal >= len(self._entries):
                         return
-                    to_drive = self._next_undriven_locked()
+                    to_drive = self._claim_next_locked()
                     if to_drive is not None:
                         break
                     self._cond.wait()
             if entry is None:
-                assert to_drive is not None and to_drive.future is not None
-                to_drive.future.drive()  # resolves the entry via callbacks
+                assert to_drive is not None
+                self._run(to_drive)  # resolves the entry through the finish step
                 continue
             if entry.state == _KIND_CANCELLED:
                 continue
@@ -215,26 +229,37 @@ class BatchHandle:
             yield entry.result
 
     def results(self) -> List[GanResult]:
-        """Block until every job finished; results in submission order."""
-        return list(self.iter_results())
+        """Block until every job finished; results in submission order.
+
+        If a slot raises (a failed or cancelled job), the batch's unstarted
+        jobs are cancelled before the error propagates, so every job still
+        gets its terminal event and nothing is left in flight.
+        """
+        try:
+            return list(self.iter_results())
+        except BaseException:
+            self.cancel()
+            raise
 
     def cancel(self) -> int:
-        """Cancel every job that has not started; returns how many were.
+        """Cancel every job that has not started; returns how many are cancelled.
 
         Cache hits, duplicates of resolved jobs and already-running or
         finished jobs are unaffected; their results remain consumable.
-        Batch duplicates follow their primary.  Idempotent.
+        Batch duplicates follow their primary.  Idempotent: a repeated call
+        cancels nothing new and returns the same count.
         """
-        cancelled = 0
         for entry in self._entries:
-            if entry.primary is not None:
-                continue  # duplicates resolve with their primary
-            future = entry.future
-            if future is None:
-                continue  # resolved at submission (cache hit)
-            if future.cancel():
-                cancelled += 1
-        return cancelled
+            with self._cond:
+                claimed = self._claim_locked(entry)
+            if claimed:
+                self._finish(self, entry, _KIND_CANCELLED, None, None)
+        with self._cond:
+            return sum(
+                1
+                for entry in self._entries
+                if entry.primary is None and entry.state == _KIND_CANCELLED
+            )
 
     # ------------------------------------------------------------------
     # Producer-side wiring (called by SimulationRunner)
@@ -252,12 +277,6 @@ class BatchHandle:
             RunnerEvent(
                 kind=kind, job=entry.job, index=entry.index, job_uid=entry.uid
             )
-        )
-
-    def _attach_future(self, entry: _Entry, future: JobFuture) -> None:
-        entry.future = future
-        future.add_running_callback(
-            lambda _f, entry=entry: self._emit_lifecycle("started", entry)
         )
 
     def _register_duplicate(self, entry: _Entry, primary: _Entry) -> None:
@@ -307,66 +326,84 @@ class BatchHandle:
                 self._batch_span = None
                 final_counts = dict(self._counts)
             self._cond.notify_all()
-        if entry.span is not None and self._tracer is not None:
-            self._tracer.end(entry.span, outcome=kind, provenance=provenance)
-            entry.span = None
-        self._emit(
-            RunnerEvent(
-                kind=kind,
-                job=entry.job,
-                index=entry.index,
-                provenance=provenance,
-                result=result,
-                error=error,
-                job_uid=entry.uid,
+        try:
+            if entry.span is not None and self._tracer is not None:
+                self._tracer.end(entry.span, outcome=kind, provenance=provenance)
+                entry.span = None
+            self._emit(
+                RunnerEvent(
+                    kind=kind,
+                    job=entry.job,
+                    index=entry.index,
+                    provenance=provenance,
+                    result=result,
+                    error=error,
+                    job_uid=entry.uid,
+                )
             )
-        )
-        for duplicate in duplicates:
-            self._resolve(
-                duplicate,
-                kind,
-                result=result,
-                error=error,
-                provenance=PROVENANCE_DEDUPLICATED,
-            )
-        if batch_span is not None and self._tracer is not None:
-            self._tracer.end(batch_span, counts=final_counts)
+        finally:
+            # A listener escaping with a BaseException (a KeyboardInterrupt,
+            # say) must not strand the duplicates' waiters or the batch span:
+            # this entry is already terminal, so they settle regardless.
+            for duplicate in duplicates:
+                self._resolve(
+                    duplicate,
+                    kind,
+                    result=result,
+                    error=error,
+                    provenance=PROVENANCE_DEDUPLICATED,
+                )
+            if batch_span is not None and self._tracer is not None:
+                self._tracer.end(batch_span, counts=final_counts)
         return True
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_undriven_locked(self) -> Optional[_Entry]:
-        """The next undriven job, marked as handed out (lock held).
+    def _claim_locked(self, entry: _Entry) -> bool:
+        """Take an unstarted executable slot for this thread (lock held).
 
-        A persistent cursor keeps the scan amortised O(1) per drive: every
-        skip condition is permanent (futures attach before the handle is
-        consumable, ``driven`` and terminal states never revert), so entries
-        behind the cursor never need revisiting.
+        Executable means neither resolved at submission (cache hit) nor a
+        batch duplicate.  Only one caller ever gets True per slot.
+        """
+        if entry.started or entry.state is not None or entry.primary is not None:
+            return False
+        entry.started = True
+        return True
+
+    def _claim_next_locked(self) -> Optional[_Entry]:
+        """The next unstarted executable slot, taken (lock held).
+
+        A persistent cursor keeps the scan amortised O(1) per claim: every
+        skip condition is permanent (``started`` and terminal states never
+        revert, and submission is over before the handle is consumable), so
+        entries behind the cursor never need revisiting.
         """
         while self._drive_cursor < len(self._entries):
             entry = self._entries[self._drive_cursor]
             self._drive_cursor += 1
-            if entry.state is not None or entry.driven or entry.primary is not None:
-                continue
-            if entry.future is not None:
-                entry.driven = True
+            if self._claim_locked(entry):
                 return entry
         return None
 
+    def _run(self, entry: _Entry) -> None:
+        """Execute a slot this thread claimed and hand its outcome on."""
+        try:
+            self._emit_lifecycle("started", entry)
+            result = execute_job(entry.job)
+        except BaseException as exc:
+            # Stored, as a future stores it: the slot fails, and the error
+            # (interrupts included) re-raises wherever its result is read.
+            self._finish(self, entry, _KIND_FAILED, None, exc)
+        else:
+            self._finish(self, entry, _KIND_COMPLETED, result, None)
+
     def _wait_terminal(self, entry: _Entry) -> None:
-        with self._cond:
-            if entry.state is not None:
-                return
         target = entry.primary if entry.primary is not None else entry
-        future = target.future
-        if future is not None:
-            with self._cond:
-                target.driven = True
-            try:
-                future.result()  # drives the job; callbacks resolve us
-            except BaseException:
-                pass  # outcome (error/cancellation) captured on the entry
+        with self._cond:
+            claimed = self._claim_locked(target)
+        if claimed:
+            self._run(target)  # resolves target and its duplicates
         with self._cond:
             while entry.state is None:
                 self._cond.wait()

@@ -11,10 +11,11 @@ out**: :meth:`SimulationRunner.submit` accepts a batch of
    paper-default configuration — execute at most once per batch,
 2. answering what it can from the **content-addressed cache** (those jobs
    resolve on the handle instantly), and
-3. dispatching only the remaining unique misses to the
-   :class:`~repro.runner.backends.SerialBackend` through the incremental
-   ``submit_jobs`` protocol, so results stream back per job instead of
-   arriving with the slowest one.
+3. dispatching only the remaining unique misses to the handle, which runs
+   each one in whichever thread drives it, so results stream back per job
+   instead of arriving with the slowest one.  Every executed (or cancelled)
+   slot then passes through the runner's finish step, which caches and
+   accounts it before the handle publishes it.
 
 Consumers pull from the handle (``as_completed()`` / ``iter_results()`` /
 ``results()``) and can observe the typed
@@ -33,9 +34,9 @@ of registered accelerator names, and the legacy two-way helpers
 special case, producing the :class:`~repro.analysis.results.ComparisonResult`
 values that :mod:`repro.analysis.sweep` and the experiment harness consume.
 
-A process-wide default runner (one serial backend + one shared in-memory
-cache) backs the module-level ``compare_model``/``compare_models`` helpers so
-casual library use benefits from caching without any setup.
+A process-wide default runner (one shared in-memory cache) backs the
+module-level ``compare_model``/``compare_models`` helpers so casual library
+use benefits from caching without any setup.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import AnalysisError
 from ..nn.network import GANModel
 from ..telemetry import MetricsSubscriber, get_metrics, get_tracer
-from .backends import JobFuture, SerialBackend
 from .cache import CacheStats, InMemoryResultCache, ResultCache
 from .events import PROVENANCE_CACHE, PROVENANCE_EXECUTED
 from .handle import BatchHandle, EventListener, _Entry
 from .job import COMPARISON_PAIR, SimulationJob
+
+#: The ``backend`` label of the ``backend.jobs.*`` metrics: jobs run
+#: serially, each in the thread that drives it.
+_BACKEND_LABEL = "serial"
 
 
 def resolve_accelerators(
@@ -89,28 +93,28 @@ def resolve_accelerators(
 
 
 class SimulationRunner:
-    """Execute simulation jobs through a backend with content-hash caching.
+    """Execute simulation jobs with deduplication and content-hash caching.
+
+    Jobs run serially, each in the thread that drives its batch handle (a
+    service drives batches from several threads at once).
 
     Parameters
     ----------
-    backend:
-        Execution backend; defaults to a fresh :class:`SerialBackend`
-        (pass a subclass to inject faults).
     cache:
-        Result cache; defaults to a fresh :class:`InMemoryResultCache`.
-        Pass ``None`` explicitly via ``use_cache=False`` to disable caching.
+        Result cache; ``None`` (the default) means a fresh
+        :class:`InMemoryResultCache`.  To run without any cache, pass
+        ``use_cache=False`` instead.
     use_cache:
-        When False the runner never consults or fills a cache (every job in
-        a batch still deduplicates against identical batch-mates).
+        When False the runner never consults or fills a cache and ignores
+        ``cache``; every job in a batch still deduplicates against
+        identical batch-mates.
     """
 
     def __init__(
         self,
-        backend: Optional[SerialBackend] = None,
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
     ) -> None:
-        self._backend = backend if backend is not None else SerialBackend()
         # `is not None`, not truthiness: an empty cache has len() == 0
         self._cache: Optional[ResultCache] = (
             (cache if cache is not None else InMemoryResultCache())
@@ -128,10 +132,6 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> SerialBackend:
-        return self._backend
-
     @property
     def cache(self) -> Optional[ResultCache]:
         return self._cache
@@ -188,9 +188,9 @@ class SimulationRunner:
         Per job, in submission order: identical batch-mates (equal
         ``cache_key``) are tied to the first occurrence (``deduped``), cache
         hits resolve on the handle instantly (``cache-hit``), and the
-        remaining unique misses go to the backend's incremental
-        ``submit_jobs`` — their results land on the handle (and in the
-        cache) as each job finishes, in whichever thread drives it.
+        remaining unique misses are dispatched to the handle, which runs each
+        one when a consumer drives it — its result lands in the cache and on
+        the handle as the job finishes, in whichever thread drives it.
 
         ``on_event`` observes just this batch; listeners registered through
         :meth:`subscribe` observe every batch.
@@ -199,7 +199,7 @@ class SimulationRunner:
         listeners = tuple(self._listeners)
         if on_event is not None:
             listeners += (on_event,)
-        handle = BatchHandle(jobs, listeners)
+        handle = BatchHandle(jobs, listeners, self._finish_job)
         registry = get_metrics()
         tracer = get_tracer()
         if tracer is not None and jobs:
@@ -263,34 +263,45 @@ class SimulationRunner:
                 for entry in pending:
                     if entry.span is not None:
                         tracer.register_job(entry.job.cache_key, entry.span.span_id)
-            futures = self._backend.submit_jobs([entry.job for entry in pending])
-            for entry, future in zip(pending, futures):
-                handle._attach_future(entry, future)
-            for entry, future in zip(pending, futures):
-                future.add_done_callback(
-                    lambda f, entry=entry, handle=handle: self._finish_job(
-                        handle, entry, f
-                    )
+            if registry is not None:
+                # Nothing runs yet: a slot counts as in flight from here
+                # until the finish step settles it.
+                registry.counter(
+                    "backend.jobs.dispatched", backend=_BACKEND_LABEL
+                ).inc(len(pending))
+                handle._inflight = registry.gauge(
+                    "backend.jobs.inflight", backend=_BACKEND_LABEL
                 )
+                handle._inflight.inc(len(pending))
         return handle
 
     def _finish_job(
-        self, handle: BatchHandle, entry: _Entry, future: JobFuture
+        self,
+        handle: BatchHandle,
+        entry: _Entry,
+        kind: str,
+        result: Optional[GanResult],
+        error: Optional[BaseException],
     ) -> None:
-        """Done-callback for one executed job: account, cache, publish."""
+        """Settle one dispatched slot: account, cache, then publish it.
+
+        ``kind`` is ``completed``, ``failed`` or ``cancelled``.  Everything
+        here happens before :meth:`BatchHandle._resolve` wakes a waiter, so
+        a returned result is always cached and accounted already.
+        """
+        if handle._inflight is not None:
+            handle._inflight.dec()
         tracer = handle._tracer
         if tracer is not None:
             tracer.unregister_job(entry.job.cache_key)
-        if future.cancelled():
-            handle._resolve(entry, "cancelled")
-            return
-        error = future.exception()
-        if error is not None:
+        if kind != "completed":
             handle._resolve(
-                entry, "failed", error=error, provenance=PROVENANCE_EXECUTED
+                entry,
+                kind,
+                error=error,
+                provenance=PROVENANCE_EXECUTED if kind == "failed" else None,
             )
             return
-        result = future.peek_result()
         assert result is not None
         stored = False
         with self._lock:
@@ -552,7 +563,7 @@ _default_runner: Optional[SimulationRunner] = None
 
 
 def get_default_runner() -> SimulationRunner:
-    """The process-wide runner (serial backend + shared in-memory cache).
+    """The process-wide runner (one shared in-memory cache).
 
     Created lazily on first use; the module-level ``compare_model`` /
     ``compare_models`` helpers in :mod:`repro.analysis.sweep` and any
@@ -570,7 +581,7 @@ def set_default_runner(runner: Optional[SimulationRunner]) -> Optional[Simulatio
     """Replace the process-wide runner; returns the previous one (if any).
 
     Pass None to reset; the next :func:`get_default_runner` call creates a
-    fresh serial runner.
+    fresh runner.
     """
     global _default_runner
     previous = _default_runner

@@ -279,8 +279,8 @@ class SimulationServer:
         )
         print(
             f"repro-service: listening on {self._host}:{self._bound_port} "
-            f"(schema v{protocol.SCHEMA_VERSION}, backend="
-            f"{self._runner.backend.name}, quota={self._admission.quota}, "
+            f"(schema v{protocol.SCHEMA_VERSION}, backend=serial, "
+            f"quota={self._admission.quota}, "
             f"queue-limit={self._admission.queue_limit}{restored})",
             file=sys.stderr,
         )
@@ -676,7 +676,7 @@ class SimulationServer:
         """Submit and drain one batch (executor thread; drives its jobs).
 
         Terminal events collect in a buffer as the runner emits them (in
-        this thread: the serial backend runs each job in the thread that
+        this thread: the batch handle runs each job in the thread that
         drives it) and are published as groups: once after ``submit()``
         returns, which covers every cache hit and batch duplicate, after
         each ``as_completed`` step, and once at the end for any left over.

@@ -3,7 +3,7 @@
 A session pins down *which* accelerators are being compared (any entries of
 the :mod:`repro.accelerators` registry), *which baseline* the ratios are
 taken against, and *how* the simulations execute (a
-:class:`~repro.runner.SimulationRunner` with its backend and cache), and then
+:class:`~repro.runner.SimulationRunner` with its cache), and then
 answers comparison questions about any set of GAN workloads::
 
     from repro import Session

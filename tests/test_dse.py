@@ -44,7 +44,6 @@ from repro.experiments import experiment_ids, run_experiment
 from repro.experiments.base import ExperimentContext
 from repro.runner import (
     DiskResultCache,
-    SerialBackend,
     SimulationJob,
     SimulationRunner,
 )
@@ -71,7 +70,7 @@ def geometry_space():
 def make_explorer(models, runner=None):
     return DesignSpaceExplorer(
         models=models,
-        runner=runner or SimulationRunner(backend=SerialBackend()),
+        runner=runner or SimulationRunner(),
     )
 
 
@@ -328,7 +327,7 @@ class TestExplorer:
     def test_exhaustive_matches_parameter_sweep_byte_identical(self, small_models):
         """Acceptance: ExhaustiveSearch == the equivalent ParameterSweep."""
         values = (16.0, 64.0)
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         sweep_points = ParameterSweep(small_models, runner=runner).run(
             "dram_bandwidth_bytes_per_cycle", list(values)
         )
@@ -412,7 +411,7 @@ class TestExplorer:
                 accelerator=accelerator,
                 baseline=baseline,
                 models=small_models,
-                runner=SimulationRunner(backend=SerialBackend()),
+                runner=SimulationRunner(),
             )
             (evaluated,) = explorer.evaluate([point])
             assert evaluated.objectives["area_mm2"] == pytest.approx(
@@ -440,7 +439,7 @@ class TestExplorer:
         )
 
     def test_session_explore_uses_session_runner(self, small_models):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         session = Session(accelerators=("eyeriss", "ganax"), runner=runner)
         result = session.explore(
             models=["DCGAN"],
@@ -455,7 +454,7 @@ class TestExplorer:
     def test_dse_experiment_registered_and_runs(self):
         assert "dse" in experiment_ids()
         # default context: all six workloads, as `repro-experiments dse` runs
-        context = ExperimentContext(runner=SimulationRunner(backend=SerialBackend()))
+        context = ExperimentContext(runner=SimulationRunner())
         result = run_experiment("dse", context)
         assert result.experiment_id == "dse"
         assert result.data["evaluations"] == 6
@@ -537,7 +536,7 @@ class TestDesignPoints:
             assert name == "ganax@8x32"
             spec = get_accelerator(name)
             assert "num_pvs=8" in spec.version
-            runner = SimulationRunner(backend=SerialBackend())
+            runner = SimulationRunner()
             model = get_workload("DCGAN")
             pinned = runner.run_job(
                 SimulationJob(

@@ -30,7 +30,6 @@ from repro.errors import ConfigurationError, ScheduleError, UnknownScheduleError
 from repro.nn.functional import transposed_conv2d
 from repro.runner import (
     DiskResultCache,
-    SerialBackend,
     SimulationJob,
     SimulationRunner,
 )
@@ -513,9 +512,7 @@ class TestDseScheduleAxis:
             return explorer.explore(space=explorer.space(**space_args))
 
         cold = search(
-            SimulationRunner(
-                backend=SerialBackend(), cache=DiskResultCache(tmp_path / "c")
-            )
+            SimulationRunner(cache=DiskResultCache(tmp_path / "c"))
         )
         assert len(cold.evaluated) == 4
         labels = {p.point.label for p in cold.evaluated}
@@ -530,9 +527,7 @@ class TestDseScheduleAxis:
             assert metrics["default"] != metrics["hoisted"]
 
         warm = search(
-            SimulationRunner(
-                backend=SerialBackend(), cache=DiskResultCache(tmp_path / "c")
-            )
+            SimulationRunner(cache=DiskResultCache(tmp_path / "c"))
         )
         assert warm.cache_stats.lookups > 0
         assert warm.cache_stats.misses == 0

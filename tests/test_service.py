@@ -37,7 +37,6 @@ from repro.runner import (
     RECORD_SCHEMA_VERSION,
     DiskResultCache,
     InMemoryResultCache,
-    SerialBackend,
     SimulationRunner,
 )
 from repro.service import (
@@ -746,7 +745,9 @@ class TestServer:
 
     def test_default_runner_runs_on_the_serial_backend(self):
         server = SimulationServer(port=0)
-        assert isinstance(server.runner.backend, SerialBackend)
+        assert isinstance(server.runner, SimulationRunner)
+        with pytest.raises(TypeError):
+            SimulationRunner(backend="serial")  # one way to run jobs: no knob
         with pytest.raises(TypeError):
             SimulationServer(port=0, backend="asyncio")
 
@@ -1097,7 +1098,7 @@ class TestServerTelemetry:
         err = capfd.readouterr().err
         assert "repro-service: listening on" in err
         assert str(port) in err
-        assert f"schema v{SCHEMA_VERSION}" in err
+        assert f"(schema v{SCHEMA_VERSION}, backend=serial, quota=" in err
 
     def test_heartbeat_line_reports_progress(self, capfd):
         import time as _time

@@ -39,7 +39,6 @@ from repro.runner import (
     EVENT_KINDS,
     TERMINAL_EVENT_KINDS,
     DiskResultCache,
-    SerialBackend,
     SimulationJob,
     SimulationRunner,
     execute_job,
@@ -64,7 +63,7 @@ def pair_jobs(models, config=None, options=None):
 @pytest.fixture(scope="module")
 def reference_results(small_models):
     """Ground truth: the batch path on a fresh serial runner."""
-    return SimulationRunner(backend=SerialBackend()).run_jobs(pair_jobs(small_models))
+    return SimulationRunner().run_jobs(pair_jobs(small_models))
 
 
 class _GatedRoofline(IdealRooflineSimulator):
@@ -176,7 +175,7 @@ class TestStreamingParity:
     def test_cache_stats_identical_regardless_of_completion_order(
         self, consumer, small_models
     ):
-        batch_runner = SimulationRunner(backend=SerialBackend())
+        batch_runner = SimulationRunner()
         batch_runner.run_jobs(pair_jobs(small_models) * 2)
         batch_runner.run_jobs(pair_jobs(small_models))
 
@@ -206,15 +205,16 @@ class TestStreamingParity:
         reference = SimulationRunner(use_cache=False).run_jobs(unique)
         assert [by_index[i] for i in range(len(jobs))] == reference * 2
 
-    def test_warm_submissions_resolve_without_the_backend(self, small_models):
-        class ExplodingBackend(SerialBackend):
-            def submit_jobs(self, jobs):
-                raise AssertionError("a warm batch must not reach the backend")
+    def test_warm_submissions_resolve_without_the_backend(
+        self, small_models, monkeypatch
+    ):
+        def exploding(job):
+            raise AssertionError("a warm batch must not execute a job")
 
         jobs = pair_jobs(small_models)
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         runner.run_jobs(jobs)
-        runner._backend = ExplodingBackend()
+        monkeypatch.setattr("repro.runner.handle.execute_job", exploding)
         handle = runner.submit(jobs)
         assert handle.done()  # resolved entirely at submission
         completions = list(handle.as_completed())
@@ -346,7 +346,7 @@ class TestFailedJobs:
             unregister_accelerator("test-streaming-boom")
 
     def test_failed_event_carries_the_error(self, dcgan_model, failing_job):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         good = SimulationJob.comparison_pair(dcgan_model)[0]
         events = []
         handle = runner.submit([good, failing_job], on_event=events.append)
@@ -360,17 +360,17 @@ class TestFailedJobs:
         assert handle.counts()["failed"] == 1
 
     def test_as_completed_raises_by_default(self, failing_job):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         with pytest.raises(RuntimeError, match="injected accelerator failure"):
             list(runner.submit([failing_job]).as_completed())
 
     def test_run_jobs_wrapper_raises_like_the_old_batch_api(self, failing_job):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         with pytest.raises(RuntimeError, match="injected accelerator failure"):
             runner.run_jobs([failing_job])
 
     def test_failures_are_not_cached(self, failing_job):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         with pytest.raises(RuntimeError):
             runner.run_jobs([failing_job])
         assert len(runner.cache) == 0
@@ -382,7 +382,7 @@ class TestFailedJobs:
 # ----------------------------------------------------------------------
 class TestCancellation:
     def test_cancel_keeps_finished_results_and_stops_the_rest(self, small_models):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         jobs = pair_jobs(small_models)  # 6 distinct jobs
         handle = runner.submit(jobs)
         stream = handle.as_completed()
@@ -404,7 +404,7 @@ class TestCancellation:
         assert runner.stats.stores == 2
 
     def test_results_after_cancel_raise_cancelled_error(self, small_models):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         handle = runner.submit(pair_jobs(small_models))
         assert handle.cancel() == 6
         with pytest.raises(CancelledError):
@@ -448,18 +448,23 @@ class TestCancellation:
             ArchitectureConfig.paper_default(),
             SimulationOptions(),
         )
-        (future,) = SerialBackend().submit_jobs([job])
-        first = []
-        driver = threading.Thread(target=lambda: first.append(future.result()))
+        events = []
+        handle = SimulationRunner().submit([job], on_event=events.append)
+        first, second = [], []
+        driver = threading.Thread(target=lambda: first.extend(handle.results()))
         driver.start()
         assert entered.wait(timeout=60)
-        with pytest.raises(TimeoutError):
-            future.result(timeout=0.05)  # waits on the driver, does not execute
-        assert not future.cancel()  # the job is running: cancel() loses
+        waiter = threading.Thread(target=lambda: second.extend(handle.results()))
+        waiter.start()
+        waiter.join(timeout=0.05)
+        assert waiter.is_alive()  # waits on the driver, does not execute
+        assert handle.cancel() == 0  # the job is running: cancel() loses
         release.set()
-        driver.join(timeout=60)
-        assert not driver.is_alive()
-        assert future.result(timeout=0) is first[0]
+        for thread in (driver, waiter):
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert second[0] is first[0]
+        assert [e.kind for e in events] == ["scheduled", "started", "completed"]
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +483,7 @@ class TestSessionStreaming:
             assert streamed[name].results == batch[name].results
 
     def test_stream_compare_serial_order_is_submission_order(self, small_models):
-        session = Session(runner=SimulationRunner(backend=SerialBackend()))
+        session = Session(runner=SimulationRunner())
         names = [name for name, _ in session.stream_compare(small_models)]
         assert names == [model.name for model in small_models]
 
@@ -489,7 +494,7 @@ class TestSessionStreaming:
         assert len(handle.results()) == len(handle)
 
     def test_abandoning_the_stream_cancels_unstarted_jobs(self, small_models):
-        runner = SimulationRunner(backend=SerialBackend())
+        runner = SimulationRunner()
         session = Session(runner=runner)
         stream = session.stream_compare(small_models)
         next(stream)  # first model only
@@ -571,7 +576,7 @@ class TestSweepStreaming:
 class TestDseStreaming:
     def test_evaluate_stream_matches_evaluate(self, small_models):
         explorer = DesignSpaceExplorer(
-            models=small_models[:2], runner=SimulationRunner(backend=SerialBackend())
+            models=small_models[:2], runner=SimulationRunner()
         )
         space = explorer.space(fields=("num_pvs",), overrides={"num_pvs": (8, 16)})
         points = list(space.points())
@@ -586,7 +591,7 @@ class TestDseStreaming:
         def run_search():
             explorer = DesignSpaceExplorer(
                 models=small_models[:2],
-                runner=SimulationRunner(backend=SerialBackend()),
+                runner=SimulationRunner(),
             )
             space = explorer.space(
                 fields=("num_pvs", "pes_per_pv"),
@@ -612,7 +617,7 @@ class TestDseStreaming:
         must never overshoot its budget.
         """
         explorer = DesignSpaceExplorer(
-            models=small_models[:1], runner=SimulationRunner(backend=SerialBackend())
+            models=small_models[:1], runner=SimulationRunner()
         )
         space = explorer.space(
             fields=("num_pvs", "pes_per_pv"),
