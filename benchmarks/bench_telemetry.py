@@ -14,13 +14,32 @@ fractions of *real simulation work*, the regime where overhead matters.
 * **full telemetry is cheap** — with metrics *and* tracing on (the most
   expensive configuration: every job allocates spans, every layer-memo
   lookup updates counters), the grid must stay within **10%** of the dark
-  grid's wall time, best-of-N both sides;
+  grid's wall time;
 * **telemetry never perturbs the physics** — the full-telemetry grid's
   results equal the dark grid's results value-for-value.
+
+Measurement: ``PAIRS`` dark rounds and ``PAIRS`` full rounds alternate
+(dark, full, dark, full, ...), so a slow spell of the host lands on both
+states alike.  Each full round gets a fresh registry and a fresh tracer,
+so no round pays for spans an earlier round kept.  Each pair gives one
+full/dark ratio, and the gate is on the median of those per-pair ratios
+(the method of ``bench_layercache.py`` and ``bench_service.py``).  The
+dark time the disabled-hook budget divides by is the median dark round.
+The gate used to compare the best of 3 full rounds, timed after the best
+of 3 dark rounds; on a 2-vCPU VM at 3e608c8 that failed 8 of 18
+standalone runs (ratios up to 1.53x) while alternating pairs read
+1.03-1.08x.
+
+Recorded runs: ``scripts/ci.sh`` step 2 (this file among the other runner
+benchmarks, one pytest process) was run 12 times with this method on a
+2-vCPU VM.  Sorted, the medians read 1.030, 1.037, 1.038, 1.045, 1.045,
+1.046, 1.048, 1.050, 1.053, 1.054, 1.070 and 1.074x, all under the bar, so
+the bar stays at 1.10x.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import emit
@@ -51,7 +70,10 @@ MAX_DISABLED_OVERHEAD = 0.02
 #: 300 is a 3x over-estimate.
 DISABLED_HOOK_CALLS = 300
 
-#: Timing repetitions; the best run is compared to shave scheduler noise.
+#: Timed rounds per telemetry state; dark and full rounds alternate.
+PAIRS = 21
+
+#: Repetitions of the disabled-hook micro-benchmark; the best one counts.
 ROUNDS = 3
 
 
@@ -72,6 +94,12 @@ def timed_best(fn, rounds=ROUNDS):
         if seconds < best_seconds:
             best_result, best_seconds = result, seconds
     return best_result, best_seconds
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
 
 
 def run_grid():
@@ -98,6 +126,27 @@ def disabled_hook_storm(calls=DISABLED_HOOK_CALLS):
             raise AssertionError("metrics unexpectedly enabled")
 
 
+def _alternating_rounds(pairs=PAIRS):
+    """Alternate dark and full grids; per-pair times and the last of each.
+
+    Returns ``(times, dark_results, full_results, tracer, registry)`` with
+    one ``(dark_seconds, full_seconds)`` tuple per pair, and the tracer and
+    registry of the last full round.
+    """
+    times = []
+    dark_results = full_results = tracer = registry = None
+    for _ in range(pairs):
+        configure_metrics(enabled=False)
+        configure_tracing(enabled=False)
+        dark_results, dark_seconds = _timed(run_grid)
+
+        registry = configure_metrics()
+        tracer = configure_tracing()
+        full_results, full_seconds = _timed(run_grid)
+        times.append((dark_seconds, full_seconds))
+    return times, dark_results, full_results, tracer, registry
+
+
 def test_telemetry_overhead_within_budget(benchmark):
     """Disabled hooks <= 2% of dark time; full telemetry <= 10%."""
     try:
@@ -105,10 +154,14 @@ def test_telemetry_overhead_within_budget(benchmark):
         configure_tracing(enabled=False)
         configure_layer_memo(enabled=False)
         run_grid()  # warm the shape-grain lru caches before any timing
-        dark_results, dark_seconds = benchmark.pedantic(
-            lambda: timed_best(run_grid), iterations=1, rounds=1
+        times, dark_results, full_results, tracer, registry = benchmark.pedantic(
+            _alternating_rounds, iterations=1, rounds=1
         )
+        dark_seconds = statistics.median(dark for dark, _ in times)
+        full_seconds = statistics.median(full for _, full in times)
 
+        configure_metrics(enabled=False)
+        configure_tracing(enabled=False)
         _, disabled_seconds = timed_best(disabled_hook_storm)
         disabled_fraction = (
             disabled_seconds / dark_seconds if dark_seconds > 0 else 0.0
@@ -119,20 +172,18 @@ def test_telemetry_overhead_within_budget(benchmark):
             f"{100 * MAX_DISABLED_OVERHEAD:.0f}%"
         )
 
-        configure_metrics()
-        tracer = configure_tracing()
-        full_results, full_seconds = timed_best(run_grid)
-
         # Telemetry observes the simulation; it must not change it.
         assert full_results == dark_results
         # ...and it really was on: spans and counters were recorded.
         assert tracer.finished_spans()
-        registry = get_metrics()
         assert registry.counter_value("runner.jobs.scheduled") > 0
 
-        overhead = full_seconds / dark_seconds if dark_seconds > 0 else 1.0
+        ratios = [full / dark if dark > 0 else 1.0 for dark, full in times]
+        overhead = statistics.median(ratios)
         assert overhead <= MAX_FULL_TELEMETRY_OVERHEAD, (
-            f"full telemetry took {overhead:.2f}x the dark grid; "
+            f"full telemetry took {overhead:.2f}x the dark grid (median of "
+            f"{len(ratios)} alternating pairs: "
+            f"{', '.join(f'{r:.2f}' for r in sorted(ratios))}); "
             f"budget is {MAX_FULL_TELEMETRY_OVERHEAD:.2f}x"
         )
 
@@ -149,7 +200,11 @@ def test_telemetry_overhead_within_budget(benchmark):
                     ],
                     ["metrics + tracing", 1e3 * full_seconds, overhead],
                 ],
-                title=f"Telemetry overhead: {jobs}-job six-GAN grid (serial)",
+                title=(
+                    f"Telemetry overhead: {jobs}-job six-GAN grid (serial; "
+                    f"medians of {len(times)} alternating pairs, ratio is the "
+                    f"median per-pair ratio, bar {MAX_FULL_TELEMETRY_OVERHEAD:.2f}x)"
+                ),
                 float_format="{:.3f}",
             )
         )

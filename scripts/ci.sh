@@ -37,7 +37,8 @@
 #      Chrome trace-event JSON (one batch span, one job span per job) and a
 #      metrics snapshot whose counters match the submitted grid (the
 #      telemetry benchmark in step 2 separately enforces the overhead
-#      budgets: disabled hooks <= 2%, full telemetry <= 10%);
+#      budgets: disabled hooks <= 2%, and full telemetry <= 10% on the
+#      median of 21 alternating dark/full pairs);
 #   9. a staticcheck smoke: `lint` over the package source must be clean,
 #      `check` over the six paper workloads x {eyeriss, ganax} x both
 #      skip_zeros modes must verify every compiled program with zero

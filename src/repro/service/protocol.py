@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import ArchitectureConfig, SimulationOptions
-from ..errors import ProtocolError, ReproError
+from ..errors import ProtocolError
 from ..runner import RECORD_SCHEMA_VERSION, RunnerEvent, SimulationJob
 
 #: The wire-protocol version; identical to the ``--jsonl`` record grammar
@@ -361,9 +361,3 @@ def shutdown_record() -> Dict[str, Any]:
 def error_record(reason: str) -> Dict[str, Any]:
     return stamp({"type": "error", "reason": reason})
 
-
-def reject_code_for(error: BaseException) -> str:
-    """Map a request-validation failure onto a ``rejected`` code."""
-    if isinstance(error, (ProtocolError, ReproError, TypeError, ValueError)):
-        return REJECT_BAD_REQUEST
-    raise error  # programming error: do not mask it as a client mistake

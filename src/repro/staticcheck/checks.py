@@ -9,10 +9,12 @@ stream (which is how a flipped mode bit in a stored program image is caught).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import ArchitectureConfig
+from ..errors import ReproError
 from ..isa.encoding import (
     decode_global_uop,
     decode_local_uop,
@@ -21,6 +23,19 @@ from ..isa.encoding import (
     is_mimd_word,
 )
 from ..isa.program import MicroProgram
+from ..isa.uops import (
+    AccessCfg,
+    AccessStart,
+    AccessStop,
+    AddressGenerator,
+    ConfigRegister,
+    ExecuteOp,
+    ExecuteUop,
+    MicroOp,
+    MimdExecute,
+    MimdLoad,
+    RepeatUop,
+)
 from .ir import Finding, MachineModel, ProgramInterpreter, Severity
 
 
@@ -116,10 +131,29 @@ def check_ids() -> Tuple[str, ...]:
     return tuple(sorted(CATALOG))
 
 
+def selected_checks(select: Optional[Sequence[str]]) -> Optional[Set[str]]:
+    """``select`` as a set of check ids (None selects every check).
+
+    Raises :class:`~repro.errors.ReproError` naming any id the catalog does
+    not know: a misspelled id would otherwise select nothing and read as a
+    clean program.
+    """
+    if select is None:
+        return None
+    selected = set(select)
+    unknown = selected - CATALOG.keys()
+    if unknown:
+        raise ReproError(
+            f"unknown check id(s): {', '.join(sorted(unknown))} "
+            f"(known: {', '.join(check_ids())})"
+        )
+    return selected
+
+
 class _Collector:
     def __init__(self, program_name: str, select: Optional[Sequence[str]]) -> None:
         self._program = program_name
-        self._select = set(select) if select is not None else None
+        self._select = selected_checks(select)
         self.findings: List[Finding] = []
 
     def __call__(self, check_id: str, index: int, mnemonic: str, message: str) -> None:
@@ -187,11 +221,101 @@ def _undecodable_word(index: int, word: int, exc: Exception, emit) -> None:
     )
 
 
+#: The declared field types of every other global µop class, in field order.
+_FIELD_TYPES = {
+    AccessStart: (int, AddressGenerator),
+    AccessStop: (int, AddressGenerator),
+    ExecuteUop: (ExecuteOp, str),
+    RepeatUop: (int,),
+    MimdLoad: (int, str, int),
+    MimdExecute: (tuple,),
+}
+
+
+def _field_values(cls: type) -> Callable[[MicroOp], tuple]:
+    """A getter of the field values of a ``cls`` instance, as a tuple.
+
+    Attribute reads, not ``vars(uop)``: materializing an instance
+    ``__dict__`` allocates one dict per µop, which costs more than the
+    memo saves.
+    """
+    names = [f.name for f in fields(cls)]
+    if len(names) == 1:
+        name = names[0]
+        return lambda uop: (getattr(uop, name),)
+    return attrgetter(*names)
+
+
+_FIELD_GETTERS = {cls: (_field_values(cls), types) for cls, types in _FIELD_TYPES.items()}
+_ACCESS_CFG_FIELDS = _field_values(AccessCfg)
+
+
+def _exact_key(uop: MicroOp) -> Optional[tuple]:
+    """A key for ``uop`` when every field has exactly its declared type,
+    else None.
+
+    Dataclass equality is looser: ``immediate=1.0`` equals ``immediate=1``
+    and ``pv_index=True`` equals ``pv_index=1``, yet the two need not
+    encode alike.  Two µops with equal keys encode, decode and print alike,
+    so only they may share one word-pass outcome.  A key is a plain tuple:
+    comparing two costs no dataclass ``__eq__`` call.
+    """
+    cls = type(uop)
+    if cls is AccessCfg:
+        # Three in four global µops: spelled out, and keyed by the
+        # register's index, which hashes without a Python-level
+        # Enum.__hash__ call.
+        pv_index, generator, register, immediate = _ACCESS_CFG_FIELDS(uop)
+        if (
+            type(pv_index) is int
+            and type(generator) is AddressGenerator
+            and type(register) is ConfigRegister
+            and type(immediate) is int
+        ):
+            return cls, pv_index, generator, register._value_, immediate
+        return None
+    getter = _FIELD_GETTERS.get(cls)
+    if getter is None:
+        return None
+    read, types = getter
+    values = read(uop)
+    if tuple(map(type, values)) != types:
+        return None
+    if cls is MimdExecute and not all(type(index) is int for index in uop.local_indices):
+        return None
+    return cls, values
+
+
+def _word_outcome(uop: MicroOp, num_pvs: int) -> Optional[tuple]:
+    """Encode ``uop`` once and decode its word once.
+
+    Returns None for a clean round trip with a consistent mode bit, else
+    ``(word, encode_error, decode_error, decoded)``: the error of the
+    first step that failed (steps after it are None), or the decoded µop
+    when both steps succeeded.
+    """
+    try:
+        word = encode_global_uop(uop, num_pvs=num_pvs)
+    except Exception as exc:
+        return None, exc, None, None
+    try:
+        decoded = decode_global_uop(word, num_pvs=num_pvs)
+    except Exception as exc:
+        return word, None, exc, None
+    if decoded == uop and is_mimd_word(word) == decoded.is_mimd:
+        return None
+    return word, None, None, decoded
+
+
 def _pass_global_words(program: MicroProgram, emit) -> None:
-    """One encode and one decode per global µop feed both the round-trip
-    and the word-level checks.  Word-level findings describe the stored
-    image, so they are reported only when the whole stream encodes."""
+    """One encode and one decode per distinct, exactly typed global µop
+    (see :func:`_exact_key`) feed both the round-trip and the
+    word-level checks; any other µop pays its own.  Every repeat of a µop
+    still reports at its own index.  Word-level findings describe the
+    stored image, so they are reported only when the whole stream
+    encodes."""
     num_pvs = program.num_pvs
+    outcomes: Dict[tuple, Optional[tuple]] = {}
     word_findings: List[tuple] = []
 
     def emit_word(*finding) -> None:
@@ -199,23 +323,30 @@ def _pass_global_words(program: MicroProgram, emit) -> None:
 
     stream_encodes = True
     for index, uop in enumerate(program.global_uops):
-        try:
-            word = encode_global_uop(uop, num_pvs=num_pvs)
-        except Exception as exc:
+        key = _exact_key(uop)
+        if key is None:
+            outcome = _word_outcome(uop, num_pvs)
+        else:
+            try:
+                outcome = outcomes[key]
+            except KeyError:
+                outcome = outcomes[key] = _word_outcome(uop, num_pvs)
+        if outcome is None:
+            continue
+        word, encode_error, decode_error, decoded = outcome
+        if encode_error is not None:
             stream_encodes = False
             emit(
                 "roundtrip-divergence", index, uop.mnemonic,
-                f"encode→decode failed: {exc}",
+                f"encode→decode failed: {encode_error}",
             )
             continue
-        try:
-            decoded = decode_global_uop(word, num_pvs=num_pvs)
-        except Exception as exc:
+        if decode_error is not None:
             emit(
                 "roundtrip-divergence", index, uop.mnemonic,
-                f"encode→decode failed: {exc}",
+                f"encode→decode failed: {decode_error}",
             )
-            _undecodable_word(index, word, exc, emit_word)
+            _undecodable_word(index, word, decode_error, emit_word)
             continue
         if decoded != uop:
             emit(
@@ -269,13 +400,14 @@ def verify_program(
     """Run every registered pass over one micro-program.
 
     ``model`` defaults to the paper-default geometry (via ``config``).
-    ``select`` restricts the returned findings to a subset of check ids.
+    ``select`` restricts the returned findings to a subset of check ids;
+    an id not in :data:`CATALOG` raises :class:`~repro.errors.ReproError`.
     Findings come back ordered by global µop index (program-level findings
     first carry index -1).
     """
+    collect = _Collector(program.name, select)
     if model is None:
         model = MachineModel.from_config(config, num_pvs=program.num_pvs)
-    collect = _Collector(program.name, select)
     _pass_structure(program, model, collect)
     dispatched = _pass_interpret(program, model, collect)
     _pass_dead_uops(program, dispatched, collect)

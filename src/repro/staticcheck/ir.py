@@ -171,6 +171,7 @@ class MachineModel:
 # ----------------------------------------------------------------------
 # Abstract interpretation
 # ----------------------------------------------------------------------
+#: The :class:`GeneratorConfig` field each configuration register loads.
 _REGISTER_FIELDS = {
     ConfigRegister.ADDR: "addr",
     ConfigRegister.OFFSET: "offset",
@@ -178,22 +179,54 @@ _REGISTER_FIELDS = {
     ConfigRegister.END: "end",
     ConfigRegister.REPEAT: "repeat",
 }
+#: A generator's state keeps register values in slots indexed by the
+#: member's ``_value_`` (bit ``1 << slot`` of its written mask): reading
+#: that attribute costs no ``Enum.__hash__`` per ``access.cfg``.
+_SLOT_FIELDS = tuple(_REGISTER_FIELDS[register] for register in ConfigRegister)
+assert [register.value for register in ConfigRegister] == list(range(len(_SLOT_FIELDS)))
+#: Unwritten registers read as the :class:`GeneratorConfig` defaults.
+_DEFAULT_VALUES = tuple(getattr(GeneratorConfig(), name) for name in _SLOT_FIELDS)
+_ALL_WRITTEN = (1 << len(_SLOT_FIELDS)) - 1
+_EXACT_VALUES = (int,) * len(_SLOT_FIELDS)
 
 
 @dataclass
 class _GeneratorState:
-    written: set = field(default_factory=set)
-    values: Dict[ConfigRegister, int] = field(default_factory=dict)
+    written: int = 0  # bit mask over register slots
+    values: List[object] = field(default_factory=lambda: list(_DEFAULT_VALUES))
+    # Written registers that are not ConfigRegister members: no
+    # GeneratorConfig field matches one, so a start raises KeyError for it.
+    foreign: List[object] = field(default_factory=list)
     started: bool = False
     outstanding: int = 0
     last_start_index: int = -1
 
-    def config(self) -> GeneratorConfig:
-        kwargs = {
-            _REGISTER_FIELDS[register]: value
-            for register, value in self.values.items()
-        }
-        return GeneratorConfig(**kwargs)
+    def write(self, register: ConfigRegister, value: int) -> None:
+        if type(register) is ConfigRegister:
+            slot = register._value_
+            self.written |= 1 << slot
+            self.values[slot] = value
+        else:
+            hash(register)  # an unhashable register fails here, as a set would
+            self.foreign.append(register)
+
+    def missing(self) -> List[str]:
+        """Names of the configuration registers never written."""
+        if self.written == _ALL_WRITTEN:
+            return []
+        return [r.name for r in ConfigRegister if not self.written >> r.value & 1]
+
+
+def _start_outcome(values: Tuple[object, ...]) -> tuple:
+    """What ``access.start`` derives from five register values alone:
+    ``(validation error, highest address, total addresses)``, where the
+    last two are None when the configuration is invalid."""
+    config = GeneratorConfig(**dict(zip(_SLOT_FIELDS, values)))
+    try:
+        config.validate()
+    except SimulationError as exc:
+        return exc, None, None
+    return None, config.offset + config.end - 1, config.total_addresses()
 
 
 @dataclass
@@ -208,6 +241,8 @@ class ProgramInterpreter:
 
     The callback signature is ``emit(check_id, index, mnemonic, message)``;
     severity tagging and filtering happen in :mod:`repro.staticcheck.checks`.
+    What an ``access.start`` derives from its five register values alone
+    is computed once per distinct set of ``int`` values per interpreter.
     """
 
     def __init__(self, program: MicroProgram, model: MachineModel, emit) -> None:
@@ -219,6 +254,9 @@ class ProgramInterpreter:
             for _ in range(program.num_pvs)
         ]
         self.dispatched_local_indices: set = set()  # (pv, index) pairs
+        # register values -> _start_outcome; keys hold only exact ints, as
+        # 2.0 equals 2 but derives "2.0 produced addresses"
+        self._start_outcomes: Dict[Tuple[int, ...], tuple] = {}
 
     # -- driver ---------------------------------------------------------
     def run(self) -> None:
@@ -239,8 +277,7 @@ class ProgramInterpreter:
                     f"reconfigured with {gen.outstanding} produced addresses "
                     "still unconsumed; the pattern in flight is clobbered",
                 )
-            gen.written.add(uop.register)
-            gen.values[uop.register] = uop.immediate
+            gen.write(uop.register, uop.immediate)
         elif isinstance(uop, AccessStart):
             state = self._pv_state(index, uop)
             if state is None:
@@ -317,26 +354,32 @@ class ProgramInterpreter:
                 f"PV {uop.pv_index} {uop.generator.name} generator is restarted "
                 f"with {gen.outstanding} produced addresses still unconsumed",
             )
-        missing = [r.name for r in ConfigRegister if r not in gen.written]
+        missing = gen.missing()
         if missing:
             self._emit(
                 "cfg-def-before-use", index, uop.mnemonic,
                 f"PV {uop.pv_index} {uop.generator.name} generator started with "
                 f"unwritten configuration registers: {', '.join(missing)}",
             )
-        config = gen.config()
-        try:
-            config.validate()
-        except SimulationError as exc:
+        if gen.foreign:
+            raise KeyError(gen.foreign[0])
+        values = tuple(gen.values)
+        if tuple(map(type, values)) == _EXACT_VALUES:
+            outcome = self._start_outcomes.get(values)
+            if outcome is None:
+                outcome = self._start_outcomes[values] = _start_outcome(values)
+        else:
+            outcome = _start_outcome(values)
+        error, highest, total = outcome
+        if error is not None:
             self._emit(
                 "cfg-invalid-at-start", index, uop.mnemonic,
                 f"PV {uop.pv_index} {uop.generator.name} generator configuration "
-                f"is invalid: {exc}",
+                f"is invalid: {error}",
             )
             gen.started = True
             return
         capacity = self._model.buffer_words(uop.generator)
-        highest = config.offset + config.end - 1
         if highest >= capacity:
             self._emit(
                 "addr-range-overflow", index, uop.mnemonic,
@@ -344,7 +387,7 @@ class ProgramInterpreter:
                 f"{highest} but the PE buffer holds {capacity} words",
             )
         gen.started = True
-        gen.outstanding += config.total_addresses()
+        gen.outstanding += total
         gen.last_start_index = index
 
     # -- execute µ-engine -----------------------------------------------

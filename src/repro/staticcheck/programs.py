@@ -25,7 +25,7 @@ from ..errors import CompilationError, ReproError
 from ..nn.network import GANModel, LayerBinding
 from ..schedule import ScheduleLike, resolve_schedule
 from ..workloads.registry import get_workload, resolve_workload, workload_names
-from .checks import verify_program
+from .checks import selected_checks, verify_program
 from .ir import Finding, MachineModel, Severity
 
 
@@ -117,7 +117,9 @@ def check_binding(
     for this layer's output width.  ``schedule`` selects the
     :class:`~repro.schedule.ScheduleSpec` lowering the layer; the verifier
     then sees exactly the µop stream that schedule would execute.
+    An unknown id in ``select`` raises before anything is compiled.
     """
+    selected_checks(select)
     programs = compile_layer_programs(
         binding,
         num_pvs=config.num_pvs,
@@ -159,8 +161,10 @@ def run_check_grid(
     adopting its architecture geometry).  ``layer`` restricts the sweep to
     bindings whose name contains the given substring.  ``schedule`` lowers
     every cell with the given :class:`~repro.schedule.ScheduleSpec` (resolved
-    once up front so typos fail before any compilation).
+    once up front so typos fail before any compilation, as do unknown check
+    ids in ``select``).
     """
+    selected_checks(select)
     spec_schedule = resolve_schedule(schedule)
     names = list(workloads) if workloads is not None else list(workload_names())
     entries: List[ProgramReport] = []

@@ -124,29 +124,44 @@ class Histogram:
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over the sample window (0 when empty)."""
         with self._lock:
-            return self._percentile_locked(p)
+            samples = list(self._samples)
+        return _nearest_rank(sorted(samples), p)
 
-    def _percentile_locked(self, p: float) -> float:
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, math.ceil(p / 100 * len(ordered)) - 1))
-        return ordered[rank]
+    def _state_locked(self) -> Tuple[int, float, float, float, List[float]]:
+        """The lifetime totals and a copy of the window; the caller holds
+        the lock, and :func:`_summarize` does the sorting after release."""
+        return self.count, self.total, self.min, self.max, list(self._samples)
 
     def summary(self) -> Dict[str, float]:
         with self._lock:
-            if self.count == 0:
-                return {"count": 0, "sum": 0.0}
-            return {
-                "count": self.count,
-                "sum": self.total,
-                "min": self.min,
-                "max": self.max,
-                "mean": self.total / self.count,
-                "p50": self._percentile_locked(50),
-                "p90": self._percentile_locked(90),
-                "p99": self._percentile_locked(99),
-            }
+            state = self._state_locked()
+        return _summarize(*state)
+
+
+def _nearest_rank(ordered: List[float], p: float) -> float:
+    if not ordered:
+        return 0.0
+    rank = max(0, min(len(ordered) - 1, math.ceil(p / 100 * len(ordered)) - 1))
+    return ordered[rank]
+
+
+def _summarize(
+    count: int, total: float, low: float, high: float, samples: List[float]
+) -> Dict[str, float]:
+    """One histogram's summary from its copied state; sorts the window once."""
+    if count == 0:
+        return {"count": 0, "sum": 0.0}
+    ordered = sorted(samples)
+    return {
+        "count": count,
+        "sum": total,
+        "min": low,
+        "max": high,
+        "mean": total / count,
+        "p50": _nearest_rank(ordered, 50),
+        "p90": _nearest_rank(ordered, 90),
+        "p99": _nearest_rank(ordered, 99),
+    }
 
 
 class MetricsRegistry:
@@ -192,18 +207,23 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """An atomic, JSON-friendly cut across every instrument.
 
-        Taken under the registry lock, so no concurrent update can tear one
-        instrument's value against another's: a completed job's latency
-        observation and its outcome counter appear together or not at all.
+        Every value is read under the registry lock, so no concurrent update
+        can tear one instrument's value against another's: a completed job's
+        latency observation and its outcome counter appear together or not at
+        all.  Histogram windows are copied under the lock and sorted after it
+        is released, so a reader never makes writers wait out a sort.
         """
         with self._lock:
-            return {
-                "counters": {k: c.value for k, c in sorted(self._counters.items())},
-                "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-                "histograms": {
-                    k: h.summary() for k, h in sorted(self._histograms.items())
-                },
-            }
+            counters = {k: c.value for k, c in sorted(self._counters.items())}
+            gauges = {k: g.value for k, g in sorted(self._gauges.items())}
+            histograms = [
+                (k, h._state_locked()) for k, h in sorted(self._histograms.items())
+            ]
+        return {
+            "counters": counters,
+            "gauges": gauges,
+            "histograms": {k: _summarize(*state) for k, state in histograms},
+        }
 
     def counter_value(self, name: str, **labels: Any) -> int:
         """Read one counter without creating it (0 when absent)."""

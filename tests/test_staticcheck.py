@@ -31,6 +31,7 @@ from repro.staticcheck import (
     LintError,
     MachineModel,
     Severity,
+    check_binding,
     check_ids,
     max_severity,
     run_check_grid,
@@ -475,9 +476,172 @@ class TestPinnedFindings:
             checks, "decode_global_uop", counted("decode", checks.decode_global_uop)
         )
         assert verify_program(program) == []
-        count = len(program.global_uops)
-        assert count > 0
-        assert calls == {"encode": count, "decode": count}
+        distinct = len(set(program.global_uops))
+        assert 0 < distinct < len(program.global_uops)
+        assert calls == {"encode": distinct, "decode": distinct}
+
+
+# ----------------------------------------------------------------------
+# The verifier's per-program memos: an outcome is shared only between
+# exactly typed twins, and every repeat still reports at its own index.
+# Expected findings were captured from the verifier before it memoized.
+# ----------------------------------------------------------------------
+def _corrupt(uop, **fields):
+    for name, value in fields.items():
+        object.__setattr__(uop, name, value)
+    return uop
+
+
+def _type_twins_program():
+    """Each µop after the first of a group equals an earlier one under
+    dataclass equality but not in type: a float immediate (the ``end=2.0``
+    block and index 14), a plain-int generator (16), a bool pv_index (17,
+    and 19 beside its int twin 18)."""
+    end = ConfigRegister.END
+    stream = (
+        cfg_block(INPUT, end=2)
+        + [AccessStop(pv_index=0, generator=INPUT)]
+        + cfg_block(INPUT, end=2.0)
+        + [
+            AccessCfg(pv_index=0, generator=WEIGHT, register=ConfigRegister.ADDR, immediate=1),
+            AccessCfg(pv_index=0, generator=WEIGHT, register=ConfigRegister.ADDR, immediate=1.0),
+            AccessCfg(pv_index=1, generator=OUTPUT, register=ConfigRegister.STEP, immediate=3),
+            AccessCfg(pv_index=1, generator=2, register=ConfigRegister.STEP, immediate=3),
+            AccessCfg(pv_index=True, generator=OUTPUT, register=ConfigRegister.STEP, immediate=3),
+            _corrupt(
+                AccessCfg(pv_index=1, generator=OUTPUT, register=end, immediate=3),
+                immediate=70_000,
+            ),
+            _corrupt(
+                AccessCfg(pv_index=True, generator=OUTPUT, register=end, immediate=3),
+                immediate=70_000,
+            ),
+        ]
+    )
+    return make_program(stream, num_pvs=2)
+
+
+_FLOAT_ENCODE = "encode→decode failed: unsupported operand type(s) for &: 'float' and 'int'"
+_OUTPUT_END = "generator=<AddressGenerator.OUTPUT: 2>, register=<ConfigRegister.END: 3>"
+
+PINNED_TYPE_TWINS = [
+    ("roundtrip-divergence", 10, "access.cfg", _FLOAT_ENCODE),
+    ("unconsumed-addresses", 12, "access.start",
+     "PV 0 INPUT generator ends the program with 2.0 produced address(es) never "
+     "consumed; the machine would not drain"),
+    ("roundtrip-divergence", 14, "access.cfg", _FLOAT_ENCODE),
+    ("roundtrip-divergence", 18, "access.cfg",
+     f"decode({{encode}}) returned AccessCfg(pv_index=1, {_OUTPUT_END}, immediate=4464) "
+     f"instead of AccessCfg(pv_index=1, {_OUTPUT_END}, immediate=70000)"),
+    ("roundtrip-divergence", 19, "access.cfg",
+     f"decode({{encode}}) returned AccessCfg(pv_index=1, {_OUTPUT_END}, immediate=4464) "
+     f"instead of AccessCfg(pv_index=True, {_OUTPUT_END}, immediate=70000)"),
+]
+
+_MIMD_LD_DIVERGES = (
+    "decode({encode}) returned MimdLoad(pv_index=0, destination='repeat', "
+    "immediate=4464) instead of MimdLoad(pv_index=0, destination='repeat', "
+    "immediate=70000)"
+)
+
+
+class TestVerifierMemos:
+    def test_type_twins_are_verified_separately(self):
+        assert _as_tuples(verify_program(_type_twins_program())) == PINNED_TYPE_TWINS
+
+    def test_repeated_corrupt_uop_is_reported_at_each_index(self):
+        bad = _corrupt(
+            MimdLoad(pv_index=0, destination="repeat", immediate=5), immediate=70_000
+        )
+        stream = list(valid_program().global_uops)
+        for index in (0, 7, 19):
+            stream.insert(index, bad)
+        program = _unsafe_replace_stream(valid_program(), stream)
+        assert _as_tuples(verify_program(program)) == [
+            ("roundtrip-divergence", index, "mimd.ld", _MIMD_LD_DIVERGES)
+            for index in (0, 7, 19)
+        ]
+
+    def test_exact_keys_cover_every_global_uop_class(self):
+        from dataclasses import fields
+
+        from repro.isa.uops import GLOBAL_BUFFER_UOPS
+        from repro.staticcheck import checks
+
+        # access.cfg has its own spelled-out key; every other class a row.
+        assert set(checks._FIELD_TYPES) | {AccessCfg} == set(GLOBAL_BUFFER_UOPS)
+        for cls, types in checks._FIELD_TYPES.items():
+            assert len(fields(cls)) == len(types), cls.__name__
+        exact = [
+            AccessCfg(pv_index=0, generator=INPUT, register=ConfigRegister.ADDR, immediate=1),
+            AccessStart(pv_index=0, generator=INPUT),
+            AccessStop(pv_index=0, generator=INPUT),
+            MAC,
+            RepeatUop(count=2),
+            MimdLoad(pv_index=0, destination="repeat", immediate=1),
+            MimdExecute(local_indices=(0, 1)),
+        ]
+        assert all(checks._exact_key(uop) is not None for uop in exact)
+        twins = [
+            AccessCfg(pv_index=0, generator=INPUT, register=ConfigRegister.ADDR, immediate=1.0),
+            AccessCfg(pv_index=True, generator=INPUT, register=ConfigRegister.ADDR, immediate=1),
+            AccessCfg(pv_index=0, generator=0, register=ConfigRegister.ADDR, immediate=1),
+            AccessCfg(pv_index=0, generator=INPUT, register=0, immediate=1),
+            AccessStart(pv_index=False, generator=INPUT),
+            AccessStop(pv_index=0, generator=0),
+            _corrupt(MimdExecute(local_indices=(0, 1)), local_indices=(0, True)),
+        ]
+        assert all(checks._exact_key(uop) is None for uop in twins)
+
+
+class TestUnknownCheckIds:
+    """A misspelled id used to select nothing and read as a clean program."""
+
+    def test_verify_program_rejects_unknown_id(self):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="cfg-def-before-us") as excinfo:
+            verify_program(valid_program(), select=["cfg-def-before-us"])
+        assert all(check_id in str(excinfo.value) for check_id in check_ids())
+
+    def test_verify_words_rejects_unknown_id(self):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="unknown check id.*mode-flg"):
+            verify_words([], num_pvs=1, select=["mode-flag", "mode-flg"])
+
+    def test_check_binding_rejects_unknown_id_before_compiling(self, monkeypatch):
+        from repro.config import ArchitectureConfig
+        from repro.errors import ReproError
+        from repro.staticcheck import programs
+        from repro.workloads.registry import get_workload
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before checking select")
+
+        monkeypatch.setattr(programs, "compile_layer_programs", no_compile)
+        binding = get_workload("dcgan").generator.bindings[1]
+        with pytest.raises(ReproError, match="unknown check id.*dead-uops"):
+            check_binding(
+                binding, config=ArchitectureConfig.paper_default(),
+                skip_zeros=True, select=["dead-uops"],
+            )
+
+    def test_run_check_grid_rejects_unknown_id_before_compiling(self, monkeypatch):
+        from repro.errors import ReproError
+        from repro.staticcheck import programs
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before checking select")
+
+        monkeypatch.setattr(programs, "compile_layer_programs", no_compile)
+        with pytest.raises(ReproError, match="unknown check id.*not-a-check"):
+            run_check_grid(["dcgan"], ["ganax"], select=["not-a-check"])
+
+    def test_known_ids_still_select(self):
+        program = make_program([AccessStop(pv_index=0, generator=INPUT)])
+        assert verify_program(program, select=[]) == []
+        assert verify_words([], num_pvs=1, select=["mode-flag"]) == []
 
 
 # ----------------------------------------------------------------------
