@@ -10,14 +10,31 @@ runners and compares wall time:
 
 Streaming buys incremental results, typed events and cancellation; it must
 not tax the common case for it.  The contract enforced here: the streaming
-path stays within **10%** of the batch path's wall time on the six-GAN grid
-(both measured best-of-N to shave scheduler noise), produces byte-identical
-results, and a warm streaming submission resolves entirely from cache
-without touching the backend.
+path stays within **10%** of the batch path's wall time on the six-GAN grid,
+produces byte-identical results, and a warm streaming submission resolves
+entirely at submit time, with no job left to run.
+
+Measurement: one untimed grid first warms the process-wide layer memo, so
+every timed round sees the same memo state.  Then ``PAIRS`` batch rounds and
+``PAIRS`` streaming rounds alternate (batch, streaming, batch, ...), so a
+slow spell of the host lands on both paths alike.  Each pair gives one
+streaming/batch ratio, and the gate is on the median of those per-pair
+ratios (the method of ``bench_service.py`` and ``bench_telemetry.py``).
+The gate used to compare the best of 3 streaming rounds, timed after the
+best of 3 batch rounds, so a slow spell during one path's rounds moved the
+ratio by itself.
+
+Recorded runs: ``scripts/ci.sh`` step 2 (this file among the other runner
+benchmarks, one pytest process) was run 12 times with this method on a
+2-vCPU VM.  Sorted, the medians read 1.00, 1.01, 1.01, 1.02, 1.02, 1.02,
+1.02, 1.03, 1.03, 1.03, 1.04 and 1.04x, all under the bar, so the bar stays
+at 1.10x.  Interleaved with those runs, the best-of-3 method read
+0.88-1.08x in 11 runs and failed at 1.13x in the twelfth.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import emit
@@ -29,8 +46,8 @@ from repro.workloads.registry import all_workloads
 #: Maximum tolerated streaming wall time, as a fraction of the batch path.
 MAX_STREAMING_OVERHEAD = 1.10
 
-#: Timing repetitions; the best run is compared to shave scheduler noise.
-ROUNDS = 3
+#: Timed rounds per path; batch and streaming rounds alternate.
+PAIRS = 21
 
 
 def grid_jobs():
@@ -39,17 +56,6 @@ def grid_jobs():
         for model in all_workloads()
         for job in SimulationJob.comparison_pair(model)
     ]
-
-
-def timed_best(fn, rounds=ROUNDS):
-    best_result, best_seconds = None, float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - start
-        if seconds < best_seconds:
-            best_result, best_seconds = result, seconds
-    return best_result, best_seconds
 
 
 def run_batch():
@@ -68,19 +74,45 @@ def run_streaming():
     return results
 
 
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def _alternating_rounds(pairs=PAIRS):
+    """Alternate batch and streaming grids; per-pair times and the last results.
+
+    Returns ``(times, batch_results, streaming_results)`` with one
+    ``(batch_seconds, streaming_seconds)`` tuple per pair.
+    """
+    run_batch()  # warm the layer memo outside the timed rounds
+    times = []
+    batch_results = streaming_results = None
+    for _ in range(pairs):
+        batch_results, batch_seconds = _timed(run_batch)
+        streaming_results, streaming_seconds = _timed(run_streaming)
+        times.append((batch_seconds, streaming_seconds))
+    return times, batch_results, streaming_results
+
+
 def test_streaming_overhead_within_budget(benchmark):
     """Streaming submit/as_completed must stay within 10% of run_jobs."""
-    batch_results, batch_seconds = benchmark.pedantic(
-        lambda: timed_best(run_batch), iterations=1, rounds=1
+    times, batch_results, streaming_results = benchmark.pedantic(
+        _alternating_rounds, iterations=1, rounds=1
     )
-    streaming_results, streaming_seconds = timed_best(run_streaming)
 
     # Identical values: streaming is a consumption strategy, not a new path.
     assert streaming_results == batch_results
 
-    overhead = streaming_seconds / batch_seconds if batch_seconds > 0 else 1.0
+    ratios = [
+        streaming / batch if batch > 0 else 1.0 for batch, streaming in times
+    ]
+    overhead = statistics.median(ratios)
     assert overhead <= MAX_STREAMING_OVERHEAD, (
-        f"streaming took {overhead:.2f}x the batch path; "
+        f"streaming took {overhead:.2f}x the batch path (median of "
+        f"{len(ratios)} alternating pairs: "
+        f"{', '.join(f'{r:.2f}' for r in sorted(ratios))}); "
         f"budget is {MAX_STREAMING_OVERHEAD:.2f}x"
     )
 
@@ -94,14 +126,19 @@ def test_streaming_overhead_within_budget(benchmark):
     ))
 
     jobs = len(grid_jobs())
+    batch_ms = 1e3 * statistics.median(batch for batch, _ in times)
+    streaming_ms = 1e3 * statistics.median(streaming for _, streaming in times)
     emit(
         format_table(
-            ["Path", "Wall time (ms)", "vs batch"],
+            ["Path", "Median wall time (ms)", "Median pair ratio"],
             [
-                ["batch run_jobs", 1e3 * batch_seconds, 1.0],
-                ["streaming as_completed", 1e3 * streaming_seconds, overhead],
+                ["batch run_jobs", batch_ms, 1.0],
+                ["streaming as_completed", streaming_ms, overhead],
             ],
-            title=f"Streaming overhead: {jobs}-job six-GAN grid (serial)",
+            title=(
+                f"Streaming overhead: {jobs}-job six-GAN grid "
+                f"({len(times)} alternating pairs, bar {MAX_STREAMING_OVERHEAD:.2f}x)"
+            ),
             float_format="{:.2f}",
         )
     )

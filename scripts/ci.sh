@@ -22,7 +22,8 @@
 #   6. a streaming smoke: `compare --progress --jsonl -` must stream one
 #      valid JSON record per job to stdout and per-job progress lines to
 #      stderr (the streaming benchmark in step 2 separately enforces that
-#      streaming scheduling overhead stays within 10% of batch run_jobs);
+#      streaming scheduling overhead stays within 10% of batch run_jobs,
+#      on the median of 21 alternating batch/streaming pairs);
 #   7. a service smoke: `serve` hosts a shared runner, two concurrent
 #      `remote-compare` clients submit the same grid, cross-client dedup
 #      must leave exactly one simulation per distinct job, the `stats` verb

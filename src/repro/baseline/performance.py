@@ -65,6 +65,17 @@ def gbuf_input_tiles(
     return max(1, math.ceil(input_elements / tile_capacity))
 
 
+def dram_roofline_cycles(words: int, config: ArchitectureConfig) -> int:
+    """DRAM roofline: cycles to stream ``words`` data words off chip.
+
+    A layer can never finish faster than its DRAM traffic divided by the
+    sustained bandwidth.  Each caller counts its own words, since that count
+    is where GANAX and the baseline differ.
+    """
+    bytes_moved = words * config.data_bytes
+    return math.ceil(bytes_moved / config.dram_bandwidth_bytes_per_cycle)
+
+
 def _effective_input_elements(binding: LayerBinding) -> int:
     """Number of input words the baseline streams and operates on.
 
@@ -124,9 +135,7 @@ def estimate_layer(
     else:
         materialisation_words = 0
     dram_write_words = output_words + materialisation_words
-    dram_words = dram_read_words + dram_write_words
-    dram_bytes = dram_words * config.data_bytes
-    dram_cycles = math.ceil(dram_bytes / config.dram_bandwidth_bytes_per_cycle)
+    dram_cycles = dram_roofline_cycles(dram_read_words + dram_write_words, config)
 
     cycles = max(compute_cycles + accumulation_cycles, dram_cycles)
 
@@ -195,9 +204,9 @@ def _estimate_non_convolutional(
     weight_words = binding.weight_count
 
     compute_cycles = math.ceil(max(macs, elements) / peak)
-    dram_words = binding.input_shape.num_elements + weight_words + elements
-    dram_bytes = dram_words * config.data_bytes
-    dram_cycles = math.ceil(dram_bytes / config.dram_bandwidth_bytes_per_cycle)
+    dram_cycles = dram_roofline_cycles(
+        binding.input_shape.num_elements + weight_words + elements, config
+    )
     cycles = max(compute_cycles, dram_cycles)
 
     counters = EventCounters()

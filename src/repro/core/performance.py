@@ -30,6 +30,7 @@ from typing import Sequence, Tuple
 
 from ..baseline.performance import (
     BaselineLayerEstimate,
+    dram_roofline_cycles,
     estimate_layer as baseline_estimate,
     gbuf_input_tiles,
 )
@@ -202,9 +203,7 @@ def _estimate_transposed_conv(
     output_words = output_elements
     weight_tiles = gbuf_input_tiles(input_elements, config)
     dram_read_words = input_elements + weight_words * weight_tiles
-    dram_words = dram_read_words + output_words
-    dram_bytes = dram_words * config.data_bytes
-    dram_cycles = math.ceil(dram_bytes / config.dram_bandwidth_bytes_per_cycle)
+    dram_cycles = dram_roofline_cycles(dram_read_words + output_words, config)
 
     cycles = max(compute_cycles + accumulation_cycles + dispatch_cycles, dram_cycles)
 

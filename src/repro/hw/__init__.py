@@ -1,17 +1,9 @@
-"""Hardware substrate: FIFOs, scratchpads, DRAM, NoC, energy and area models."""
+"""Hardware substrate: event counters, FIFOs, scratchpads, energy and area models."""
 
 from .area import AcceleratorAreaBreakdown, AreaModel, PeAreaBreakdown
 from .counters import EventCounters
-from .dram import DramModel, DramTraffic
 from .energy import ENERGY_COMPONENTS, EnergyBreakdown, EnergyModel, EnergyTable
 from .fifo import Fifo
-from .fixed_point import (
-    FixedPointAccumulator,
-    FixedPointFormat,
-    quantization_error,
-    quantize,
-)
-from .noc import NocModel, NocStatistics
 from .sram import Scratchpad
 
 __all__ = [
@@ -19,18 +11,10 @@ __all__ = [
     "AreaModel",
     "PeAreaBreakdown",
     "EventCounters",
-    "DramModel",
-    "DramTraffic",
     "ENERGY_COMPONENTS",
     "EnergyBreakdown",
     "EnergyModel",
     "EnergyTable",
     "Fifo",
-    "FixedPointAccumulator",
-    "FixedPointFormat",
-    "quantization_error",
-    "quantize",
-    "NocModel",
-    "NocStatistics",
     "Scratchpad",
 ]

@@ -16,7 +16,6 @@ from .layers import (
     ReshapeLayer,
     TransposedConvLayer,
 )
-from .inference import LayerParameters, NetworkRunner, run_generator
 from .network import GANModel, LayerBinding, Network
 from .zero_analysis import (
     LayerZeroStats,
@@ -42,9 +41,6 @@ __all__ = [
     "PoolingLayer",
     "ReshapeLayer",
     "TransposedConvLayer",
-    "LayerParameters",
-    "NetworkRunner",
-    "run_generator",
     "GANModel",
     "LayerBinding",
     "Network",

@@ -9,8 +9,7 @@ The three pieces compose but are independently switchable:
 * :mod:`~repro.telemetry.metrics` — process-local counters/gauges/histograms
   behind one registry with an atomic :meth:`~MetricsRegistry.snapshot`.  On
   by default; :func:`configure_metrics` resets or disables.
-* :mod:`~repro.telemetry.profiling` — :func:`timed` regions into histograms
-  and scoped :func:`profile_to` cProfile dumps.
+* :mod:`~repro.telemetry.profiling` — :func:`timed` regions into histograms.
 
 Quick start::
 
@@ -31,7 +30,7 @@ from .metrics import (
     configure_metrics,
     get_metrics,
 )
-from .profiling import profile_to, timed
+from .profiling import timed
 from .subscriber import MetricsSubscriber
 from .tracing import (
     Span,
@@ -53,6 +52,5 @@ __all__ = [
     "configure_tracing",
     "get_metrics",
     "get_tracer",
-    "profile_to",
     "timed",
 ]

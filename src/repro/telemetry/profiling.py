@@ -1,29 +1,18 @@
-"""Profiling hooks: timed regions into histograms, cProfile around blocks.
+"""Profiling hook: timed regions into histograms.
 
-Two small, composable tools — deliberately thin wrappers so any layer can
-adopt them without new dependencies:
-
-* :func:`timed` — a context manager observing the block's wall time into a
-  registry histogram (no-op when metrics are disabled).  This is how the
-  service feeds ``service.request_latency_seconds`` without hand-rolled
-  clock arithmetic at every call site.
-* :func:`profile_to` — a context manager running the block under
-  :mod:`cProfile` and dumping pstats to a path; load the dump with
-  ``python -m pstats`` or ``snakeviz``.  Profiling is always explicit and
-  scoped — there is no ambient profiler to forget running.
+:func:`timed` is a context manager observing the block's wall time into a
+registry histogram (no-op when metrics are disabled).  This is how the
+service feeds ``service.request_latency_seconds`` without hand-rolled clock
+arithmetic at every call site.
 """
 
 from __future__ import annotations
 
-import cProfile
 import time
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator
 
 from .metrics import Histogram, get_metrics
-
-PathLike = Union[str, Path]
 
 
 @contextmanager
@@ -43,23 +32,3 @@ def timed(name: str, **labels: Any) -> Iterator[None]:
         yield
     finally:
         histogram.observe(time.perf_counter() - start)
-
-
-@contextmanager
-def profile_to(path: PathLike, enabled: bool = True) -> Iterator[Optional[cProfile.Profile]]:
-    """Run the block under cProfile, dumping pstats to ``path`` on exit.
-
-    ``enabled=False`` turns the whole thing into a no-op yield, so call
-    sites can thread a flag through without branching themselves.  The
-    profile object is yielded for in-process inspection before the dump.
-    """
-    if not enabled:
-        yield None
-        return
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        yield profile
-    finally:
-        profile.disable()
-        profile.dump_stats(str(path))

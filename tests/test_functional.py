@@ -20,6 +20,18 @@ from repro.nn.functional import (
     transposed_conv2d_via_zero_insertion,
     transposed_conv3d,
 )
+from repro.nn.layers import (
+    ActivationLayer,
+    BatchNormLayer,
+    ConvLayer,
+    DenseLayer,
+    PoolingLayer,
+    ReshapeLayer,
+    TransposedConvLayer,
+)
+from repro.nn.network import Network
+from repro.nn.shapes import FeatureMapShape
+from repro.workloads import get_workload, workload_names
 
 
 class TestZeroInsertion:
@@ -212,3 +224,132 @@ class TestActivations:
     def test_sigmoid_bounds(self, rng):
         out = sigmoid(rng.standard_normal(100) * 10)
         assert np.all((out > 0) & (out < 1))
+
+
+_ACTIVATIONS = {"relu": relu, "leaky_relu": leaky_relu, "tanh": tanh, "sigmoid": sigmoid}
+
+
+def _run_layer(binding, x: np.ndarray) -> np.ndarray:
+    """Run one binding numerically; (t)convs on one input and one output channel."""
+    layer = binding.layer
+    if isinstance(layer, ConvLayer):
+        op = conv2d if layer.rank == 2 else conv3d
+        weight = np.ones((1, 1, *layer.kernel))
+        return op(x[:1], weight, stride=layer.stride, padding=layer.padding)
+    if isinstance(layer, TransposedConvLayer):
+        weight = np.ones((1, 1, *layer.kernel))
+        if layer.rank == 2:
+            return transposed_conv2d(
+                x[:1],
+                weight,
+                stride=layer.stride,
+                padding=layer.padding,
+                output_padding=layer.output_padding,
+            )
+        return transposed_conv3d(x[:1], weight, stride=layer.stride, padding=layer.padding)
+    if isinstance(layer, DenseLayer):
+        # Broadcast the one carried channel back to the full input volume.
+        flat = np.broadcast_to(x[:1], binding.input_shape.as_tuple()).reshape(-1)
+        weight = np.broadcast_to(1.0, (layer.out_features, flat.size))
+        return (weight @ flat).reshape(layer.out_features, 1)
+    if isinstance(layer, ReshapeLayer):
+        return x.reshape(layer.target.as_tuple())
+    if isinstance(layer, PoolingLayer):
+        spatial_axes = tuple(range(1, x.ndim))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x[:1], layer.kernel, axis=spatial_axes
+        )
+        strided = windows[(slice(None),) + tuple(slice(None, None, s) for s in layer.stride)]
+        return strided.max(axis=tuple(range(x.ndim, strided.ndim)))
+    if isinstance(layer, ActivationLayer):
+        return _ACTIVATIONS[layer.function](x)
+    if isinstance(layer, BatchNormLayer):
+        return x
+    raise AssertionError(f"{binding.name}: no numerical step for {type(layer).__name__}")
+
+
+def _pooling_network() -> Network:
+    """The paper GANs have no pooling layer; this small CNN covers that step."""
+    return Network(
+        name="cnn",
+        input_shape=FeatureMapShape.image(1, 8, 8),
+        layers=(
+            ConvLayer(name="c1", out_channels=4, kernel=3, stride=1, padding=1),
+            PoolingLayer(name="p1", kernel=2, stride=2),
+            DenseLayer(name="fc", out_features=1),
+        ),
+    )
+
+
+def _shape_chain_networks():
+    for name in workload_names():
+        model = get_workload(name)
+        yield pytest.param(model.generator, id=f"{name}-generator")
+        yield pytest.param(model.discriminator, id=f"{name}-discriminator")
+    yield pytest.param(_pooling_network(), id="pooling-cnn")
+
+
+class TestWorkloadShapeChains:
+    """Every workload's shape chain runs numerically, layer by layer."""
+
+    @pytest.mark.parametrize("network", _shape_chain_networks())
+    def test_spatial_outputs_match_bindings(self, network):
+        x = np.ones(network.input_shape.as_tuple())
+        for binding in network.bindings:
+            x = _run_layer(binding, x)
+            assert x.shape[1:] == binding.output_shape.spatial, binding.name
+            if isinstance(binding.layer, (DenseLayer, ReshapeLayer)):
+                assert x.shape == binding.output_shape.as_tuple(), binding.name
+        assert np.isfinite(x).all()
+
+
+def _paper_generators(rank=None):
+    for name in workload_names():
+        generator = get_workload(name).generator
+        ranks = {b.layer.rank for b in generator.bindings if b.layer.is_transposed}
+        if rank is None or rank in ranks:
+            yield pytest.param(generator, id=name)
+
+
+def _tconv_bindings(network):
+    return [b for b in network.bindings if b.layer.is_transposed]
+
+
+class TestPaperTransposedConvs:
+    """The paper generators' transposed convolutions at their real geometry."""
+
+    @pytest.mark.parametrize("network", _paper_generators())
+    def test_genuine_taps_equal_consequential_macs(self, network):
+        # With an all-ones input and kernel, every output sums exactly the
+        # taps that land on a genuine (non-inserted) input value.
+        for binding in _tconv_bindings(network):
+            layer = binding.layer
+            x = np.ones((1, *binding.input_shape.spatial))
+            weight = np.ones((1, 1, *layer.kernel))
+            if layer.rank == 2:
+                out = transposed_conv2d(
+                    x,
+                    weight,
+                    stride=layer.stride,
+                    padding=layer.padding,
+                    output_padding=layer.output_padding,
+                )
+            else:
+                out = transposed_conv3d(x, weight, stride=layer.stride, padding=layer.padding)
+            channel_pairs = binding.input_shape.channels * layer.out_channels
+            genuine_taps = int(out.sum()) * channel_pairs
+            assert genuine_taps == layer.consequential_macs(binding.input_shape), binding.name
+
+    @pytest.mark.parametrize("network", _paper_generators(rank=2))
+    def test_direct_matches_zero_insertion(self, network, rng):
+        for binding in _tconv_bindings(network):
+            layer = binding.layer
+            x = rng.standard_normal((1, *binding.input_shape.spatial))
+            weight = rng.standard_normal((1, 1, *layer.kernel))
+            geometry = dict(
+                stride=layer.stride, padding=layer.padding, output_padding=layer.output_padding
+            )
+            direct = transposed_conv2d(x, weight, **geometry)
+            via_zeros = transposed_conv2d_via_zero_insertion(x, weight, **geometry)
+            assert direct.shape[1:] == binding.output_shape.spatial, binding.name
+            assert np.allclose(direct, via_zeros), binding.name

@@ -1,14 +1,12 @@
-"""Unit tests for FIFOs, scratchpads, DRAM, NoC and event counters."""
+"""Unit tests for FIFOs, scratchpads and event counters."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import BufferError_, FifoError, HardwareError
+from repro.errors import BufferError_, FifoError
 from repro.hw.counters import EventCounters
-from repro.hw.dram import DramModel, DramTraffic
 from repro.hw.fifo import Fifo
-from repro.hw.noc import NocModel
 from repro.hw.sram import Scratchpad
 
 
@@ -142,97 +140,6 @@ class TestScratchpad:
     def test_invalid_capacity(self):
         with pytest.raises(BufferError_):
             Scratchpad(words=0)
-
-
-class TestDram:
-    def test_traffic_accumulation(self):
-        dram = DramModel(bandwidth_bytes_per_cycle=16, data_bytes=2)
-        dram.read_words(100)
-        dram.write_words(50)
-        assert dram.bytes_read == 200
-        assert dram.bytes_written == 100
-        assert dram.total_bytes == 300
-
-    def test_traffic_cycles_roofline(self):
-        dram = DramModel(bandwidth_bytes_per_cycle=16, data_bytes=2)
-        traffic = DramTraffic(bytes_read=160, bytes_written=0)
-        assert dram.traffic_cycles(traffic) == 10
-
-    def test_traffic_cycles_from_recorded(self):
-        dram = DramModel(bandwidth_bytes_per_cycle=8, data_bytes=2)
-        dram.read_words(40)  # 80 bytes
-        assert dram.traffic_cycles() == 10
-
-    def test_counters_integration(self):
-        counters = EventCounters()
-        dram = DramModel(bandwidth_bytes_per_cycle=16, counters=counters)
-        dram.read_words(5)
-        dram.write_words(3)
-        assert counters.dram_reads == 5
-        assert counters.dram_writes == 3
-
-    def test_record_traffic(self):
-        dram = DramModel(bandwidth_bytes_per_cycle=16, data_bytes=2)
-        dram.record_traffic(DramTraffic(bytes_read=20, bytes_written=10))
-        assert dram.bytes_read == 20
-        assert dram.bytes_written == 10
-
-    def test_negative_traffic_rejected(self):
-        with pytest.raises(HardwareError):
-            DramTraffic(bytes_read=-1, bytes_written=0)
-        dram = DramModel(bandwidth_bytes_per_cycle=16)
-        with pytest.raises(HardwareError):
-            dram.read_words(-1)
-
-    def test_traffic_addition(self):
-        total = DramTraffic(10, 5) + DramTraffic(1, 2)
-        assert total.bytes_read == 11 and total.bytes_written == 7
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(HardwareError):
-            DramModel(bandwidth_bytes_per_cycle=0)
-
-    def test_reset(self):
-        dram = DramModel(bandwidth_bytes_per_cycle=16)
-        dram.read_words(10)
-        dram.reset()
-        assert dram.total_bytes == 0
-
-
-class TestNoc:
-    def test_multicast_counts_per_destination(self):
-        counters = EventCounters()
-        noc = NocModel(rows=4, cols=4, counters=counters)
-        noc.multicast(words=10, destinations=4)
-        assert noc.statistics.multicast_transfers == 40
-        assert counters.noc_transfers == 40
-
-    def test_psum_forwarding(self):
-        noc = NocModel(rows=4, cols=4)
-        noc.forward_psum(words=8, hops=3)
-        assert noc.statistics.psum_transfers == 24
-
-    def test_accumulation_latency(self):
-        noc = NocModel(rows=4, cols=4)
-        assert noc.accumulation_latency(5) == 5
-        assert noc.accumulation_latency(0) == 0
-
-    def test_negative_traffic_rejected(self):
-        noc = NocModel(rows=2, cols=2)
-        with pytest.raises(HardwareError):
-            noc.multicast(-1, 2)
-        with pytest.raises(HardwareError):
-            noc.forward_psum(1, -1)
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(HardwareError):
-            NocModel(rows=0, cols=4)
-
-    def test_reset(self):
-        noc = NocModel(rows=2, cols=2)
-        noc.multicast(4, 2)
-        noc.reset()
-        assert noc.statistics.total_transfers == 0
 
 
 class TestEventCounters:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.accelerators.registry import get_accelerator
 from repro.baseline.performance import (
+    dram_roofline_cycles,
     estimate_layer as eyeriss_estimate,
     estimate_network as eyeriss_estimate_network,
     gbuf_input_tiles,
@@ -89,6 +91,100 @@ class TestGbufTiling:
     def test_monotone_in_working_set(self, paper_config):
         tiles = [gbuf_input_tiles(n, paper_config) for n in (10, 10_000, 100_000, 1_000_000)]
         assert tiles == sorted(tiles)
+
+
+class TestDramRoofline:
+    @pytest.mark.parametrize(
+        "words, bandwidth, cycles",
+        [
+            (0, 16.0, 0),
+            (80, 16.0, 10),  # 160 bytes: an exact multiple of 16 B/cycle
+            (81, 16.0, 11),  # one word more rounds up to a whole cycle
+            (32, 64.0, 1),  # the paper's 64 B/cycle moves 32 words a cycle
+            (33, 64.0, 2),
+            (5, 2.5, 4),  # a fractional bandwidth that divides the bytes
+            (6, 2.5, 5),  # 12 bytes / 2.5 = 4.8 rounds up
+            (1, 1.0, 2),  # one 16-bit word at 1 B/cycle
+        ],
+    )
+    def test_rounding(self, words, bandwidth, cycles, paper_config):
+        config = paper_config.with_updates(dram_bandwidth_bytes_per_cycle=bandwidth)
+        assert config.data_bytes == 2
+        assert dram_roofline_cycles(words, config) == cycles
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        words=st.integers(min_value=0, max_value=2**40),
+        bandwidth=st.integers(min_value=1, max_value=1024),
+    )
+    def test_least_whole_cycles_covering_the_bytes(self, words, bandwidth):
+        config = ArchitectureConfig.paper_default().with_updates(
+            dram_bandwidth_bytes_per_cycle=float(bandwidth)
+        )
+        cycles = dram_roofline_cycles(words, config)
+        bytes_moved = words * config.data_bytes
+        assert cycles * bandwidth >= bytes_moved
+        assert (cycles - 1) * bandwidth < bytes_moved or cycles == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        words=st.integers(min_value=0, max_value=10**9),
+        extra_words=st.integers(min_value=0, max_value=10**6),
+        bandwidth=st.floats(min_value=0.5, max_value=512.0),
+        scale=st.floats(min_value=1.0, max_value=8.0),
+    )
+    def test_monotone_in_words_and_bandwidth(self, words, extra_words, bandwidth, scale):
+        base = ArchitectureConfig.paper_default()
+        slow = base.with_updates(dram_bandwidth_bytes_per_cycle=bandwidth)
+        fast = base.with_updates(dram_bandwidth_bytes_per_cycle=bandwidth * scale)
+        cycles = dram_roofline_cycles(words, slow)
+        assert dram_roofline_cycles(words + extra_words, slow) >= cycles
+        assert dram_roofline_cycles(words, fast) <= cycles
+
+    @pytest.mark.parametrize(
+        "estimate, binding_name",
+        [
+            (ganax_estimate, "tconv"),
+            (eyeriss_estimate, "tconv"),
+            (eyeriss_estimate, "dense"),
+        ],
+        ids=["ganax-tconv", "eyeriss-tconv", "eyeriss-dense"],
+    )
+    def test_starved_layer_is_dram_bound(
+        self, estimate, binding_name, dcgan_like_tconv_binding, paper_config
+    ):
+        bindings = {
+            "tconv": dcgan_like_tconv_binding,
+            "dense": _bind(DenseLayer(name="fc", out_features=64), FeatureMapShape.vector(128)),
+        }
+        config = paper_config.with_updates(dram_bandwidth_bytes_per_cycle=1.0)
+        result = estimate(bindings[binding_name], config)
+        words = result.counters.dram_reads + result.counters.dram_writes
+        assert result.cycles == result.dram_cycles == dram_roofline_cycles(words, config)
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [eyeriss_estimate, ganax_estimate, functools.partial(ganax_estimate, zero_skipping=False)],
+        ids=["eyeriss", "ganax", "ganax-noskip"],
+    )
+    @pytest.mark.parametrize("model_name", sorted(workload_names()))
+    def test_every_paper_layer_prices_its_own_words(self, model_name, estimate, paper_config):
+        """Each layer's DRAM cycles are the roofline of the words it counts.
+
+        The word counts come from the dataflow alone, so starving the
+        bandwidth leaves them unchanged and makes every layer DRAM-bound.
+        """
+        starved = paper_config.with_updates(dram_bandwidth_bytes_per_cycle=1.0)
+        for network in _networks(get_workload(model_name)):
+            for binding in network.bindings:
+                paper = estimate(binding, paper_config)
+                words = paper.counters.dram_reads + paper.counters.dram_writes
+                assert paper.dram_cycles == dram_roofline_cycles(words, paper_config)
+                assert paper.cycles >= paper.dram_cycles, binding.name
+                slow = estimate(binding, starved)
+                assert slow.counters.dram_reads + slow.counters.dram_writes == words
+                assert slow.cycles == slow.dram_cycles, binding.name
+                assert slow.dram_cycles == dram_roofline_cycles(words, starved)
 
 
 class TestEyerissEstimates:
