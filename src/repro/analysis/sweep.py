@@ -10,11 +10,15 @@ series in a structure the report renderer understands.
 All simulation work routes through a :class:`~repro.runner.SimulationRunner`:
 a sweep submits its entire (config x model x accelerator) grid as **one
 batch**, so identical jobs deduplicate and cached results are reused across
-sweeps and experiments.
-The module-level :func:`compare_model` / :func:`compare_models` helpers (the
-legacy EYERISS-vs-GANAX pair) and :func:`compare_accelerators` (N-way over
-any registered accelerators) use the process-wide default runner unless one
-is passed explicitly.
+sweeps and experiments.  :meth:`ParameterSweep.iter_configs` streams points
+as their configurations complete; :meth:`ParameterSweep.run` and
+:meth:`ParameterSweep.run_configs` are that stream collected in label order.
+
+:func:`compare_accelerators` runs any registered accelerators N-way;
+:func:`compare_model` / :func:`compare_models` are its two-way projection,
+the paper's EYERISS-vs-GANAX pair as
+:class:`~repro.analysis.results.ComparisonResult` values.  All three use the
+process-wide default runner unless one is passed as ``runner=``.
 """
 
 from __future__ import annotations
@@ -102,8 +106,7 @@ def compare_model(
     runner: Optional[SimulationRunner] = None,
 ) -> ComparisonResult:
     """Run one GAN on both accelerators with a shared configuration."""
-    runner = runner or get_default_runner()
-    return runner.compare_model(model, config, options)
+    return compare_models([model], config, options, runner)[model.name]
 
 
 def compare_models(
@@ -112,11 +115,15 @@ def compare_models(
     options: Optional[SimulationOptions] = None,
     runner: Optional[SimulationRunner] = None,
 ) -> Dict[str, ComparisonResult]:
-    """Run every GAN on both accelerators; returns name -> comparison."""
-    if not models:
-        raise AnalysisError("no models provided")
-    runner = runner or get_default_runner()
-    return runner.compare_models(models, config, options)
+    """Run every GAN on both accelerators; returns name -> comparison.
+
+    The ``("eyeriss", "ganax")`` case of :func:`compare_accelerators`, all
+    ``2 * len(models)`` jobs in one deduplicated batch.
+    """
+    comparisons = compare_accelerators(
+        models, COMPARISON_PAIR, "eyeriss", config, options, runner
+    )
+    return {name: multi.as_comparison() for name, multi in comparisons.items()}
 
 
 def compare_accelerators(
@@ -164,17 +171,20 @@ class ParameterSweep:
         label_format: str = "{parameter}={value}",
     ) -> List[SweepPoint]:
         """Run the sweep over ``values`` of the named configuration field."""
-        return self._build_points(
+        return self.run_configs(
             build_labelled_configs(parameter, values, self._base_config, label_format)
         )
 
     def run_configs(
         self, labelled_configs: Mapping[str, ArchitectureConfig]
     ) -> List[SweepPoint]:
-        """Run the sweep over explicit, pre-built configurations."""
-        if not labelled_configs:
-            raise AnalysisError("a sweep needs at least one configuration")
-        return self._build_points(labelled_configs)
+        """Run the sweep over explicit, pre-built configurations.
+
+        :meth:`iter_configs` collected: its points arrive in completion
+        order (cache-warm ones first) and are returned in label order.
+        """
+        points = {point.label: point for point in self.iter_configs(labelled_configs)}
+        return [points[label] for label in labelled_configs]
 
     def iter_points(
         self,
@@ -184,12 +194,12 @@ class ParameterSweep:
     ) -> Iterator[SweepPoint]:
         """Yield each :class:`SweepPoint` as soon as its config completes.
 
-        The streaming counterpart of :meth:`run`: the whole grid still joins
-        one runner submission (same deduplication, same cache entries), but
-        a sweep point is yielded the moment every model of *its* configuration
-        has finished, instead of after the slowest point of the whole sweep.
-        Points arrive in completion order — equal to value order — and
-        abandoning the iterator cancels unstarted jobs.
+        :meth:`run` is this stream collected: the whole grid joins one
+        runner submission, and a sweep point is yielded the moment every
+        model of *its* configuration has finished, instead of after the
+        slowest point of the whole sweep.  Points arrive in completion order
+        (cache-warm configurations first, then value order), and abandoning
+        the iterator cancels unstarted jobs.
         """
         yield from self.iter_configs(
             build_labelled_configs(parameter, values, self._base_config, label_format)
@@ -198,13 +208,12 @@ class ParameterSweep:
     def iter_configs(
         self, labelled_configs: Mapping[str, ArchitectureConfig]
     ) -> Iterator[SweepPoint]:
-        """Streaming counterpart of :meth:`run_configs`; see :meth:`iter_points`."""
+        """:meth:`iter_points` over explicit, pre-built configurations."""
         if not labelled_configs:
             raise AnalysisError("a sweep needs at least one configuration")
         runner = self._runner or get_default_runner()
         # Unique names: the stream collapses equivalent workload spellings
-        # (e.g. "DCGAN" and "dcgan@64x64") to one group, exactly as the
-        # batch path's per-name comparison dict does.
+        # (e.g. "DCGAN" and "dcgan@64x64") to one group per name.
         expected = list(dict.fromkeys(model.name for model in self._models))
         pending: Dict[str, Dict[str, ComparisonResult]] = {}
         for label, model_name, multi in runner.stream_accelerators_over_configs(
@@ -222,16 +231,3 @@ class ParameterSweep:
                     labelled_configs[label],
                     {name: per_label.pop(name) for name in expected},
                 )
-
-    def _build_points(
-        self, labelled_configs: Mapping[str, ArchitectureConfig]
-    ) -> List[SweepPoint]:
-        """Submit the whole grid as one batch and assemble sweep points."""
-        runner = self._runner or get_default_runner()
-        grid = runner.compare_models_over_configs(
-            self._models, labelled_configs, self._options
-        )
-        return [
-            SweepPoint.from_comparisons(label, config, grid[label])
-            for label, config in labelled_configs.items()
-        ]

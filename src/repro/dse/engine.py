@@ -1,4 +1,4 @@
-"""The design-space exploration engine: batched evaluation + Pareto analysis.
+"""The design-space exploration engine: streamed evaluation + Pareto analysis.
 
 :class:`DesignSpaceExplorer` turns a candidate :class:`~repro.dse.space.
 DesignPoint` into multi-objective measurements by simulating every workload on
@@ -151,12 +151,13 @@ class ExplorationResult:
 class _TraceEvaluator:
     """The memoizing evaluation facade the engine hands to strategies.
 
-    Callable for batched evaluation (the historical ``evaluate`` signature),
-    with a :meth:`stream` method for strategies that want evaluations as
-    they complete.  Both paths share one memo — a strategy revisiting a
-    point (hill-climb restarts, duplicated random draws) costs nothing —
-    and append each fresh result to the engine's trace exactly once, in the
-    order the strategy observed it.
+    Calling it evaluates a batch and returns the results in the order of the
+    points (:meth:`DesignSpaceExplorer.evaluate`); :meth:`stream` yields
+    them as they complete (:meth:`DesignSpaceExplorer.evaluate_stream`).
+    Both read the explorer's one stream and share one memo — a strategy
+    revisiting a point (hill-climb restarts, duplicated random draws) costs
+    nothing — and append each fresh result to the engine's trace exactly
+    once, in the order the strategy observed it.
     """
 
     def __init__(
@@ -298,18 +299,16 @@ class DesignSpaceExplorer:
         )
 
     # ------------------------------------------------------------------
-    # Evaluation (batched and streaming share one job-grid builder)
+    # Evaluation: one index-carrying stream, collected by evaluate()
     # ------------------------------------------------------------------
     def _build_jobs(
         self, points: Sequence[DesignPoint]
-    ) -> Tuple[List[SimulationJob], List[Tuple[int, str, bool]], List[ArchitectureConfig]]:
+    ) -> Tuple[List[SimulationJob], List[Tuple[int, int, bool]], List[ArchitectureConfig]]:
         """The (point x model x {candidate, baseline}) grid for one batch.
 
         Returns the jobs, a parallel slot list mapping each job back to
-        ``(point index, model name, is_candidate)``, and each point's
-        applied configuration — the single source of truth for both
-        :meth:`evaluate` and :meth:`evaluate_stream`, so the two paths can
-        never disagree about job construction.
+        ``(point index, model position, is_candidate)``, and each point's
+        applied configuration.
 
         A point carrying a schedule axis value runs its jobs with that
         schedule substituted into the shared options; the job's cache key
@@ -319,7 +318,7 @@ class DesignSpaceExplorer:
         still shares one entry per geometry.
         """
         jobs: List[SimulationJob] = []
-        slots: List[Tuple[int, str, bool]] = []
+        slots: List[Tuple[int, int, bool]] = []
         configs: List[ArchitectureConfig] = []
         for point_index, point in enumerate(points):
             config = point.apply(self._base_config)
@@ -327,7 +326,7 @@ class DesignSpaceExplorer:
             options = self._options
             if point.schedule is not None:
                 options = options.with_updates(schedule=point.schedule)
-            for model in self._models:
+            for position, model in enumerate(self._models):
                 for name, is_candidate in (
                     (self._accelerator, True),
                     (self._baseline, False),
@@ -340,87 +339,70 @@ class DesignSpaceExplorer:
                             options=options,
                         )
                     )
-                    slots.append((point_index, model.name, is_candidate))
+                    slots.append((point_index, position, is_candidate))
         return jobs, slots, configs
 
-    def _score_slot(
-        self,
-        points: Sequence[DesignPoint],
-        configs: Sequence[ArchitectureConfig],
-        point_index: int,
-        candidates: Mapping[str, GanResult],
-        references: Mapping[str, GanResult],
-    ) -> EvaluatedPoint:
-        """Score one point from its per-model result maps, in model order."""
-        order = [model.name for model in self._models]
-        return self._score(
-            points[point_index],
-            configs[point_index],
-            {name: candidates[name] for name in order},
-            {name: references[name] for name in order},
-        )
+    def _stream(
+        self, points: Sequence[DesignPoint]
+    ) -> Iterator[Tuple[int, EvaluatedPoint]]:
+        """Yield ``(point index, evaluation)`` as each point's jobs complete.
+
+        The whole :meth:`_build_jobs` grid joins one runner submission; a
+        point is scored the moment *its* simulations have all landed, in
+        completion order (cache-warm points first, then submission order).
+        Closing the iterator early cancels every simulation that has not
+        started.
+        """
+        if not points:
+            return
+        jobs, slots, configs = self._build_jobs(points)
+        handle = self.runner.submit(jobs)
+        remaining = [2 * len(self._models)] * len(points)
+        landed: List[Dict[Tuple[int, bool], GanResult]] = [{} for _ in points]
+        try:
+            for completion in handle.as_completed():
+                point_index, position, is_candidate = slots[completion.index]
+                landed[point_index][position, is_candidate] = completion.result
+                remaining[point_index] -= 1
+                if remaining[point_index] == 0:
+                    results = landed[point_index]
+                    candidate, reference = (
+                        {m.name: results[i, side] for i, m in enumerate(self._models)}
+                        for side in (True, False)
+                    )
+                    yield point_index, self._score(
+                        points[point_index], configs[point_index], candidate, reference
+                    )
+        finally:
+            handle.cancel()
 
     def evaluate_stream(
         self, points: Sequence[DesignPoint]
     ) -> Iterator[EvaluatedPoint]:
         """Yield each point's :class:`EvaluatedPoint` as its jobs complete.
 
-        The streaming counterpart of :meth:`evaluate`: the whole
-        (point x model x {candidate, baseline}) grid is submitted at once,
-        and a point is scored and yielded the moment *its* simulations have
-        all landed — cache-warm points arrive immediately, and an adaptive
-        strategy can react to the first finished candidate instead of
-        waiting for the whole batch.  Points arrive in completion order
-        (equal to submission order); closing the iterator early cancels
-        every simulation that has not started.
+        An adaptive strategy can react to the first finished candidate
+        instead of waiting for the whole batch; see :meth:`_stream`.
         """
-        points = list(points)
-        if not points:
-            return
-        jobs, slots, configs = self._build_jobs(points)
-        handle = self.runner.submit(jobs)
-        remaining = [2 * len(self._models)] * len(points)
-        candidates: List[Dict[str, GanResult]] = [{} for _ in points]
-        references: List[Dict[str, GanResult]] = [{} for _ in points]
+        stream = self._stream(list(points))
         try:
-            for completion in handle.as_completed():
-                point_index, model_name, is_candidate = slots[completion.index]
-                side = candidates if is_candidate else references
-                side[point_index][model_name] = completion.result
-                remaining[point_index] -= 1
-                if remaining[point_index] == 0:
-                    yield self._score_slot(
-                        points,
-                        configs,
-                        point_index,
-                        candidates[point_index],
-                        references[point_index],
-                    )
+            for _index, evaluated in stream:
+                yield evaluated
         finally:
-            handle.cancel()
+            stream.close()  # cancels the unstarted simulations when closed early
 
     def evaluate(self, points: Sequence[DesignPoint]) -> List[EvaluatedPoint]:
         """Measure every point's objectives; one runner batch for all of them.
 
+        The stream behind :meth:`evaluate_stream`, collected back into the
+        order of ``points``.
         For each point the batch carries ``len(models)`` candidate jobs plus
         ``len(models)`` baseline jobs at the same configuration; the runner
         deduplicates overlapping candidates and answers repeats from cache.
         """
         points = list(points)
-        if not points:
-            return []
-        jobs, slots, configs = self._build_jobs(points)
-        candidates: List[Dict[str, GanResult]] = [{} for _ in points]
-        references: List[Dict[str, GanResult]] = [{} for _ in points]
-        for (point_index, model_name, is_candidate), result in zip(
-            slots, self.runner.run_jobs(jobs)
-        ):
-            side = candidates if is_candidate else references
-            side[point_index][model_name] = result
-        return [
-            self._score_slot(points, configs, index, candidates[index], references[index])
-            for index in range(len(points))
-        ]
+        evaluated = dict(self._stream(points))
+        return [evaluated[index] for index in range(len(points))]
 
     def _score(
         self,

@@ -7,12 +7,13 @@ into :class:`~repro.dse.pareto.EvaluatedPoint` values — behind the callback
 every candidate becomes a set of :class:`~repro.runner.SimulationJob` objects
 submitted through the shared :class:`~repro.runner.SimulationRunner`, so a
 strategy should prefer few large batches over many small ones: a batch
-deduplicates internally and hits the content-addressed cache.  Since the
-streaming runner redesign the engine's evaluator additionally exposes
-``evaluate.stream(points)``, yielding evaluations *as they complete*;
-adaptive strategies can consume it to react to early results (and closing
-the stream cancels whatever has not started), while batch-only strategies
-keep calling ``evaluate(points)``.
+deduplicates internally and hits the content-addressed cache.  The engine's
+evaluator also exposes ``evaluate.stream(points)``, yielding evaluations *as
+they complete*; ``evaluate(points)`` is that stream collected in the order
+of the points.  The one-batch strategies (exhaustive, random) call
+``evaluate`` and accept any plain callable; hill climbing reads
+``evaluate.stream`` to react to early results (closing the stream cancels
+whatever has not started).
 
 Three strategies are built in:
 
@@ -22,10 +23,12 @@ Three strategies are built in:
 * :class:`RandomSearch` — a uniform sample without replacement, one batch.
 * :class:`HillClimbSearch` — adaptive: walk the one-step neighbourhood of the
   incumbent towards a better scalarized objective, restarting on local
-  optima.  One batch per neighbourhood.
+  optima.  One stream per neighbourhood, closed at the first improvement.
 
 All strategies are deterministic for a fixed seed, so searches are exactly
-reproducible and warm-cache re-runs replay the identical job set.
+reproducible; exhaustive and random re-runs replay the identical job set
+warm, while a hill climb on a partly warm cache can walk elsewhere (see
+:class:`HillClimbSearch`).
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ class SearchStrategy(Protocol):
 
         A strategy only *proposes* batches; the engine driving it owns the
         evaluation trace (memoized per point), so there is nothing to return.
+        ``evaluate(points)`` returns results in the order of ``points``;
+        :class:`HillClimbSearch` reads ``evaluate.stream(points)`` instead,
+        while exhaustive and random search accept any plain callable.
         """
         ...
 
@@ -145,22 +151,21 @@ class HillClimbSearch:
     """Adaptive neighbourhood search over the scalarized objectives.
 
     Starts from a random feasible point, submits the incumbent's whole
-    one-step neighbourhood, and **advances on the first strictly improving
-    neighbour to complete** — when the engine's evaluator exposes a
-    streaming path (``evaluate.stream``, the default since the streaming
-    runner redesign), the climb consumes evaluations as they land and
-    cancels the rest of the ring the moment an improving move arrives,
-    instead of paying for every neighbour.  Against a plain batched
-    ``evaluate`` callable it falls back to the historical
-    best-of-the-whole-ring step.  Restarts from a fresh random point when
-    stuck, until ``budget`` distinct evaluations have been spent.
+    one-step neighbourhood through ``evaluate.stream`` (so ``evaluate`` must
+    be the engine's evaluator, not a plain callable), and **advances on the
+    first strictly improving neighbour to complete**: the climb consumes
+    evaluations as they land and cancels the rest of the ring the moment an
+    improving move arrives, instead of paying for every neighbour.  Restarts
+    from a fresh random point when stuck, until ``budget`` distinct
+    evaluations have been spent.
 
     With the default multiplicative scalarization (:func:`scalar_score`)
     the climb targets the balanced region of the frontier; the engine's
     trace still sees every *consumed* point, so the Pareto analysis covers
-    the whole walk.  Completion order equals submission order (each job
-    runs in the consuming thread), so searches stay exactly reproducible
-    for a fixed seed.
+    the whole walk.  A cold ring completes in submission order (each job
+    runs in the consuming thread), so a search is exactly reproducible for
+    a fixed seed and cache state; cache-warm neighbours land first, so a
+    partly warm cache can steer the climb to a different walk.
     """
 
     name = "hillclimb"
@@ -178,26 +183,18 @@ class HillClimbSearch:
         budget = _check_budget(budget) or DEFAULT_BUDGET
         rng = Random(self._seed)
         evaluated: Dict[DesignPoint, EvaluatedPoint] = {}
-        stream = getattr(evaluate, "stream", None)
+        stream = evaluate.stream  # type: ignore[attr-defined]
 
-        def spend(points: Sequence[DesignPoint]) -> List[EvaluatedPoint]:
-            fresh = [p for p in points if p not in evaluated]
-            for result in evaluate(fresh) if fresh else []:
-                evaluated[result.point] = result
-            return [evaluated[p] for p in points]
+        def spend(point: DesignPoint) -> EvaluatedPoint:
+            (result,) = evaluate([point])
+            evaluated[point] = result
+            return result
 
         def climb(
             current: EvaluatedPoint, moves: Sequence[DesignPoint]
         ) -> Optional[EvaluatedPoint]:
-            """The first (streaming) or best (batched) improving neighbour."""
+            """The first improving neighbour to complete, if any."""
             target = scalar_score(current, objectives)
-            if stream is None:
-                neighbors = spend(moves)
-                best = max(
-                    neighbors,
-                    key=lambda p: (scalar_score(p, objectives), p.label),
-                )
-                return best if scalar_score(best, objectives) > target else None
             results = stream(moves)
             try:
                 for result in results:
@@ -217,7 +214,7 @@ class HillClimbSearch:
         start = random_unvisited()
         if start is None:
             raise AnalysisError("the design space has no feasible points")
-        current = spend([start])[0]
+        current = spend(start)
         while len(evaluated) < budget:
             frontier_moves = [
                 p
@@ -237,7 +234,7 @@ class HillClimbSearch:
             restart = random_unvisited()
             if restart is None:
                 break
-            current = spend([restart])[0]
+            current = spend(restart)
 
 
 #: Strategy name -> factory, for the CLI's ``--strategy`` flag.

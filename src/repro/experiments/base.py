@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from ..analysis.results import ComparisonResult, MultiComparison
+from ..analysis.sweep import compare_models
 from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import ExperimentError, WorkloadError
 from ..nn.network import GANModel
@@ -159,12 +160,12 @@ class ExperimentContext:
     def comparisons(self) -> Dict[str, ComparisonResult]:
         """GANAX-vs-EYERISS comparison per model, computed once.
 
-        The legacy ``("eyeriss", "ganax")`` view the paper's figures
+        The two-way ``("eyeriss", "ganax")`` view the paper's figures
         consume; N-way studies use :attr:`multi_comparisons`.
         """
         if self._comparisons is None:
-            self._comparisons = self.runner.compare_models(
-                self.models, self._config, self._options
+            self._comparisons = compare_models(
+                self.models, self._config, self._options, runner=self.runner
             )
         return self._comparisons
 

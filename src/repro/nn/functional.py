@@ -266,8 +266,13 @@ def transposed_conv3d(
     weight: np.ndarray,
     stride: int | Tuple[int, int, int] = 1,
     padding: int | Tuple[int, int, int] = 0,
+    output_padding: int | Tuple[int, int, int] = 0,
 ) -> np.ndarray:
-    """Direct scatter-add 3-D transposed convolution reference (3D-GAN)."""
+    """Direct scatter-add 3-D transposed convolution reference (3D-GAN).
+
+    ``output_padding`` extends the far side of each spatial axis, as in
+    :func:`transposed_conv2d`.
+    """
     if x.ndim != 4:
         raise ShapeError(f"transposed_conv3d expects (C, D, H, W), got {x.shape}")
     if weight.ndim != 5:
@@ -282,11 +287,13 @@ def transposed_conv3d(
         stride = (stride, stride, stride)
     if isinstance(padding, int):
         padding = (padding, padding, padding)
+    if isinstance(output_padding, int):
+        output_padding = (output_padding, output_padding, output_padding)
     kd, kh, kw = weight.shape[2:]
     d, h, w = x.shape[1:]
-    out_d = (d - 1) * stride[0] - 2 * padding[0] + kd
-    out_h = (h - 1) * stride[1] - 2 * padding[1] + kh
-    out_w = (w - 1) * stride[2] - 2 * padding[2] + kw
+    out_d = (d - 1) * stride[0] - 2 * padding[0] + kd + output_padding[0]
+    out_h = (h - 1) * stride[1] - 2 * padding[1] + kh + output_padding[1]
+    out_w = (w - 1) * stride[2] - 2 * padding[2] + kw + output_padding[2]
     if out_d <= 0 or out_h <= 0 or out_w <= 0:
         raise ShapeError("transposed convolution output has non-positive extent")
     full = np.zeros(

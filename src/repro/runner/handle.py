@@ -12,7 +12,8 @@ batch however suits it:
   order*, blocking per slot (the streaming counterpart of the old batch
   return value).
 * :meth:`BatchHandle.results` — block until everything finished and return
-  the full list (this is exactly what ``run_jobs()`` does).
+  the full list (this is exactly what
+  :meth:`~repro.runner.SimulationRunner.run_jobs` does).
 * :meth:`BatchHandle.cancel` — cancel every job that has not started.
 
 The handle runs its jobs itself, lazily, *in the consuming thread*: nothing
@@ -217,7 +218,8 @@ class BatchHandle:
 
         Raises the failing job's exception at its slot and
         :class:`concurrent.futures.CancelledError` for cancelled jobs —
-        matching the blocking semantics of ``run_jobs()``.
+        matching the blocking semantics of
+        :meth:`~repro.runner.SimulationRunner.run_jobs`.
         """
         for entry in self._entries:
             self._wait_terminal(entry)

@@ -21,22 +21,21 @@ Consumers pull from the handle (``as_completed()`` / ``iter_results()`` /
 ``results()``) and can observe the typed
 :class:`~repro.runner.events.RunnerEvent` life cycle of every job through
 :meth:`SimulationRunner.subscribe` or a per-batch ``on_event`` callback.
-:meth:`run_jobs` — the pre-streaming batch API — is now a thin blocking
-wrapper over ``submit()``, so the serial-parity and golden guarantees hold
-unchanged.
+:meth:`run_jobs` is the blocking wrapper over ``submit()``: results in
+submission order.
 
-The comparison entry points are registry-driven and N-way:
+The comparison entry points are registry-driven and N-way.  Every grid is
+built in one place, :meth:`stream_accelerators_over_configs`, which yields
+each (config, model) cell as its accelerator set lands;
 :meth:`compare_accelerators` / :meth:`compare_accelerators_over_configs`
-assemble :class:`~repro.analysis.results.MultiComparison` values over any set
-of registered accelerator names, and the legacy two-way helpers
-(:meth:`compare_model`, :meth:`compare_models`,
-:meth:`compare_models_over_configs`) are their ``("eyeriss", "ganax")``
-special case, producing the :class:`~repro.analysis.results.ComparisonResult`
-values that :mod:`repro.analysis.sweep` and the experiment harness consume.
+collect that stream back into submission order as
+:class:`~repro.analysis.results.MultiComparison` values.  The two-way
+EYERISS-vs-GANAX projection (``compare_model`` / ``compare_models``) lives
+in :mod:`repro.analysis.sweep`.
 
-A process-wide default runner (one shared in-memory cache) backs the
-module-level ``compare_model``/``compare_models`` helpers so casual library
-use benefits from caching without any setup.
+A process-wide default runner (one shared in-memory cache) backs those
+module-level helpers so casual library use benefits from caching without
+any setup.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import threading
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..accelerators.registry import get_accelerator
-from ..analysis.results import ComparisonResult, GanResult, MultiComparison
+from ..analysis.results import GanResult, MultiComparison
 from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import AnalysisError
 from ..nn.network import GANModel
@@ -347,7 +346,7 @@ class SimulationRunner:
     ) -> Iterator[Tuple[str, MultiComparison]]:
         """Yield ``(model_name, MultiComparison)`` as each model's grid lands.
 
-        The streaming counterpart of :meth:`compare_accelerators`: the whole
+        :meth:`compare_accelerators` is this stream collected: the whole
         (model x accelerator) grid is submitted at once, and a model is
         yielded as soon as *its* jobs have all completed — cache-warm models
         arrive immediately, even while others still simulate.  Abandoning
@@ -372,12 +371,13 @@ class SimulationRunner:
     ) -> Iterator[Tuple[str, str, MultiComparison]]:
         """Yield ``(config_label, model_name, MultiComparison)`` as groups land.
 
-        The streaming counterpart of :meth:`compare_accelerators_over_configs`:
-        one submission covers the whole (config x model x accelerator) grid,
-        and each (config, model) cell is yielded the moment its accelerator
-        set completes — in completion order, which equals submission order
-        when one consumer drains the stream.  Closing the iterator early
-        cancels every job that has not started.
+        The one place comparison jobs are built (every grid entry point
+        collects this stream): one submission covers the whole
+        (config x model x accelerator) grid, and each (config, model) cell
+        is yielded the moment its accelerator set completes — in completion
+        order: cache-warm cells first (they resolve at submission), then
+        submission order when one consumer drains the stream.  Closing the
+        iterator early cancels every job that has not started.
         """
         if not models:
             raise AnalysisError("no models provided")
@@ -387,7 +387,7 @@ class SimulationRunner:
         jobs: List[SimulationJob] = []
         # job index -> (group key, model occurrence); a group only accepts
         # completions from its *canonical* occurrence (the last model listed
-        # under that name, matching the batch path's per-name dict slot), so
+        # under that name, as a per-name dict keeps the last write), so
         # a name shared by distinct models never mixes results in one group
         # while equivalent spellings still collapse to a single yield.
         slots: List[Tuple[Tuple[str, str], int]] = []
@@ -460,99 +460,21 @@ class SimulationRunner:
     ) -> Dict[str, Dict[str, MultiComparison]]:
         """Run a (config x model x accelerator) grid as one deduplicated batch.
 
-        The most general comparison entry point: every other comparison
-        method — including the legacy two-way ones — reduces to it, so all
-        simulation traffic resolves accelerator names through the registry
-        and shares one submission.  Returns
-        ``{config_label: {model_name: MultiComparison}}`` preserving the
-        iteration order of ``labelled_configs``, ``models`` and
-        ``accelerators``.
+        :meth:`stream_accelerators_over_configs` collected: the stream
+        yields cells in completion order (cache-warm cells first), so they
+        are put back in the iteration order of ``labelled_configs``,
+        ``models`` and ``accelerators``.  Returns
+        ``{config_label: {model_name: MultiComparison}}``.
         """
-        if not models:
-            raise AnalysisError("no models provided")
-        if not labelled_configs:
-            raise AnalysisError("no configurations provided")
-        names, resolved_baseline = resolve_accelerators(accelerators, baseline)
-        jobs: List[SimulationJob] = []
-        for config in labelled_configs.values():
-            for model in models:
-                jobs.extend(
-                    SimulationJob.for_accelerators(model, names, config, options)
-                )
-        results = self.run_jobs(jobs)
-        grid: Dict[str, Dict[str, MultiComparison]] = {}
-        cursor = iter(results)
-        for label in labelled_configs:
-            comparisons: Dict[str, MultiComparison] = {}
-            for model in models:
-                per_accelerator = {name: next(cursor) for name in names}
-                comparisons[model.name] = MultiComparison(
-                    model_name=model.name,
-                    baseline=resolved_baseline,
-                    results=per_accelerator,
-                )
-            grid[label] = comparisons
-        return grid
-
-    # ------------------------------------------------------------------
-    # Legacy two-way comparison entry points
-    # ------------------------------------------------------------------
-    def compare_model(
-        self,
-        model: GANModel,
-        config: Optional[ArchitectureConfig] = None,
-        options: Optional[SimulationOptions] = None,
-    ) -> ComparisonResult:
-        """Run one GAN on the legacy (eyeriss, ganax) pair; see compare_accelerators for N-way."""
-        return self.compare_models([model], config, options)[model.name]
-
-    def compare_models(
-        self,
-        models: Sequence[GANModel],
-        config: Optional[ArchitectureConfig] = None,
-        options: Optional[SimulationOptions] = None,
-    ) -> Dict[str, ComparisonResult]:
-        """Run every GAN on the legacy (eyeriss, ganax) pair; name -> comparison.
-
-        All ``2 * len(models)`` jobs dispatch as one deduplicated batch.
-        N-way studies over other registered accelerators use
-        :meth:`compare_accelerators`.
-        """
-        if not models:
-            raise AnalysisError("no models provided")
-        grid = self.compare_models_over_configs(
-            models, {"default": config or ArchitectureConfig.paper_default()}, options
-        )
-        return grid["default"]
-
-    def compare_models_over_configs(
-        self,
-        models: Sequence[GANModel],
-        labelled_configs: Mapping[str, ArchitectureConfig],
-        options: Optional[SimulationOptions] = None,
-    ) -> Dict[str, Dict[str, ComparisonResult]]:
-        """Run a (config x model) comparison grid as one deduplicated batch.
-
-        This is the sweep fast path: every point of a parameter sweep joins a
-        single submission, so configs that collapse to the same content hash
-        run once.  It is the ``("eyeriss", "ganax")`` special case of
-        :meth:`compare_accelerators_over_configs`.
-
-        Returns ``{config_label: {model_name: ComparisonResult}}`` preserving
-        the iteration order of ``labelled_configs`` and ``models``.
-        """
-        grid = self.compare_accelerators_over_configs(
-            models,
-            labelled_configs,
-            COMPARISON_PAIR,
-            baseline="eyeriss",
-            options=options,
-        )
+        cells = {
+            (label, model_name): multi
+            for label, model_name, multi in self.stream_accelerators_over_configs(
+                models, labelled_configs, accelerators, baseline, options
+            )
+        }
         return {
-            label: {
-                name: multi.as_comparison() for name, multi in comparisons.items()
-            }
-            for label, comparisons in grid.items()
+            label: {model.name: cells[label, model.name] for model in models}
+            for label in labelled_configs
         }
 
 

@@ -161,7 +161,7 @@ class Session:
     ) -> Iterator[Tuple[str, MultiComparison]]:
         """Yield ``(model_name, MultiComparison)`` as each model completes.
 
-        The streaming counterpart of :meth:`compare`: all jobs submit at
+        :meth:`compare` is this stream collected: all jobs submit at
         once, and each model is yielded the moment its accelerator set has
         finished — cache-warm models arrive immediately while cold ones
         still simulate, so progress UIs and services can react per model

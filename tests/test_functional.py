@@ -196,6 +196,14 @@ class TestConv3d:
         w = rng.standard_normal((2, 1, 4, 4, 4))
         out = transposed_conv3d(x, w, stride=2, padding=1)
         assert out.shape == (1, 8, 8, 8)
+        # output_padding reaches the shape a rank-3 layer declares for it
+        layer = TransposedConvLayer(
+            name="t", out_channels=1, kernel=4, stride=2, padding=1,
+            output_padding=1, rank=3,
+        )
+        declared = layer.output_shape(FeatureMapShape(1, (4, 4, 4)))
+        out = transposed_conv3d(x[:1], w[:1], stride=2, padding=1, output_padding=1)
+        assert out.shape == (declared.channels, *declared.spatial) == (1, 9, 9, 9)
 
     def test_transposed_conv3d_adjoint(self, rng):
         x = rng.standard_normal((1, 4, 4, 4))
@@ -246,7 +254,13 @@ def _run_layer(binding, x: np.ndarray) -> np.ndarray:
                 padding=layer.padding,
                 output_padding=layer.output_padding,
             )
-        return transposed_conv3d(x[:1], weight, stride=layer.stride, padding=layer.padding)
+        return transposed_conv3d(
+            x[:1],
+            weight,
+            stride=layer.stride,
+            padding=layer.padding,
+            output_padding=layer.output_padding,
+        )
     if isinstance(layer, DenseLayer):
         # Broadcast the one carried channel back to the full input volume.
         flat = np.broadcast_to(x[:1], binding.input_shape.as_tuple()).reshape(-1)
@@ -335,7 +349,13 @@ class TestPaperTransposedConvs:
                     output_padding=layer.output_padding,
                 )
             else:
-                out = transposed_conv3d(x, weight, stride=layer.stride, padding=layer.padding)
+                out = transposed_conv3d(
+                    x,
+                    weight,
+                    stride=layer.stride,
+                    padding=layer.padding,
+                    output_padding=layer.output_padding,
+                )
             channel_pairs = binding.input_shape.channels * layer.out_channels
             genuine_taps = int(out.sum()) * channel_pairs
             assert genuine_taps == layer.consequential_macs(binding.input_shape), binding.name

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.metrics import geometric_mean
 from repro.analysis.serialization import workload_fingerprint
+from repro.analysis.sweep import compare_models
 from repro.config import ArchitectureConfig
 from repro.runner import SimulationRunner
 from repro.workloads.registry import all_workloads, get_workload, workload_names
@@ -76,8 +77,9 @@ RELATIVE_TOLERANCE = 1e-12
 
 @pytest.fixture(scope="module")
 def comparisons():
-    runner = SimulationRunner()
-    return runner.compare_models(all_workloads(), ArchitectureConfig.paper_default())
+    return compare_models(
+        all_workloads(), ArchitectureConfig.paper_default(), runner=SimulationRunner()
+    )
 
 
 @pytest.fixture(scope="module")

@@ -70,9 +70,11 @@ class TestErrorHierarchy:
             repro.get_workload("does-not-exist")
 
 
-@pytest.mark.parametrize("script", ["quickstart.py", "isa_walkthrough.py"])
+@pytest.mark.parametrize(
+    "script", sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
+)
 def test_example_scripts_run(script):
-    """The quick examples must run end-to-end and exit cleanly."""
+    """Every example must run end-to-end and exit cleanly."""
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / script)],
         capture_output=True,

@@ -25,6 +25,7 @@ from repro.accelerators import (
 from repro.analysis.serialization import canonical_json, gan_result_rows
 from repro.analysis.sweep import ParameterSweep, compare_model, compare_models
 from repro.config import ArchitectureConfig, SimulationOptions
+from repro.dse import DesignSpaceExplorer
 from repro.errors import AnalysisError, ConfigurationError, UnknownAcceleratorError
 from repro.session import Session
 from repro.runner import (
@@ -112,8 +113,8 @@ class TestSimulationJob:
 class TestCacheParity:
     def test_cached_results_identical_to_fresh_ones(self, models):
         runner = SimulationRunner()
-        cold = runner.compare_models(models[:2])
-        warm = runner.compare_models(models[:2])
+        cold = compare_models(models[:2], runner=runner)
+        warm = compare_models(models[:2], runner=runner)
         for name in cold:
             assert cold[name] == warm[name]
             assert result_bytes(cold[name]) == result_bytes(warm[name])
@@ -135,10 +136,10 @@ class TestCacheParity:
             return SimulationRunner(cache=DiskResultCache(tmp_path / "cache"))
 
         cold_runner = runner()
-        cold = cold_runner.compare_models(models)
+        cold = compare_models(models, runner=cold_runner)
         # a second runner on the same disk directory is answered from disk
         warm_runner = runner() if tier == "disk" else cold_runner
-        warm = warm_runner.compare_models(models)
+        warm = compare_models(models, runner=warm_runner)
         if tier != "none":
             assert warm_runner.stats.hits == 2 * len(models)
         for name, expected in reference.items():
@@ -179,7 +180,7 @@ class TestCacheParity:
 class TestCacheAccounting:
     def test_cold_batch_counts_all_misses(self, models):
         runner = SimulationRunner()
-        runner.compare_models(models)
+        compare_models(models, runner=runner)
         assert runner.stats.misses == 2 * len(models)
         assert runner.stats.stores == 2 * len(models)
         assert runner.stats.hits == 0
@@ -188,8 +189,8 @@ class TestCacheAccounting:
 
     def test_repeat_batch_is_all_hits(self, models):
         runner = SimulationRunner()
-        runner.compare_models(models)
-        runner.compare_models(models)
+        compare_models(models, runner=runner)
+        compare_models(models, runner=runner)
         assert runner.stats.hits == 2 * len(models)
         assert runner.stats.misses == 2 * len(models)
         assert runner.stats.hit_rate == 0.5
@@ -209,12 +210,13 @@ class TestCacheAccounting:
         # ganax_target_utilization defaults to 0.92, so this "update" is a
         # content no-op and must hit the cache, not re-simulate.
         runner = SimulationRunner()
-        runner.compare_model(dcgan_model)
-        runner.compare_model(
+        compare_model(dcgan_model, runner=runner)
+        compare_model(
             dcgan_model,
             ArchitectureConfig.paper_default().with_updates(
                 ganax_target_utilization=0.92
             ),
+            runner=runner,
         )
         assert runner.stats.misses == 2
         assert runner.stats.hits == 2
@@ -222,8 +224,8 @@ class TestCacheAccounting:
     def test_uncached_runner_recomputes(self, dcgan_model):
         runner = SimulationRunner(use_cache=False)
         assert runner.cache is None
-        first = runner.compare_model(dcgan_model)
-        second = runner.compare_model(dcgan_model)
+        first = compare_model(dcgan_model, runner=runner)
+        second = compare_model(dcgan_model, runner=runner)
         assert runner.stats.misses == 4
         assert runner.stats.hits == 0
         assert first == second
@@ -263,10 +265,10 @@ class TestCaches:
 
     def test_disk_cache_warm_runner_hits(self, tmp_path, dcgan_model):
         cold = SimulationRunner(cache=DiskResultCache(tmp_path / "cache"))
-        first = cold.compare_model(dcgan_model)
+        first = compare_model(dcgan_model, runner=cold)
         assert cold.stats.misses == 2
         warm = SimulationRunner(cache=DiskResultCache(tmp_path / "cache"))
-        second = warm.compare_model(dcgan_model)
+        second = compare_model(dcgan_model, runner=warm)
         assert warm.stats.hits == 2
         assert warm.stats.misses == 0
         assert first == second
@@ -341,9 +343,9 @@ class TestRunnerPlumbing:
     def test_empty_inputs_rejected(self, dcgan_model):
         runner = SimulationRunner()
         with pytest.raises(AnalysisError):
-            runner.compare_models([])
+            compare_models([], runner=runner)
         with pytest.raises(AnalysisError):
-            runner.compare_models_over_configs([dcgan_model], {})
+            runner.compare_accelerators_over_configs([dcgan_model], {})
 
     def test_run_jobs_empty_batch_is_noop(self):
         runner = SimulationRunner()
@@ -356,17 +358,22 @@ class TestRunnerPlumbing:
             "narrow": ArchitectureConfig.paper_default().with_updates(num_pvs=8),
             "paper": ArchitectureConfig.paper_default(),
         }
-        grid = runner.compare_models_over_configs(models[:3], configs)
+        # a warm last cell streams first; the grid must still be in order
+        runner.compare_accelerators([models[2]])
+        stream = runner.stream_accelerators_over_configs(models[:3], configs)
+        assert next(stream)[:2] == ("paper", models[2].name)
+        stream.close()
+        grid = runner.compare_accelerators_over_configs(models[:3], configs)
         assert list(grid) == ["narrow", "paper"]
         for comparisons in grid.values():
             assert list(comparisons) == [m.name for m in models[:3]]
 
     def test_context_manager_and_close_leave_the_runner_usable(self, dcgan_model):
         with SimulationRunner() as runner:
-            comparison = runner.compare_model(dcgan_model)
+            comparison = compare_model(dcgan_model, runner=runner)
         assert comparison.generator_speedup > 1.0
         runner.close()  # idempotent
-        assert runner.compare_model(dcgan_model) == comparison  # from cache
+        assert compare_model(dcgan_model, runner=runner) == comparison  # from cache
         assert runner.stats.hits == 2
 
     def test_default_runner_is_process_wide_and_replaceable(self):
@@ -392,6 +399,60 @@ class TestRunnerPlumbing:
         sweep = ParameterSweep(models[:1], runner=SimulationRunner())
         with pytest.raises(AnalysisError):
             sweep.run("num_pvs", [8, 8], label_format="{parameter}")
+
+
+def _partly_warm_surface(surface, runner, dcgan_model):
+    """(warm, stream, collect, key, expected) for one collected entry point.
+
+    ``warm`` caches the *last* item, so the stream yields it first;
+    ``collect`` is the batch entry point that must still return
+    ``expected``, the submission order.
+    """
+    if surface == "session":
+        session = Session(runner=runner)
+        models = [get_workload("MAGAN"), dcgan_model]
+        return (
+            lambda: session.compare([dcgan_model]),
+            lambda: session.stream_compare(models),
+            lambda: list(session.compare(models).items()),
+            lambda item: item[0],
+            ["MAGAN", "DCGAN"],
+        )
+    if surface == "sweep":
+        sweep = ParameterSweep([dcgan_model], runner=runner)
+        return (
+            lambda: sweep.run("num_pvs", [16]),
+            lambda: sweep.iter_points("num_pvs", [8, 16]),
+            lambda: sweep.run("num_pvs", [8, 16]),
+            lambda point: point.label,
+            ["num_pvs=8", "num_pvs=16"],
+        )
+    explorer = DesignSpaceExplorer(models=[dcgan_model], runner=runner)
+    points = list(
+        explorer.space(fields=("num_pvs",), overrides={"num_pvs": (8, 16)}).points()
+    )
+    return (
+        lambda: explorer.evaluate(points[1:]),
+        lambda: explorer.evaluate_stream(points),
+        lambda: explorer.evaluate(points),
+        lambda evaluated: evaluated.label,
+        [point.label for point in points],
+    )
+
+
+@pytest.mark.parametrize("surface", ["session", "sweep", "dse"])
+def test_collected_streams_keep_submission_order_when_partly_warm(
+    surface, dcgan_model
+):
+    """A warm last item streams first; the collected result stays in order."""
+    warm, stream, collect, key, expected = _partly_warm_surface(
+        surface, SimulationRunner(), dcgan_model
+    )
+    warm()
+    streamed = stream()
+    assert key(next(streamed)) == expected[-1]
+    streamed.close()
+    assert [key(item) for item in collect()] == expected
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +664,7 @@ class TestSession:
         runner = SimulationRunner()
         session = Session(accelerators=["eyeriss", "ganax"], runner=runner)
         multi = session.compare_model(dcgan_model)
-        legacy = runner.compare_model(dcgan_model)
+        legacy = compare_model(dcgan_model, runner=runner)
         assert multi.as_comparison() == legacy
         assert multi.generator_speedup("ganax") == legacy.generator_speedup
         assert (

@@ -27,6 +27,7 @@ import pytest
 
 from repro.accelerators import accelerator_names, create_accelerator
 from repro.analysis.metrics import geometric_mean
+from repro.analysis.sweep import compare_models
 from repro.config import ArchitectureConfig, SimulationOptions
 from repro.core.compiler import (
     ColumnWork,
@@ -468,11 +469,11 @@ class TestResultParity:
 
     @pytest.fixture(scope="class")
     def comparisons(self):
-        runner = SimulationRunner()
-        return runner.compare_models(
+        return compare_models(
             all_workloads(),
             ArchitectureConfig.paper_default(),
             SimulationOptions(schedule="default"),
+            runner=SimulationRunner(),
         )
 
     @pytest.mark.parametrize("model_name", sorted(GOLDEN))

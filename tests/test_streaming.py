@@ -16,7 +16,7 @@ The load-bearing guarantees of the redesign:
   thread is executing, and never corrupts accounting;
 * **streaming consumers** — ``Session.stream_compare``,
   ``ParameterSweep.iter_points`` and the DSE streaming evaluator agree
-  value-for-value with their batch counterparts;
+  value-for-value with the batch entry points that collect them;
 * (satellite) **concurrent disk-cache writers** never publish a partial
   entry — the atomic temp-file + rename protocol is exercised by two real
   writer processes hammering one key.
@@ -611,10 +611,9 @@ class TestDseStreaming:
     def test_hillclimb_advances_before_exhausting_the_ring(self, small_models):
         """A strictly-improving first neighbour ends the ring early.
 
-        The engine's trace only holds consumed evaluations, so with the
-        streaming evaluator the number of evaluations can stay *below* what
-        the batched whole-ring climb would have spent; at minimum the climb
-        must never overshoot its budget.
+        The engine's trace only holds consumed evaluations, so the number
+        of evaluations can stay *below* a whole ring per step; at minimum
+        the climb must never overshoot its budget.
         """
         explorer = DesignSpaceExplorer(
             models=small_models[:1], runner=SimulationRunner()
