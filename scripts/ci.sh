@@ -156,9 +156,16 @@ import sys
 with open(sys.argv[1], encoding="utf-8") as handle:
     payload = json.load(handle)
 names = [entry["name"] for entry in payload["workloads"]]
-assert len(names) >= 6, f"registry too thin: {names}"
+paper = ["3D-GAN", "ArtGAN", "DCGAN", "DiscoGAN", "GP-GAN", "MAGAN"]
+assert names[:6] == paper, f"paper GANs not first, in figure order: {names}"
 families = {entry["name"]: entry for entry in payload["families"]}
 assert "synthetic" in families, sorted(families)
+unlisted = [
+    (entry["name"], entry["family"])
+    for entry in payload["workloads"][:6]
+    if entry["family"] not in families
+]
+assert not unlisted, f"paper GANs in unlisted families: {unlisted}"
 assert all(entry["grammar"] and entry["version"] for entry in families.values())
 print("list-workloads OK:", len(names), "workloads,", len(families), "families")
 PY

@@ -115,10 +115,13 @@ class ExplorationResult:
         """JSON-friendly record of the whole search.
 
         Deliberately excludes :attr:`cache_stats`: the summary describes the
-        *search outcome*, which is deterministic, while cache accounting is
-        execution metadata that differs between cold and warm runs — and the
-        CLI's ``--json`` outputs are byte-comparable across runs by contract
-        (``--cache-stats`` prints the accounting separately).
+        *search outcome*, while cache accounting is execution metadata that
+        differs between cold and warm runs (``--cache-stats`` prints it
+        separately).  Exhaustive and random searches evaluate a fixed point
+        set, so their summaries are byte-comparable across cold and warm
+        runs.  A hill climb's is not: it advances on the first improving
+        neighbour to complete, and cache-warm neighbours complete first, so
+        its walk, and with it its frontier, depends on the cache state.
         """
         return {
             "accelerator": self.accelerator,

@@ -18,14 +18,10 @@ from .layers import (
 )
 from .network import GANModel, LayerBinding, Network
 from .zero_analysis import (
-    LayerZeroStats,
     RowPattern,
     TransposedConvAnalysis,
     analyze_transposed_conv,
     count_consequential_macs_bruteforce,
-    distinct_row_patterns,
-    layer_zero_stats,
-    transposed_conv_inconsequential_fraction,
 )
 
 __all__ = [
@@ -44,12 +40,8 @@ __all__ = [
     "GANModel",
     "LayerBinding",
     "Network",
-    "LayerZeroStats",
     "RowPattern",
     "TransposedConvAnalysis",
     "analyze_transposed_conv",
     "count_consequential_macs_bruteforce",
-    "distinct_row_patterns",
-    "layer_zero_stats",
-    "transposed_conv_inconsequential_fraction",
 ]

@@ -19,7 +19,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from ..errors import NetworkError
 from .layers import ConvLayer, LayerSpec, TransposedConvLayer
 from .shapes import FeatureMapShape
-from .zero_analysis import LayerZeroStats, layer_zero_stats
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,6 @@ class LayerBinding:
     @property
     def is_convolutional(self) -> bool:
         return self.layer.is_convolutional
-
-    def zero_stats(self) -> LayerZeroStats:
-        return layer_zero_stats(self.layer, self.input_shape)
 
 
 class Network:

@@ -18,15 +18,14 @@ and an explicit mask-based one used to cross-check it in tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import LayerError
-from .layers import ConvLayer, LayerSpec, TransposedConvLayer
+from .layers import TransposedConvLayer
 from .shapes import FeatureMapShape
 
 
@@ -206,73 +205,3 @@ def count_consequential_macs_bruteforce(
         ]
         count += int(window.sum())
     return count * out.channels * input_shape.channels
-
-
-# ----------------------------------------------------------------------
-# Network-level aggregation (Figure 1)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LayerZeroStats:
-    """Per-layer structural statistics used in Figure 1 style summaries."""
-
-    layer_name: str
-    is_transposed: bool
-    total_macs: int
-    consequential_macs: int
-
-    @property
-    def inconsequential_macs(self) -> int:
-        return self.total_macs - self.consequential_macs
-
-    @property
-    def inconsequential_fraction(self) -> float:
-        if self.total_macs == 0:
-            return 0.0
-        return self.inconsequential_macs / self.total_macs
-
-
-def layer_zero_stats(layer: LayerSpec, input_shape: FeatureMapShape) -> LayerZeroStats:
-    """Structural zero statistics for any layer type."""
-    return LayerZeroStats(
-        layer_name=layer.name,
-        is_transposed=layer.is_transposed,
-        total_macs=layer.total_macs(input_shape),
-        consequential_macs=layer.consequential_macs(input_shape),
-    )
-
-
-def transposed_conv_inconsequential_fraction(
-    layers_with_shapes: Sequence[Tuple[LayerSpec, FeatureMapShape]],
-) -> float:
-    """Fraction of dense MACs in TConv layers that are inconsequential.
-
-    This is the quantity plotted per GAN model in Figure 1 of the paper: the
-    numerator and denominator are summed over the transposed-convolution
-    layers only.
-    """
-    total = 0
-    consequential = 0
-    for layer, input_shape in layers_with_shapes:
-        if not layer.is_transposed:
-            continue
-        total += layer.total_macs(input_shape)
-        consequential += layer.consequential_macs(input_shape)
-    if total == 0:
-        return 0.0
-    return (total - consequential) / total
-
-
-def distinct_row_patterns(
-    layer: TransposedConvLayer, input_shape: FeatureMapShape
-) -> Dict[Tuple[int, ...], int]:
-    """Map from (consequential filter rows) pattern -> number of output rows.
-
-    The key observation of Section II is that the number of distinct patterns
-    equals the vertical stride, independent of the feature-map size.
-    """
-    analysis = analyze_transposed_conv(layer, input_shape)
-    result: Dict[Tuple[int, ...], int] = {}
-    for pattern, count in zip(analysis.row_patterns, analysis.rows_per_pattern):
-        key = pattern.consequential_filter_rows
-        result[key] = result.get(key, 0) + count
-    return result

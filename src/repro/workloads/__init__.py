@@ -7,11 +7,11 @@ and parameterized **families** resolve spec strings like ``dcgan@32x32`` or
 :mod:`repro.workloads.synthetic`).  See ``README.md`` in this directory.
 """
 
-from .artgan import build_artgan, build_artgan_variant
-from .dcgan import build_dcgan, build_dcgan_variant
-from .discogan import build_discogan, build_discogan_variant
-from .gpgan import build_gpgan, build_gpgan_variant
-from .magan import build_magan, build_magan_variant
+from .artgan import build_artgan
+from .dcgan import build_dcgan
+from .discogan import build_discogan
+from .gpgan import build_gpgan
+from .magan import build_magan
 from .registry import (
     WorkloadFamily,
     WorkloadSpec,
@@ -30,24 +30,18 @@ from .registry import (
     workload_version_for,
 )
 from .synthetic import build_synthetic
-from .threed_gan import build_threed_gan, build_threed_gan_variant
+from .threed_gan import build_threed_gan
 
 __all__ = [
     "WorkloadFamily",
     "WorkloadSpec",
     "build_artgan",
-    "build_artgan_variant",
     "build_dcgan",
-    "build_dcgan_variant",
     "build_discogan",
-    "build_discogan_variant",
     "build_gpgan",
-    "build_gpgan_variant",
     "build_magan",
-    "build_magan_variant",
     "build_synthetic",
     "build_threed_gan",
-    "build_threed_gan_variant",
     "all_workloads",
     "describe_workload_families",
     "describe_workloads",

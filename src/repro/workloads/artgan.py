@@ -10,7 +10,7 @@ through six stride-2 convolutions.
 
 from __future__ import annotations
 
-from ..nn.network import GANModel, Network
+from ..nn.network import GANModel
 from ..nn.shapes import FeatureMapShape
 from .builder import (
     build_discriminator,
@@ -22,58 +22,20 @@ from .builder import (
     upsampling_block_count,
 )
 
-LATENT_DIM = 128
-BASE_CHANNELS = 1024
-IMAGE_SIZE = 128
-SEED_SHAPE = FeatureMapShape.image(channels=BASE_CHANNELS, height=4, width=4)
-IMAGE_SHAPE = FeatureMapShape.image(channels=3, height=IMAGE_SIZE, width=IMAGE_SIZE)
+#: The paper point: the ``artgan`` family's defaults.
+DEFAULTS = {"size": 128, "base_channels": 1024, "latent_dim": 128}
 
 
-def build_artgan_generator() -> Network:
-    """The ArtGAN generator: 5 stride-2 4x4 transposed convolutions."""
-    layers = tconv_stack(
-        channel_plan=[512, 256, 128, 64, 3],
-        kernel=4,
-        stride=2,
-        padding=1,
-        prefix="tconv",
-    )
-    return build_generator("artgan_generator", LATENT_DIM, SEED_SHAPE, layers)
-
-
-def build_artgan_discriminator() -> Network:
-    """The ArtGAN discriminator: 6 stride-2 4x4 convolutions."""
-    layers = conv_stack(
-        channel_plan=[32, 64, 128, 256, 512, 1024],
-        kernel=4,
-        stride=2,
-        padding=1,
-        prefix="conv",
-    )
-    return build_discriminator("artgan_discriminator", IMAGE_SHAPE, layers)
-
-
-def build_artgan() -> GANModel:
-    """The full ArtGAN model as evaluated in the paper."""
-    return GANModel(
-        name="ArtGAN",
-        generator=build_artgan_generator(),
-        discriminator=build_artgan_discriminator(),
-        year=2017,
-        description="Complex artworks generation",
-    )
-
-
-def build_artgan_variant(
-    size: int = IMAGE_SIZE,
-    base_channels: int = BASE_CHANNELS,
-    latent_dim: int = LATENT_DIM,
+def build_artgan(
+    size: int = DEFAULTS["size"],
+    base_channels: int = DEFAULTS["base_channels"],
+    latent_dim: int = DEFAULTS["latent_dim"],
 ) -> GANModel:
-    """A scaled ArtGAN: the paper recipe at another resolution / channel width.
+    """ArtGAN: the paper model by default, or its recipe at another size / width.
 
     One stride-2 4x4 transposed convolution per doubling of the 4x4 seed and
     a mirroring discriminator with one extra stride-2 convolution — the
-    canonical 128x128 model has 5 and 6.  Backs the ``artgan@...`` workload
+    128x128 paper model has 5 and 6.  Backs the ``artgan@...`` workload
     family (see :mod:`repro.workloads.families`).
     """
     blocks = upsampling_block_count(size)
@@ -105,5 +67,5 @@ def build_artgan_variant(
         generator=generator,
         discriminator=discriminator,
         year=2017,
-        description=f"ArtGAN recipe at {size}x{size}, base width {base_channels}",
+        description="Complex artworks generation",
     )

@@ -5,6 +5,8 @@ Imported lazily by :mod:`repro.workloads.registry` on the first lookup
 Registration is centralized here — rather than decorating each builder in
 its home module — so the registry order is pinned to the paper's figure
 order regardless of which workload module happens to be imported first.
+Each paper GAN registers its family's one builder, which the registry calls
+with no arguments: its defaults are the paper point.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ and upsamples it through four stride-2, 5x5 transposed convolutions up to a
 
 from __future__ import annotations
 
-from ..nn.network import GANModel, Network
+from ..nn.network import GANModel
 from ..nn.shapes import FeatureMapShape
 from .builder import (
     build_discriminator,
@@ -21,61 +21,22 @@ from .builder import (
     upsampling_block_count,
 )
 
-LATENT_DIM = 100
-BASE_CHANNELS = 1024
-IMAGE_SIZE = 64
-SEED_SHAPE = FeatureMapShape.image(channels=BASE_CHANNELS, height=4, width=4)
-IMAGE_SHAPE = FeatureMapShape.image(channels=3, height=IMAGE_SIZE, width=IMAGE_SIZE)
+#: The paper point: the ``dcgan`` family's defaults.
+DEFAULTS = {"size": 64, "base_channels": 1024, "latent_dim": 100}
 
 
-def build_dcgan_generator() -> Network:
-    """The DCGAN generator: 4 stride-2 5x5 transposed convolutions."""
-    layers = tconv_stack(
-        channel_plan=[512, 256, 128, 3],
-        kernel=5,
-        stride=2,
-        padding=2,
-        output_padding=1,
-        prefix="tconv",
-    )
-    return build_generator("dcgan_generator", LATENT_DIM, SEED_SHAPE, layers)
-
-
-def build_dcgan_discriminator() -> Network:
-    """The DCGAN discriminator: 5 stride-2 5x5 convolutions."""
-    layers = conv_stack(
-        channel_plan=[64, 128, 256, 512, 1024],
-        kernel=5,
-        stride=2,
-        padding=2,
-        prefix="conv",
-    )
-    return build_discriminator("dcgan_discriminator", IMAGE_SHAPE, layers)
-
-
-def build_dcgan() -> GANModel:
-    """The full DCGAN model as evaluated in the paper."""
-    return GANModel(
-        name="DCGAN",
-        generator=build_dcgan_generator(),
-        discriminator=build_dcgan_discriminator(),
-        year=2015,
-        description="Unsupervised representation learning",
-    )
-
-
-def build_dcgan_variant(
-    size: int = IMAGE_SIZE,
-    base_channels: int = BASE_CHANNELS,
-    latent_dim: int = LATENT_DIM,
+def build_dcgan(
+    size: int = DEFAULTS["size"],
+    base_channels: int = DEFAULTS["base_channels"],
+    latent_dim: int = DEFAULTS["latent_dim"],
 ) -> GANModel:
-    """A scaled DCGAN: the paper recipe at another resolution / channel width.
+    """DCGAN: the paper model by default, or its recipe at another size / width.
 
     ``size`` must be a power-of-two multiple of the 4x4 seed; the generator
     gets one stride-2 5x5 transposed convolution per doubling and the
-    discriminator mirrors it with one extra stride-2 convolution, exactly as
-    the canonical 64x64 model does with 4 and 5 layers.  Backs the
-    ``dcgan@...`` workload family (see :mod:`repro.workloads.families`).
+    discriminator mirrors it with one extra stride-2 convolution, so the
+    64x64 paper model has 4 and 5.  Backs the ``dcgan@...`` workload family
+    (see :mod:`repro.workloads.families`).
     """
     blocks = upsampling_block_count(size)
     generator = build_generator(
@@ -107,5 +68,5 @@ def build_dcgan_variant(
         generator=generator,
         discriminator=discriminator,
         year=2015,
-        description=f"DCGAN recipe at {size}x{size}, base width {base_channels}",
+        description="Unsupervised representation learning",
     )

@@ -3,13 +3,15 @@
 Table I lists DiscoGAN with 5 convolution layers *and* 4 transposed-convolution
 layers in the generator (it is an encoder-decoder image-to-image translator),
 and 5 convolution layers in the discriminator.  The generator encodes a
-64x64x3 image through five stride-2 convolutions down to a 2x2 bottleneck and
-decodes it back through four stride-2 transposed convolutions; the
-discriminator is a DCGAN-style stack of five stride-2 convolutions.
+64x64x3 image through four stride-2 convolutions and a stride-1 bottleneck
+convolution down to 4x4 and decodes it back through four stride-2
+transposed convolutions; the discriminator is a DCGAN-style stack of five
+stride-2 convolutions.
 """
 
 from __future__ import annotations
 
+from ..errors import WorkloadError
 from ..nn.layers import ActivationLayer, BatchNormLayer, ConvLayer
 from ..nn.network import GANModel, Network
 from ..nn.shapes import FeatureMapShape
@@ -20,83 +22,26 @@ from .builder import (
     halving_channel_plan,
     tconv_stack,
 )
-from ..errors import WorkloadError
 
-BASE_CHANNELS = 1024
-IMAGE_SIZE = 64
-IMAGE_SHAPE = FeatureMapShape.image(channels=3, height=IMAGE_SIZE, width=IMAGE_SIZE)
+#: The paper point: the ``discogan`` family's defaults.
+DEFAULTS = {"size": 64, "base_channels": 1024}
 
 
-def build_discogan_generator() -> Network:
-    """The DiscoGAN generator: conv encoder (5) + tconv decoder (4).
-
-    Four stride-2 encoder convolutions reduce 64x64 to 4x4; a fifth stride-1
-    bottleneck convolution keeps the 4x4 resolution so that the four stride-2
-    decoder transposed convolutions restore the original 64x64 output.
-    """
-    encoder = conv_stack(
-        channel_plan=[64, 128, 256, 512],
-        kernel=4,
-        stride=2,
-        padding=1,
-        activation="leaky_relu",
-        final_activation="leaky_relu",
-        prefix="enc",
-    )
-    bottleneck = (
-        ConvLayer(name="enc5", out_channels=1024, kernel=3, stride=1, padding=1),
-        BatchNormLayer(name="enc5_bn"),
-        ActivationLayer(name="enc5_act", function="leaky_relu"),
-    )
-    decoder = tconv_stack(
-        channel_plan=[512, 256, 128, 3],
-        kernel=4,
-        stride=2,
-        padding=1,
-        prefix="dec",
-    )
-    return Network(
-        name="discogan_generator",
-        input_shape=IMAGE_SHAPE,
-        layers=(*encoder, *bottleneck, *decoder),
-    )
-
-
-def build_discogan_discriminator() -> Network:
-    """The DiscoGAN discriminator: 5 stride-2 4x4 convolutions."""
-    layers = conv_stack(
-        channel_plan=[64, 128, 256, 512, 1024],
-        kernel=4,
-        stride=2,
-        padding=1,
-        prefix="conv",
-    )
-    return build_discriminator("discogan_discriminator", IMAGE_SHAPE, layers)
-
-
-def build_discogan() -> GANModel:
-    """The full DiscoGAN model as evaluated in the paper."""
-    return GANModel(
-        name="DiscoGAN",
-        generator=build_discogan_generator(),
-        discriminator=build_discogan_discriminator(),
-        year=2017,
-        description="Style transfer from one domain to another",
-    )
-
-
-def build_discogan_variant(
-    size: int = IMAGE_SIZE, base_channels: int = BASE_CHANNELS
+def build_discogan(
+    size: int = DEFAULTS["size"], base_channels: int = DEFAULTS["base_channels"]
 ) -> GANModel:
-    """A scaled DiscoGAN: the encoder-decoder translator at another size.
+    """DiscoGAN: the paper translator by default, or rescaled.
 
-    The 4-down / bottleneck / 4-up shape is preserved (DiscoGAN's identity),
-    so ``size`` only needs to survive four halvings; ``base_channels`` sets
-    the bottleneck width.  Backs the ``discogan@...`` workload family.
+    Four stride-2 encoder convolutions reduce ``size`` by 16; a fifth
+    stride-1 bottleneck convolution (``base_channels`` wide) keeps that
+    resolution so that four stride-2 decoder transposed convolutions restore
+    the input size.  This 4-down / bottleneck / 4-up shape is DiscoGAN's
+    identity; only the input size and the bottleneck width scale.  Backs the
+    ``discogan@...`` workload family.
     """
     if size < 16 or size & (size - 1):
         raise WorkloadError(
-            f"DiscoGAN variant size must be a power of two >= 16, got {size}"
+            f"DiscoGAN size must be a power of two >= 16, got {size}"
         )
     image_shape = FeatureMapShape.image(channels=3, height=size, width=size)
     encoder = conv_stack(
@@ -141,5 +86,5 @@ def build_discogan_variant(
         generator=generator,
         discriminator=discriminator,
         year=2017,
-        description=f"DiscoGAN translator at {size}x{size}, bottleneck {base_channels}",
+        description="Style transfer from one domain to another",
     )

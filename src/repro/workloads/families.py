@@ -24,9 +24,11 @@ parameter point resolves to the corresponding *built-in* paper workload, so
 ``dcgan@64x64`` **is** ``DCGAN``: same spec, same model cache entry, same
 simulation-cache identity.
 
-Every family here delegates model construction to the variant builders in
-the per-GAN modules (``build_dcgan_variant`` and friends) or to
-:func:`repro.workloads.synthetic.build_synthetic`.
+Each paper family builds its models with the one builder of its per-GAN
+module (``build_dcgan`` and friends), whose defaults are the paper point,
+and reads its default parameters from that module's ``DEFAULTS``; the
+synthetic family uses :func:`repro.workloads.synthetic.build_synthetic` the
+same way.
 """
 
 from __future__ import annotations
@@ -36,19 +38,13 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
 from ..nn.network import GANModel
-from . import synthetic
-from .artgan import build_artgan_variant
-from .dcgan import build_dcgan_variant
-from .discogan import build_discogan_variant
-from .gpgan import build_gpgan_variant
-from .magan import build_magan_variant
+from . import artgan, dcgan, discogan, gpgan, magan, synthetic, threed_gan
 from .registry import (
     WorkloadSpec,
     prime_workload_cache,
     register_workload_family,
     resolve_workload,
 )
-from .threed_gan import build_threed_gan_variant
 
 _GEOMETRY = re.compile(r"^(\d+)x(\d+)(?:x(\d+))?$")
 _COMPACT = re.compile(r"([a-z]+)(\d+)")
@@ -259,9 +255,9 @@ _RECIPE_KEYS = {
 
 _register_paper_family(
     "dcgan",
-    build_dcgan_variant,
+    dcgan.build_dcgan,
     builtin="DCGAN",
-    defaults={"size": 64, "base_channels": 1024, "latent_dim": 100},
+    defaults=dcgan.DEFAULTS,
     key_map=_RECIPE_KEYS,
     grammar="dcgan@<N>x<N>[,ch<C>][,latent<L>]",
     description="DCGAN recipe at a chosen resolution and channel width",
@@ -270,9 +266,9 @@ _register_paper_family(
 
 _register_paper_family(
     "artgan",
-    build_artgan_variant,
+    artgan.build_artgan,
     builtin="ArtGAN",
-    defaults={"size": 128, "base_channels": 1024, "latent_dim": 128},
+    defaults=artgan.DEFAULTS,
     key_map=_RECIPE_KEYS,
     grammar="artgan@<N>x<N>[,ch<C>][,latent<L>]",
     description="ArtGAN recipe at a chosen resolution and channel width",
@@ -281,9 +277,9 @@ _register_paper_family(
 
 _register_paper_family(
     "gpgan",
-    build_gpgan_variant,
+    gpgan.build_gpgan,
     builtin="GP-GAN",
-    defaults={"size": 64, "base_channels": 1024, "latent_dim": 256},
+    defaults=gpgan.DEFAULTS,
     key_map=_RECIPE_KEYS,
     grammar="gpgan@<N>x<N>[,ch<C>][,latent<L>]",
     description="GP-GAN blending recipe at a chosen resolution and channel width",
@@ -292,9 +288,9 @@ _register_paper_family(
 
 _register_paper_family(
     "3dgan",
-    build_threed_gan_variant,
+    threed_gan.build_threed_gan,
     builtin="3D-GAN",
-    defaults={"size": 64, "base_channels": 512, "latent_dim": 200},
+    defaults=threed_gan.DEFAULTS,
     key_map=_RECIPE_KEYS,
     grammar="3dgan@<N>x<N>x<N>[,ch<C>][,latent<L>]",
     description="3D-GAN recipe on a chosen voxel grid",
@@ -304,9 +300,9 @@ _register_paper_family(
 
 _register_paper_family(
     "discogan",
-    build_discogan_variant,
+    discogan.build_discogan,
     builtin="DiscoGAN",
-    defaults={"size": 64, "base_channels": 1024},
+    defaults=discogan.DEFAULTS,
     key_map={"size": "size", "ch": "base_channels", "c": "base_channels"},
     grammar="discogan@<N>x<N>[,ch<C>]",
     description="DiscoGAN translator at a chosen resolution and bottleneck width",
@@ -315,9 +311,9 @@ _register_paper_family(
 
 _register_paper_family(
     "magan",
-    build_magan_variant,
+    magan.build_magan,
     builtin="MAGAN",
-    defaults={"base_channels": 512, "latent_dim": 100},
+    defaults=magan.DEFAULTS,
     key_map={"ch": "base_channels", "c": "base_channels", "latent": "latent_dim", "l": "latent_dim"},
     grammar="magan@ch<C>[,latent<L>]",
     description="MAGAN topology at a chosen channel width",

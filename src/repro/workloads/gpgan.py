@@ -11,7 +11,7 @@ is a DCGAN-style stack of five stride-2 convolutions.
 
 from __future__ import annotations
 
-from ..nn.network import GANModel, Network
+from ..nn.network import GANModel
 from ..nn.shapes import FeatureMapShape
 from .builder import (
     build_discriminator,
@@ -23,57 +23,21 @@ from .builder import (
     upsampling_block_count,
 )
 
-LATENT_DIM = 256
-BASE_CHANNELS = 1024
-IMAGE_SIZE = 64
-SEED_SHAPE = FeatureMapShape.image(channels=BASE_CHANNELS, height=4, width=4)
-IMAGE_SHAPE = FeatureMapShape.image(channels=3, height=IMAGE_SIZE, width=IMAGE_SIZE)
+#: The paper point: the ``gpgan`` family's defaults.
+DEFAULTS = {"size": 64, "base_channels": 1024, "latent_dim": 256}
 
 
-def build_gpgan_generator() -> Network:
-    """The GP-GAN (blending GAN) decoder: 4 stride-2 4x4 transposed convs."""
-    layers = tconv_stack(
-        channel_plan=[512, 256, 128, 3],
-        kernel=4,
-        stride=2,
-        padding=1,
-        prefix="tconv",
-    )
-    return build_generator("gpgan_generator", LATENT_DIM, SEED_SHAPE, layers)
-
-
-def build_gpgan_discriminator() -> Network:
-    """The GP-GAN discriminator: 5 stride-2 4x4 convolutions."""
-    layers = conv_stack(
-        channel_plan=[64, 128, 256, 512, 1024],
-        kernel=4,
-        stride=2,
-        padding=1,
-        prefix="conv",
-    )
-    return build_discriminator("gpgan_discriminator", IMAGE_SHAPE, layers)
-
-
-def build_gpgan() -> GANModel:
-    """The full GP-GAN model as evaluated in the paper."""
-    return GANModel(
-        name="GP-GAN",
-        generator=build_gpgan_generator(),
-        discriminator=build_gpgan_discriminator(),
-        year=2017,
-        description="High-resolution image generation",
-    )
-
-
-def build_gpgan_variant(
-    size: int = IMAGE_SIZE,
-    base_channels: int = BASE_CHANNELS,
-    latent_dim: int = LATENT_DIM,
+def build_gpgan(
+    size: int = DEFAULTS["size"],
+    base_channels: int = DEFAULTS["base_channels"],
+    latent_dim: int = DEFAULTS["latent_dim"],
 ) -> GANModel:
-    """A scaled GP-GAN blending decoder at another resolution / channel width.
+    """GP-GAN: the paper model by default, or its blending decoder rescaled.
 
-    Backs the ``gpgan@...`` workload family (see
-    :mod:`repro.workloads.families`).
+    One stride-2 4x4 transposed convolution per doubling of the 4x4
+    bottleneck and a mirroring discriminator with one extra stride-2
+    convolution — the 64x64 paper model has 4 and 5.  Backs the
+    ``gpgan@...`` workload family (see :mod:`repro.workloads.families`).
     """
     blocks = upsampling_block_count(size)
     generator = build_generator(
@@ -104,5 +68,5 @@ def build_gpgan_variant(
         generator=generator,
         discriminator=discriminator,
         year=2017,
-        description=f"GP-GAN recipe at {size}x{size}, base width {base_channels}",
+        description="High-resolution image generation",
     )

@@ -19,14 +19,14 @@ specifics that this module reproduces:
 
 from __future__ import annotations
 
+from ..errors import WorkloadError
 from ..nn.layers import ActivationLayer, BatchNormLayer, ConvLayer, TransposedConvLayer
 from ..nn.network import GANModel, Network
 from ..nn.shapes import FeatureMapShape
 from .builder import build_generator
 
-LATENT_DIM = 100
-BASE_CHANNELS = 512
-SEED_SHAPE = FeatureMapShape.image(channels=2 * BASE_CHANNELS, height=8, width=8)
+#: The paper point: the ``magan`` family's defaults.
+DEFAULTS = {"base_channels": 512, "latent_dim": 100}
 IMAGE_SHAPE = FeatureMapShape.image(channels=3, height=64, width=64)
 
 
@@ -39,87 +39,23 @@ def _block(layer, *, batch_norm: bool = True, activation: str = "relu"):
     return layers
 
 
-def build_magan_generator() -> Network:
-    """The MAGAN generator: 6 transposed convolutions, alternating stride.
-
-    Stride-2 4x4 blocks upsample 8x8 -> 16 -> 32 -> 64 while interleaved
-    stride-1 3x3 blocks refine the feature maps without inserting zeros.
-    """
-    layers = []
-    layers += _block(TransposedConvLayer(name="tconv1", out_channels=512, kernel=4, stride=2, padding=1))
-    layers += _block(TransposedConvLayer(name="tconv2", out_channels=512, kernel=3, stride=1, padding=1))
-    layers += _block(TransposedConvLayer(name="tconv3", out_channels=256, kernel=4, stride=2, padding=1))
-    layers += _block(TransposedConvLayer(name="tconv4", out_channels=256, kernel=3, stride=1, padding=1))
-    layers += _block(TransposedConvLayer(name="tconv5", out_channels=128, kernel=4, stride=2, padding=1))
-    layers += _block(
-        TransposedConvLayer(name="tconv6", out_channels=3, kernel=3, stride=1, padding=1),
-        batch_norm=False,
-        activation="tanh",
-    )
-    return build_generator("magan_generator", LATENT_DIM, SEED_SHAPE, layers)
-
-
-def build_magan_discriminator() -> Network:
-    """The MAGAN discriminator: a 6-conv / 6-tconv autoencoder."""
-    encoder = []
-    encoder += _block(ConvLayer(name="enc1", out_channels=64, kernel=4, stride=2, padding=1),
-                      batch_norm=False, activation="leaky_relu")
-    encoder += _block(ConvLayer(name="enc2", out_channels=128, kernel=4, stride=2, padding=1),
-                      activation="leaky_relu")
-    encoder += _block(ConvLayer(name="enc3", out_channels=256, kernel=4, stride=2, padding=1),
-                      activation="leaky_relu")
-    encoder += _block(ConvLayer(name="enc4", out_channels=512, kernel=4, stride=2, padding=1),
-                      activation="leaky_relu")
-    encoder += _block(ConvLayer(name="enc5", out_channels=512, kernel=3, stride=1, padding=1),
-                      activation="leaky_relu")
-    encoder += _block(ConvLayer(name="enc6", out_channels=1024, kernel=3, stride=1, padding=1),
-                      activation="leaky_relu")
-
-    decoder = []
-    decoder += _block(TransposedConvLayer(name="dec1", out_channels=512, kernel=3, stride=1, padding=1))
-    decoder += _block(TransposedConvLayer(name="dec2", out_channels=512, kernel=4, stride=2, padding=1))
-    decoder += _block(TransposedConvLayer(name="dec3", out_channels=256, kernel=4, stride=2, padding=1))
-    decoder += _block(TransposedConvLayer(name="dec4", out_channels=128, kernel=4, stride=2, padding=1))
-    decoder += _block(TransposedConvLayer(name="dec5", out_channels=64, kernel=4, stride=2, padding=1))
-    decoder += _block(
-        TransposedConvLayer(name="dec6", out_channels=3, kernel=3, stride=1, padding=1),
-        batch_norm=False,
-        activation="tanh",
-    )
-    return Network(
-        name="magan_discriminator",
-        input_shape=IMAGE_SHAPE,
-        layers=(*encoder, *decoder),
-    )
-
-
-def build_magan() -> GANModel:
-    """The full MAGAN model as evaluated in the paper."""
-    return GANModel(
-        name="MAGAN",
-        generator=build_magan_generator(),
-        discriminator=build_magan_discriminator(),
-        year=2017,
-        description="Stable training procedure for GANs",
-        discriminator_conv_only=True,
-    )
-
-
-def build_magan_variant(
-    base_channels: int = BASE_CHANNELS, latent_dim: int = LATENT_DIM
+def build_magan(
+    base_channels: int = DEFAULTS["base_channels"],
+    latent_dim: int = DEFAULTS["latent_dim"],
 ) -> GANModel:
-    """A width-scaled MAGAN: the paper topology with rescaled channel plans.
+    """MAGAN: the paper model by default, or its topology at another width.
 
-    The alternating stride-2 / stride-1 generator and the autoencoder
-    discriminator (conv-only accounting) are MAGAN's identity, so only the
-    channel widths scale: every plan entry is the canonical one multiplied
-    by ``base_channels / 512``.  Backs the ``magan@...`` workload family.
+    The generator's six transposed convolutions alternate stride-2 4x4
+    blocks, which upsample 8x8 -> 16 -> 32 -> 64, with stride-1 3x3 blocks,
+    which refine the feature maps without inserting zeros.  The
+    discriminator is a 6-conv / 6-tconv autoencoder (conv-only accounting).
+    That topology is MAGAN's identity, so only the channel widths scale:
+    every plan entry is the paper's one multiplied by ``base_channels / 512``.
+    Backs the ``magan@...`` workload family.
     """
-    from ..errors import WorkloadError
-
     if base_channels < 16 or base_channels % 8:
         raise WorkloadError(
-            f"MAGAN variant base_channels must be a multiple of 8 >= 16, "
+            f"MAGAN base_channels must be a multiple of 8 >= 16, "
             f"got {base_channels}"
         )
     c = base_channels
@@ -176,6 +112,6 @@ def build_magan_variant(
         generator=generator,
         discriminator=discriminator,
         year=2017,
-        description=f"MAGAN topology at base width {base_channels}",
+        description="Stable training procedure for GANs",
         discriminator_conv_only=True,
     )

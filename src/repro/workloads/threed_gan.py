@@ -14,7 +14,7 @@ Figure 8a).
 
 from __future__ import annotations
 
-from ..nn.network import GANModel, Network
+from ..nn.network import GANModel
 from ..nn.shapes import FeatureMapShape
 from .builder import (
     build_discriminator,
@@ -26,64 +26,22 @@ from .builder import (
     upsampling_block_count,
 )
 
-LATENT_DIM = 200
-BASE_CHANNELS = 512
-GRID_SIZE = 64
-SEED_SHAPE = FeatureMapShape.volume(channels=BASE_CHANNELS, depth=4, height=4, width=4)
-VOXEL_SHAPE = FeatureMapShape.volume(
-    channels=1, depth=GRID_SIZE, height=GRID_SIZE, width=GRID_SIZE
-)
+#: The paper point: the ``3dgan`` family's defaults.
+DEFAULTS = {"size": 64, "base_channels": 512, "latent_dim": 200}
 
 
-def build_threed_gan_generator() -> Network:
-    """The 3D-GAN generator: 4 stride-2 4x4x4 3-D transposed convolutions."""
-    layers = tconv_stack(
-        channel_plan=[256, 128, 64, 1],
-        kernel=4,
-        stride=2,
-        padding=1,
-        rank=3,
-        final_activation="sigmoid",
-        prefix="tconv3d",
-    )
-    return build_generator("3dgan_generator", LATENT_DIM, SEED_SHAPE, layers)
-
-
-def build_threed_gan_discriminator() -> Network:
-    """The 3D-GAN discriminator: 5 stride-2 4x4x4 3-D convolutions."""
-    layers = conv_stack(
-        channel_plan=[32, 64, 128, 256, 512],
-        kernel=4,
-        stride=2,
-        padding=1,
-        rank=3,
-        prefix="conv3d",
-    )
-    return build_discriminator("3dgan_discriminator", VOXEL_SHAPE, layers)
-
-
-def build_threed_gan() -> GANModel:
-    """The full 3D-GAN model as evaluated in the paper."""
-    return GANModel(
-        name="3D-GAN",
-        generator=build_threed_gan_generator(),
-        discriminator=build_threed_gan_discriminator(),
-        year=2016,
-        description="3D objects generation",
-    )
-
-
-def build_threed_gan_variant(
-    size: int = GRID_SIZE,
-    base_channels: int = BASE_CHANNELS,
-    latent_dim: int = LATENT_DIM,
+def build_threed_gan(
+    size: int = DEFAULTS["size"],
+    base_channels: int = DEFAULTS["base_channels"],
+    latent_dim: int = DEFAULTS["latent_dim"],
 ) -> GANModel:
-    """A scaled 3D-GAN: the paper recipe at another voxel-grid resolution.
+    """3D-GAN: the paper model by default, or its recipe on another voxel grid.
 
     One stride-2 4x4x4 3-D transposed convolution per doubling of the 4x4x4
-    seed; the three-axis zero insertion makes this family the stress case
-    for inconsequential-MAC fractions.  Backs the ``3dgan@...`` workload
-    family (see :mod:`repro.workloads.families`).
+    seed (the 64^3 paper model has 4) and a mirroring discriminator with one
+    extra stride-2 3-D convolution; the three-axis zero insertion makes this
+    family the stress case for inconsequential-MAC fractions.  Backs the
+    ``3dgan@...`` workload family (see :mod:`repro.workloads.families`).
     """
     blocks = upsampling_block_count(size)
     generator = build_generator(
@@ -117,5 +75,5 @@ def build_threed_gan_variant(
         generator=generator,
         discriminator=discriminator,
         year=2016,
-        description=f"3D-GAN recipe on a {size}^3 grid, base width {base_channels}",
+        description="3D objects generation",
     )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dataflow import (
     average_active_filter_rows,
@@ -80,6 +82,46 @@ class TestTransposedConvSchedule:
         schedule_rows = {g.phase: g.filter_rows for g in schedule.row_groups}
         analysis_rows = {p.phase: p.consequential_filter_rows for p in analysis.row_patterns}
         assert schedule_rows == analysis_rows
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda kernel: st.tuples(
+                st.just(kernel),
+                st.integers(min_value=1, max_value=4),  # stride
+                st.integers(min_value=0, max_value=kernel - 1),  # padding
+                st.integers(min_value=kernel + 1, max_value=kernel + 4),  # size
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_filter_rows_match_genuine_value_mask(self, geometry):
+        """Each phase's filter rows are the kernel rows whose window row holds
+        a genuine input value, read off an explicit zero-insertion mask (built
+        as ``count_consequential_macs_bruteforce`` builds it) for an interior
+        output row of that phase, where no border truncates the window."""
+        kernel, stride, padding, size = geometry
+        layer = TransposedConvLayer(
+            name="t", out_channels=1, kernel=kernel, stride=stride, padding=padding
+        )
+        shape = FeatureMapShape.image(1, size, size)
+        expanded = layer.expanded_spatial(shape)
+        border = kernel - 1 - padding
+        genuine = border + stride * np.arange(size)
+        mask = np.zeros(expanded, dtype=bool)
+        mask[np.ix_(genuine, genuine)] = True
+        genuine_rows = mask.any(axis=1)
+
+        schedule = build_schedule(_bind(layer, shape))
+        assert [g.phase for g in schedule.row_groups] == list(range(stride))
+        for group in schedule.row_groups:
+            interior = next(
+                r
+                for r in group.output_rows
+                if genuine[0] <= r and r + kernel - 1 <= genuine[-1]
+            )
+            hit = tuple(k for k in range(kernel) if genuine_rows[interior + k])
+            # A phase that meets no genuine row keeps one idle filter row.
+            assert group.filter_rows == (hit or (0,))
 
     def test_dcgan_geometry_uniform_two_taps(self, dcgan_like_tconv_binding):
         # Kernel 4 / stride 2: every group uses exactly 2 filter rows and every

@@ -20,6 +20,7 @@ from repro.analysis.serialization import workload_fingerprint
 from repro.analysis.sweep import compare_models
 from repro.config import ArchitectureConfig
 from repro.runner import SimulationRunner
+from repro.workloads import artgan, dcgan, discogan, gpgan, magan, threed_gan
 from repro.workloads.registry import all_workloads, get_workload, workload_names
 
 #: model -> (generator speedup, generator energy reduction) on paper defaults,
@@ -126,6 +127,32 @@ def test_family_default_specs_are_the_paper_workloads(model_name):
     assert (
         workload_fingerprint(get_workload(default_spellings[family]))
         == GOLDEN_FINGERPRINTS[model_name]
+    )
+
+
+#: paper model -> (its module, the family's one builder).
+PAPER_BUILDERS = {
+    "3D-GAN": (threed_gan, threed_gan.build_threed_gan),
+    "ArtGAN": (artgan, artgan.build_artgan),
+    "DCGAN": (dcgan, dcgan.build_dcgan),
+    "DiscoGAN": (discogan, discogan.build_discogan),
+    "GP-GAN": (gpgan, gpgan.build_gpgan),
+    "MAGAN": (magan, magan.build_magan),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(GOLDEN_FINGERPRINTS))
+def test_family_builder_at_declared_defaults_is_the_paper_model(model_name):
+    """Each family's builder, called with the family's declared defaults and
+    not through the registry's built-in shortcut, builds the pinned model."""
+    module, build = PAPER_BUILDERS[model_name]
+    model = build(**module.DEFAULTS)
+    assert workload_fingerprint(model) == GOLDEN_FINGERPRINTS[model_name]
+    registered = get_workload(model_name)
+    assert (model.name, model.year, model.description) == (
+        registered.name,
+        registered.year,
+        registered.description,
     )
 
 

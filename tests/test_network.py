@@ -8,6 +8,7 @@ from repro.errors import NetworkError
 from repro.nn.layers import ActivationLayer, ConvLayer, DenseLayer, TransposedConvLayer
 from repro.nn.network import GANModel, Network
 from repro.nn.shapes import FeatureMapShape
+from repro.workloads.discogan import build_discogan
 
 
 def _tiny_generator() -> Network:
@@ -130,6 +131,34 @@ class TestGANModel:
         )
         fraction = model.generator_tconv_inconsequential_fraction()
         assert 0.0 < fraction < 1.0
+
+    def test_generator_fraction_skips_conv_layers(self):
+        """Figure 1's fraction is over generator TConvs only: DiscoGAN's five
+        encoder convs (no inserted zeros) must not dilute it."""
+        model = build_discogan()
+        assert model.layer_counts()["generator_conv"] == 5
+        bindings = model.generator.bindings
+        first_tconv = next(b.index for b in bindings if b.is_transposed)
+        decoder = Network(
+            name="discogan_decoder",
+            input_shape=bindings[first_tconv].input_shape,
+            layers=model.generator.layers[first_tconv:],
+        )
+        decoder_only = GANModel(
+            name="decoder", generator=decoder, discriminator=model.discriminator
+        )
+        fraction = model.generator_tconv_inconsequential_fraction()
+        assert fraction == decoder_only.generator_tconv_inconsequential_fraction()
+        convolutional = model.generator.convolutional_bindings()
+        total = sum(b.total_macs for b in convolutional)
+        inconsequential = sum(b.total_macs - b.consequential_macs for b in convolutional)
+        assert 0.0 < inconsequential / total < fraction
+
+    def test_generator_fraction_without_tconv_is_zero(self):
+        model = GANModel(
+            name="convs", generator=_tiny_discriminator(), discriminator=_tiny_discriminator()
+        )
+        assert model.generator_tconv_inconsequential_fraction() == 0.0
 
     def test_discriminator_accounting_excludes_tconv_when_flagged(self):
         autoencoder_disc = Network(

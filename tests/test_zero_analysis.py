@@ -10,9 +10,6 @@ from repro.nn.shapes import FeatureMapShape
 from repro.nn.zero_analysis import (
     analyze_transposed_conv,
     count_consequential_macs_bruteforce,
-    distinct_row_patterns,
-    layer_zero_stats,
-    transposed_conv_inconsequential_fraction,
 )
 
 
@@ -103,34 +100,3 @@ class TestBruteForceCrossCheck:
             layer, shape
         )
 
-
-class TestAggregation:
-    def test_layer_zero_stats(self, example_tconv_layer, example_tconv_input):
-        stats = layer_zero_stats(example_tconv_layer, example_tconv_input)
-        assert stats.is_transposed
-        assert stats.total_macs == stats.consequential_macs + stats.inconsequential_macs
-        assert 0.0 < stats.inconsequential_fraction < 1.0
-
-    def test_conv_layer_stats_fully_consequential(self):
-        layer = ConvLayer(name="c", out_channels=2, kernel=3, stride=1, padding=1)
-        stats = layer_zero_stats(layer, FeatureMapShape.image(1, 8, 8))
-        assert stats.inconsequential_macs == 0
-        assert not stats.is_transposed
-
-    def test_network_fraction_ignores_conv_layers(self):
-        conv = ConvLayer(name="c", out_channels=4, kernel=3, stride=1, padding=1)
-        tconv = TransposedConvLayer(name="t", out_channels=4, kernel=4, stride=2, padding=1)
-        shape = FeatureMapShape.image(4, 8, 8)
-        with_conv = transposed_conv_inconsequential_fraction(
-            [(conv, shape), (tconv, shape)]
-        )
-        only_tconv = transposed_conv_inconsequential_fraction([(tconv, shape)])
-        assert with_conv == pytest.approx(only_tconv)
-
-    def test_network_fraction_empty_is_zero(self):
-        assert transposed_conv_inconsequential_fraction([]) == 0.0
-
-    def test_distinct_row_patterns_counts(self, example_tconv_layer, example_tconv_input):
-        patterns = distinct_row_patterns(example_tconv_layer, example_tconv_input)
-        assert len(patterns) == 2
-        assert sum(patterns.values()) == 7  # all 7 output rows covered
