@@ -73,8 +73,11 @@
 #      each of these must exit 2 (a usage error or a clean `error:`, never
 #      a silent pass): a flag another verb owns (`figure8 --strategy`), a
 #      compile bound below 1 (`check --max-columns 0`), a `check --layer`
-#      filter that matches no layer, and `lint --paths` on a missing path.
-#      It checks correctness, not time;
+#      filter that matches no layer, `lint --paths` on a missing path, and
+#      a family point below its range (`compare --workloads discogan@16x16`,
+#      which must stop at the DiscoGAN size guard's message, not at a
+#      NetworkError from the discriminator's conv5).  It checks
+#      correctness, not time;
 #  14. the repository benchmark's self-tests (perfbench/selftest.py): seed
 #      determinism, metric names matching BENCHMARK.json, and traced and
 #      untraced smoke runs of every workload.  The traced runs wrap estimator
@@ -581,7 +584,14 @@ expect_exit_2 figure8 --strategy random
 expect_exit_2 check --workloads dcgan --max-columns 0
 expect_exit_2 check --workloads dcgan --layer nosuchlayer
 expect_exit_2 lint --paths "$SMOKE_DIR/missing"
-echo "CLI surface OK: $(echo $VERBS | wc -w) verbs answer --help, 4 bad invocations exit 2"
+expect_exit_2 compare --workloads discogan@16x16
+if ! grep -q "DiscoGAN size must be a power of two >= 32" "$SMOKE_DIR/cli.err" \
+        || grep -q "conv5" "$SMOKE_DIR/cli.err"; then
+    echo "CLI surface smoke FAILED: discogan@16x16 did not stop at the size guard" >&2
+    cat "$SMOKE_DIR/cli.err" >&2
+    exit 1
+fi
+echo "CLI surface OK: $(echo $VERBS | wc -w) verbs answer --help, 5 bad invocations exit 2"
 
 echo "== perfbench self-tests (seeded workloads, metric names, traced smoke runs) =="
 python -m pytest -q -p no:cacheprovider perfbench/selftest.py

@@ -374,9 +374,10 @@ def plan_ganax_row_tasks(
     rows), so no spec can split a row across tasks.
     """
     spec = resolve_schedule(schedule_spec)
-    planned: List[Tuple[int, Tuple[int, ...], Tuple[ColumnWork, ...]]] = []
-    for output_row, group in schedule.row_plan(spec):
-        columns = tuple(
+    # A column's window depends on the layer and the input width, never on
+    # the output row, so every task shares one permuted column tuple.
+    columns = spec.permute_columns(
+        tuple(
             ColumnWork(
                 taps=taps,
                 input_base=input_base,
@@ -390,12 +391,14 @@ def plan_ganax_row_tasks(
             ]
             if taps > 0
         )
-        planned.append(
-            (output_row, group.filter_rows, spec.permute_columns(columns))
-        )
+    )
+    planned = [
+        (output_row, group.filter_rows)
+        for output_row, group in schedule.row_plan(spec)
+    ]
     tasks: List[RowTask] = []
     for index, pv in spec.task_emission(len(planned), num_pvs):
-        output_row, filter_rows, columns = planned[index]
+        output_row, filter_rows = planned[index]
         tasks.append(
             RowTask(
                 pv_index=pv,
@@ -524,7 +527,7 @@ def build_wave_program(
         if any(pv not in group for group in dispatch_groups):
             nop_idx[pv] = builder.preload_local(pv, nop)
 
-    cfg_state: Optional[Dict[Tuple[int, AddressGenerator, ConfigRegister], int]]
+    cfg_state: Optional[Dict[Tuple[int, AddressGenerator, int], int]]
     repeat_state: Optional[Dict[int, int]]
     cfg_state = {} if spec.hoist_invariant_cfg else None
     repeat_state = {} if spec.hoist_invariant_cfg else None
@@ -576,6 +579,16 @@ def build_wave_program(
     return builder.build()
 
 
+#: The configuration registers in the order a generator block writes them.
+_CONFIG_REGISTERS = (
+    ConfigRegister.ADDR,
+    ConfigRegister.OFFSET,
+    ConfigRegister.STEP,
+    ConfigRegister.END,
+    ConfigRegister.REPEAT,
+)
+
+
 def _emit_generator(
     builder: MicroProgramBuilder,
     pv: int,
@@ -586,20 +599,15 @@ def _emit_generator(
     repeat: int,
     step: int = 1,
     addr: int = 0,
-    cfg_state: Optional[Dict[Tuple[int, AddressGenerator, ConfigRegister], int]] = None,
+    cfg_state: Optional[Dict[Tuple[int, AddressGenerator, int], int]] = None,
 ) -> None:
     # A single-address pattern (End=1) degenerates to step 1: the hardware
     # constrains Step <= End.
-    step = min(step, end)
-    for register, value in (
-        (ConfigRegister.ADDR, addr),
-        (ConfigRegister.OFFSET, offset),
-        (ConfigRegister.STEP, step),
-        (ConfigRegister.END, end),
-        (ConfigRegister.REPEAT, repeat),
-    ):
+    values = (addr, offset, min(step, end), end, repeat)
+    for register, value in zip(_CONFIG_REGISTERS, values):
         if cfg_state is not None:
-            key = (pv, generator, register)
+            # keyed by the register's value: a plain Enum hashes in Python
+            key = (pv, generator, register._value_)
             if cfg_state.get(key) == value:
                 continue
             cfg_state[key] = value
@@ -695,22 +703,27 @@ def compile_layer_programs(
             out_rows, out_cols, k_rows, k_cols, stride, num_pvs, schedule_spec=spec
         )
 
-    if max_columns is not None:
-        tasks = [
-            RowTask(
-                pv_index=task.pv_index,
-                output_row=task.output_row,
-                filter_rows=task.filter_rows,
-                columns=task.columns[:max_columns],
-            )
-            for task in tasks
-        ]
     tasks = [task for task in tasks if task.columns]
     if not tasks:
         return ()
     waves = _chunk(tasks, num_pvs)
     if max_waves is not None:
         waves = waves[:max_waves]
+    if max_columns is not None:
+        # Clip only the kept waves: a bound >= 1 leaves no task empty, so
+        # clipping after the wave split cuts the same waves.
+        waves = [
+            [
+                RowTask(
+                    pv_index=task.pv_index,
+                    output_row=task.output_row,
+                    filter_rows=task.filter_rows,
+                    columns=task.columns[:max_columns],
+                )
+                for task in wave
+            ]
+            for wave in waves
+        ]
     return tuple(
         build_wave_program(binding.name, wave, num_pvs, schedule_spec=spec)
         for wave in waves

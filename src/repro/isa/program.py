@@ -6,12 +6,19 @@ buffer plus the ordered sequence of global µops.  The container validates the
 structural constraints the hardware imposes (local buffer capacity, local
 index ranges referenced by ``mimd.exe``, PV indices in range) so that invalid
 programs are rejected at build time rather than mid-simulation.
+
+Compiled µops are shared immutable objects: a program built by
+:class:`MicroProgramBuilder` holds one object per distinct µop and repeats it
+at every position that issues it.  A mutation test corrupts a program by
+putting a new µop at a position (as ``scripts/ci.sh`` does), never by
+``object.__setattr__`` on a µop inside a compiled program, which would
+corrupt every position that shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import IsaError, ProgramEncodingError, ProgramError
 from .assembler import disassemble_uop
@@ -20,6 +27,8 @@ from .uops import (
     AccessCfg,
     AccessStart,
     AccessStop,
+    AddressGenerator,
+    ConfigRegister,
     ExecuteUop,
     MicroOp,
     MimdExecute,
@@ -74,29 +83,37 @@ class MicroProgram:
                     raise ProgramError(
                         f"PV {pv} local buffer contains non-local µop {uop!r}"
                     )
-        for position, uop in enumerate(self.global_uops):
-            if isinstance(uop, MimdExecute):
-                if len(uop.local_indices) != self.num_pvs:
-                    raise ProgramError(
-                        f"global µop {position}: mimd.exe carries "
-                        f"{len(uop.local_indices)} indices for {self.num_pvs} PVs"
-                    )
-                for pv, index in enumerate(uop.local_indices):
-                    if index >= len(self.local_uops[pv]):
-                        raise ProgramError(
-                            f"global µop {position}: PV {pv} local index {index} "
-                            f"out of range (buffer has {len(self.local_uops[pv])})"
-                        )
-            elif isinstance(uop, (MimdLoad, AccessCfg, AccessStart, AccessStop)):
-                if uop.pv_index >= self.num_pvs:
-                    raise ProgramError(
-                        f"global µop {position}: PV index {uop.pv_index} out of "
-                        f"range for {self.num_pvs} PVs"
-                    )
-            elif not isinstance(uop, (ExecuteUop, RepeatUop)):
-                raise ProgramError(
-                    f"global µop {position}: {uop!r} is not a valid global µop"
+        # A compiled stream repeats a few shared µop objects (see
+        # MicroProgramBuilder), and no check below depends on a µop's
+        # position: each distinct object is checked once, in order of first
+        # appearance, and an error names that first position.
+        stream = self.global_uops
+        for uop in dict(zip(map(id, stream), stream)).values():
+            problem = self._global_uop_problem(uop)
+            if problem is not None:
+                position = next(i for i, other in enumerate(stream) if other is uop)
+                raise ProgramError(f"global µop {position}: {problem}")
+
+    def _global_uop_problem(self, uop: MicroOp) -> Optional[str]:
+        """Why ``uop`` may not sit in this program's global stream, or None."""
+        if isinstance(uop, MimdExecute):
+            if len(uop.local_indices) != self.num_pvs:
+                return (
+                    f"mimd.exe carries {len(uop.local_indices)} indices for "
+                    f"{self.num_pvs} PVs"
                 )
+            for pv, index in enumerate(uop.local_indices):
+                if index >= len(self.local_uops[pv]):
+                    return (
+                        f"PV {pv} local index {index} out of range "
+                        f"(buffer has {len(self.local_uops[pv])})"
+                    )
+        elif isinstance(uop, (MimdLoad, AccessCfg, AccessStart, AccessStop)):
+            if uop.pv_index >= self.num_pvs:
+                return f"PV index {uop.pv_index} out of range for {self.num_pvs} PVs"
+        elif not isinstance(uop, (ExecuteUop, RepeatUop)):
+            return f"{uop!r} is not a valid global µop"
+        return None
 
     # ------------------------------------------------------------------
     # Queries
@@ -247,7 +264,19 @@ class MicroProgram:
 
 
 class MicroProgramBuilder:
-    """Imperative helper for assembling a :class:`MicroProgram`."""
+    """Imperative helper for assembling a :class:`MicroProgram`.
+
+    The ``emit_access_*``, ``emit_mimd`` and ``emit_mimd_load`` helpers
+    build each distinct µop once and append the same object at every later
+    position, as the hardware preloads a small µop set once and reuses it.
+    The table is per builder, so it dies with the builder.  An access or
+    ``mimd.ld`` µop is shared only when every field has exactly its declared
+    type: ``immediate=1.0`` or ``pv_index=True`` equals its int twin but
+    need not encode alike, so such a µop is built afresh.  (``mimd.exe``
+    stores ``int(index)`` of every index, so equal index tuples always
+    build equal µops.)  To corrupt one position of a built program, put a
+    new µop there; never ``object.__setattr__`` a µop inside it.
+    """
 
     def __init__(self, name: str, num_pvs: int) -> None:
         if num_pvs <= 0:
@@ -256,6 +285,7 @@ class MicroProgramBuilder:
         self._num_pvs = num_pvs
         self._local: List[List[MicroOp]] = [[] for _ in range(num_pvs)]
         self._global: List[MicroOp] = []
+        self._shared: Dict[tuple, MicroOp] = {}
 
     # -- local buffers ---------------------------------------------------
     def preload_local(self, pv_index: int, uop: MicroOp) -> int:
@@ -291,32 +321,63 @@ class MicroProgramBuilder:
 
     def emit_mimd(self, local_indices: Sequence[int]) -> None:
         """Dispatch one local µop index per PV in MIMD-SIMD mode."""
-        self._global.append(MimdExecute(local_indices=tuple(local_indices)))
+        # mimd.exe stores int(index) of each entry, so equal index tuples
+        # build equal µops whatever their element types.
+        indices = tuple(local_indices)
+        key = (MimdExecute, indices)
+        uop = self._shared.get(key)
+        if uop is None:
+            uop = self._shared[key] = MimdExecute(local_indices=indices)
+        self._global.append(uop)
 
     def emit_access_cfg(self, pv_index: int, generator, register, immediate: int) -> None:
-        self._check_pv(pv_index)
-        self._global.append(
-            AccessCfg(
-                pv_index=pv_index,
-                generator=generator,
-                register=register,
-                immediate=immediate,
-            )
-        )
+        key = None
+        if (
+            type(pv_index) is int
+            and type(generator) is AddressGenerator
+            and type(register) is ConfigRegister
+            and type(immediate) is int
+        ):
+            # The register's value, not the member: a plain Enum hashes in
+            # Python, an int in C.
+            key = (AccessCfg, pv_index, generator, register._value_, immediate)
+        uop = self._shared.get(key)
+        if uop is None:
+            uop = self._new_uop(key, AccessCfg, pv_index, generator, register, immediate)
+        self._global.append(uop)
 
     def emit_access_start(self, pv_index: int, generator) -> None:
-        self._check_pv(pv_index)
-        self._global.append(AccessStart(pv_index=pv_index, generator=generator))
+        self._emit_generator_uop(AccessStart, pv_index, generator)
 
     def emit_access_stop(self, pv_index: int, generator) -> None:
-        self._check_pv(pv_index)
-        self._global.append(AccessStop(pv_index=pv_index, generator=generator))
+        self._emit_generator_uop(AccessStop, pv_index, generator)
 
     def emit_mimd_load(self, pv_index: int, destination: str, immediate: int) -> None:
+        key = None
+        if type(pv_index) is int and type(destination) is str and type(immediate) is int:
+            key = (MimdLoad, pv_index, destination, immediate)
+        uop = self._shared.get(key)
+        if uop is None:
+            uop = self._new_uop(key, MimdLoad, pv_index, destination, immediate)
+        self._global.append(uop)
+
+    def _emit_generator_uop(self, cls, pv_index: int, generator) -> None:
+        key = None
+        if type(pv_index) is int and type(generator) is AddressGenerator:
+            key = (cls, pv_index, generator)
+        uop = self._shared.get(key)
+        if uop is None:
+            uop = self._new_uop(key, cls, pv_index, generator)
+        self._global.append(uop)
+
+    def _new_uop(self, key: Optional[tuple], cls, pv_index, *fields) -> MicroOp:
+        """Build ``cls(pv_index, *fields)``; share it under ``key`` unless
+        ``key`` is None (a field not exactly of its declared type)."""
         self._check_pv(pv_index)
-        self._global.append(
-            MimdLoad(pv_index=pv_index, destination=destination, immediate=immediate)
-        )
+        uop = cls(pv_index, *fields)
+        if key is not None:
+            self._shared[key] = uop
+        return uop
 
     # -- finalisation ------------------------------------------------------
     def build(self) -> MicroProgram:

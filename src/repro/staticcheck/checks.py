@@ -307,15 +307,21 @@ def _word_outcome(uop: MicroOp, num_pvs: int) -> Optional[tuple]:
     return word, None, None, decoded
 
 
+_UNSEEN = object()
+
+
 def _pass_global_words(program: MicroProgram, emit) -> None:
     """One encode and one decode per distinct, exactly typed global µop
     (see :func:`_exact_key`) feed both the round-trip and the
-    word-level checks; any other µop pays its own.  Every repeat of a µop
-    still reports at its own index.  Word-level findings describe the
+    word-level checks; any other µop object pays its own.  Every repeat of
+    a µop still reports at its own index.  Word-level findings describe the
     stored image, so they are reported only when the whole stream
     encodes."""
     num_pvs = program.num_pvs
     outcomes: Dict[tuple, Optional[tuple]] = {}
+    # A compiled stream repeats shared µop objects (MicroProgramBuilder):
+    # an object's repeats reuse its outcome without building its key.
+    by_object: Dict[int, Optional[tuple]] = {}
     word_findings: List[tuple] = []
 
     def emit_word(*finding) -> None:
@@ -323,14 +329,17 @@ def _pass_global_words(program: MicroProgram, emit) -> None:
 
     stream_encodes = True
     for index, uop in enumerate(program.global_uops):
-        key = _exact_key(uop)
-        if key is None:
-            outcome = _word_outcome(uop, num_pvs)
-        else:
-            try:
-                outcome = outcomes[key]
-            except KeyError:
-                outcome = outcomes[key] = _word_outcome(uop, num_pvs)
+        outcome = by_object.get(id(uop), _UNSEEN)
+        if outcome is _UNSEEN:
+            key = _exact_key(uop)
+            if key is None:
+                outcome = _word_outcome(uop, num_pvs)
+            else:
+                try:
+                    outcome = outcomes[key]
+                except KeyError:
+                    outcome = outcomes[key] = _word_outcome(uop, num_pvs)
+            by_object[id(uop)] = outcome
         if outcome is None:
             continue
         word, encode_error, decode_error, decoded = outcome

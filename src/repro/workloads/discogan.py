@@ -36,12 +36,15 @@ def build_discogan(
     stride-1 bottleneck convolution (``base_channels`` wide) keeps that
     resolution so that four stride-2 decoder transposed convolutions restore
     the input size.  This 4-down / bottleneck / 4-up shape is DiscoGAN's
-    identity; only the input size and the bottleneck width scale.  Backs the
-    ``discogan@...`` workload family.
+    identity; only the input size and the bottleneck width scale.  ``size``
+    is a power of two of at least 32: the discriminator's five stride-2
+    convolutions reduce it by 32.  Backs the ``discogan@...`` workload
+    family.
     """
-    if size < 16 or size & (size - 1):
+    if size < 32 or size & (size - 1):
         raise WorkloadError(
-            f"DiscoGAN size must be a power of two >= 16, got {size}"
+            f"DiscoGAN size must be a power of two >= 32 (the discriminator's "
+            f"five stride-2 convolutions halve it five times), got {size}"
         )
     image_shape = FeatureMapShape.image(channels=3, height=size, width=size)
     encoder = conv_stack(

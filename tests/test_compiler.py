@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.compiler import GanaxLayerExecutor, compile_layer_programs
+from repro.core.compiler import (
+    ColumnWork,
+    GanaxLayerExecutor,
+    _bind,
+    _column_window,
+    compile_layer_programs,
+    plan_ganax_row_tasks,
+)
+from repro.core.dataflow import build_schedule
 from repro.errors import CompilationError
 from repro.nn.functional import conv2d, transposed_conv2d
+from repro.nn.layers import TransposedConvLayer
+from repro.nn.shapes import FeatureMapShape
+from repro.schedule import resolve_schedule, schedule_names
+from repro.staticcheck import filecheck
+from repro.staticcheck.checks import _exact_key
 from repro.workloads.registry import get_workload
+
+CHK_DIR = Path(__file__).parent / "filecheck"
 
 
 class TestGanaxDataflowCorrectness:
@@ -139,3 +157,63 @@ class TestCompileLayerPrograms:
             binding, num_pvs=16, pes_per_pv=16, max_waves=1, max_columns=1
         )
         assert len(programs) == 1
+
+
+class TestSharedPlanning:
+    """The planner builds one column tuple per layer and the builder one
+    object per distinct µop; both must stay exact."""
+
+    def test_compiled_stream_holds_one_object_per_distinct_uop(self):
+        """A regression to one allocation per emission fails here, not only
+        in the benchmark: DCGAN's first generator tconv, default schedule."""
+        binding = next(
+            b for b in get_workload("dcgan").generator.bindings if b.name == "tconv1"
+        )
+        (program,) = compile_layer_programs(
+            binding, num_pvs=16, pes_per_pv=16, skip_zeros=True,
+            max_waves=1, max_columns=4,
+        )
+        stream = program.global_uops
+        keys = {_exact_key(uop) for uop in stream}
+        assert None not in keys
+        assert len({id(uop) for uop in stream}) == len(keys) < len(stream)
+        filecheck(program.disassemble(), (CHK_DIR / "dcgan_tconv1_skip.chk").read_text())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.integers(1, 7),
+        stride=st.integers(1, 4),
+        data=st.data(),
+        schedule=st.sampled_from(schedule_names() + ("colmajor@tile2", "colmajor@tile3")),
+    )
+    def test_row_tasks_share_the_per_row_column_plan(self, kernel, stride, data, schedule):
+        padding = data.draw(st.integers(0, kernel - 1), label="padding")
+        in_cols = data.draw(st.integers(kernel, kernel + 6), label="in_cols")
+        in_rows = data.draw(st.integers(kernel, kernel + 2), label="in_rows")
+        layer = TransposedConvLayer(
+            name="t", out_channels=1, kernel=kernel, stride=stride, padding=padding
+        )
+        binding = _bind(layer, FeatureMapShape.image(1, in_rows, in_cols))
+        spec = resolve_schedule(schedule)
+        dataflow = build_schedule(binding, spec)
+        tasks = plan_ganax_row_tasks(layer, in_cols, dataflow, 3, schedule_spec=spec)
+        assert tasks
+        for task in tasks:
+            # the per-row computation the planner used to repeat
+            per_row = spec.permute_columns(
+                tuple(
+                    ColumnWork(
+                        taps=taps,
+                        input_base=input_base,
+                        weight_base=kernel_cols[0],
+                        weight_step=stride,
+                        output_column=out_col,
+                    )
+                    for out_col in range(dataflow.output_cols)
+                    for taps, kernel_cols, input_base in [
+                        _column_window(out_col, layer, in_cols)
+                    ]
+                    if taps > 0
+                )
+            )
+            assert task.columns == per_row

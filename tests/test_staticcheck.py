@@ -549,6 +549,39 @@ class TestVerifierMemos:
     def test_type_twins_are_verified_separately(self):
         assert _as_tuples(verify_program(_type_twins_program())) == PINNED_TYPE_TWINS
 
+    def test_builder_shares_only_exactly_typed_twins(self):
+        """MicroProgramBuilder shares one object per distinct µop, but the
+        float-immediate and bool/int-typed twins come back as their own
+        objects, and the built program verifies like the hand-built one."""
+        from dataclasses import fields
+
+        from repro.isa.program import MicroProgramBuilder
+
+        by_hand = _type_twins_program()
+        builder = MicroProgramBuilder(by_hand.name, num_pvs=by_hand.num_pvs)
+        emitters = {
+            AccessCfg: builder.emit_access_cfg,
+            AccessStart: builder.emit_access_start,
+            AccessStop: builder.emit_access_stop,
+        }
+        for uop in by_hand.global_uops:
+            values = [getattr(uop, f.name) for f in fields(uop)]
+            try:
+                emitters[type(uop)](*values)
+            except IsaError:  # corrupted after construction: no emitter builds it
+                builder.emit(uop)
+        built = builder.build()
+        stream = built.global_uops
+        assert stream == by_hand.global_uops
+        # the second cfg block repeats the first but for END=2.0 (index 10)
+        assert all(stream[i] is stream[i - 7] for i in (7, 8, 9, 11, 12))
+        assert stream[10] is not stream[3]
+        assert stream[14] is not stream[13]  # immediate 1.0 vs 1
+        assert stream[17] is not stream[15]  # pv_index True vs 1
+        assert stream[16] is not stream[15]  # generator 2 vs OUTPUT
+        assert _as_tuples(verify_program(built)) == PINNED_TYPE_TWINS
+        assert _as_tuples(verify_program(by_hand)) == PINNED_TYPE_TWINS
+
     def test_repeated_corrupt_uop_is_reported_at_each_index(self):
         bad = _corrupt(
             MimdLoad(pv_index=0, destination="repeat", immediate=5), immediate=70_000

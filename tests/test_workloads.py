@@ -324,6 +324,16 @@ class TestWorkloadFamilies:
         message = str(excinfo.value)
         assert "synthetic" in message and "dcgan" in message
 
+    def test_discogan_size_guard_covers_the_discriminator(self):
+        """Five stride-2 discriminator convolutions need size >= 32: 16 must
+        fail at the family's guard, not as a NetworkError from conv5."""
+        with pytest.raises(WorkloadError, match="power of two >= 32"):
+            resolve_workload("discogan@16x16")
+        model = get_workload("discogan@32x32")
+        assert model.generator.output_shape.as_tuple() == (3, 32, 32)
+        conv5 = next(b for b in model.discriminator.bindings if b.name == "conv5")
+        assert conv5.output_shape.spatial == (1, 1)
+
     def test_bad_family_args_raise(self):
         for spec in ("dcgan@", "dcgan@banana", "dcgan@64x32", "dcgan@warp=9",
                      "magan@64x64", "synthetic@d99", "synthetic@z200"):
