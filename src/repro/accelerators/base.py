@@ -119,10 +119,6 @@ class GanSimulatorBase:
     def options(self) -> SimulationOptions:
         return self._options
 
-    @property
-    def energy_model(self) -> EnergyModel:
-        return self._energy_model
-
     def describe(self) -> Dict[str, str]:
         return {
             "name": self.accelerator_name,

@@ -68,7 +68,7 @@ class IdealRooflineSimulator(GanSimulatorBase):
     def simulate_layer(self, binding: LayerBinding) -> LayerResult:
         """One layer at peak throughput over its consequential work.
 
-        Layers without MACs (activations, pooling) stream one output element
+        Layers without MACs (activations, batch norm) stream one output element
         per PE per cycle, mirroring the baseline's accounting for them.
         """
         macs = binding.consequential_macs

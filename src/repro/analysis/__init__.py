@@ -5,7 +5,6 @@ from .breakdown import (
     average_breakdown,
     energy_breakdown,
     runtime_breakdown,
-    stacked_rows,
     unit_energy_breakdown,
 )
 from .metrics import (
@@ -20,7 +19,6 @@ from .metrics import (
     utilization,
 )
 from .report import (
-    bullet_list,
     format_fraction_series,
     format_key_values,
     format_ratio_series,
@@ -33,7 +31,6 @@ from .charts import (
     horizontal_bar_chart,
     multi_comparison_chart,
     ratio_chart,
-    stacked_chart,
 )
 from .results import (
     ComparisonResult,
@@ -45,14 +42,10 @@ from .results import (
 from .serialization import (
     canonical_json,
     config_fingerprint,
-    export_comparisons,
     fingerprint_data,
     multi_comparison_rows,
     options_fingerprint,
-    read_csv,
     workload_fingerprint,
-    write_csv,
-    write_json,
 )
 from .sweep import (
     ParameterSweep,
@@ -67,7 +60,6 @@ __all__ = [
     "average_breakdown",
     "energy_breakdown",
     "runtime_breakdown",
-    "stacked_rows",
     "unit_energy_breakdown",
     "arithmetic_mean",
     "fraction_summary",
@@ -78,7 +70,6 @@ __all__ = [
     "reduction",
     "speedup",
     "utilization",
-    "bullet_list",
     "format_fraction_series",
     "format_key_values",
     "format_ratio_series",
@@ -89,7 +80,6 @@ __all__ = [
     "horizontal_bar_chart",
     "multi_comparison_chart",
     "ratio_chart",
-    "stacked_chart",
     "ComparisonResult",
     "GanResult",
     "LayerResult",
@@ -97,14 +87,10 @@ __all__ = [
     "NetworkResult",
     "canonical_json",
     "config_fingerprint",
-    "export_comparisons",
     "fingerprint_data",
     "multi_comparison_rows",
     "options_fingerprint",
-    "read_csv",
     "workload_fingerprint",
-    "write_csv",
-    "write_json",
     "ParameterSweep",
     "SweepPoint",
     "compare_accelerators",

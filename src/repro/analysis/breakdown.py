@@ -10,10 +10,9 @@ plain nested dictionaries the report renderer and the benchmarks print.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from ..errors import AnalysisError
-from ..hw.energy import ENERGY_COMPONENTS
 from .results import ComparisonResult
 
 #: Ordering of the stacked-bar segments in Figure 9.
@@ -55,37 +54,3 @@ def average_breakdown(
         accelerator: {segment: value / count for segment, value in segments.items()}
         for accelerator, segments in accumulator.items()
     }
-
-
-def total_of(breakdown: Mapping[str, float]) -> float:
-    """Sum of all segments of one stacked bar."""
-    return sum(breakdown.values())
-
-
-def check_components(breakdown: Mapping[str, float]) -> None:
-    """Validate that a unit-energy breakdown uses the Figure 10 components."""
-    unknown = set(breakdown) - set(ENERGY_COMPONENTS)
-    if unknown:
-        raise AnalysisError(f"unknown energy components: {sorted(unknown)}")
-
-
-def stacked_rows(
-    per_model: Mapping[str, Mapping[str, Mapping[str, float]]],
-    segments: Sequence[str],
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Restrict breakdowns to the requested segments, preserving order.
-
-    Raises when a segment is missing so that report tables never silently
-    drop a bar segment.
-    """
-    rows: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for model, breakdown in per_model.items():
-        rows[model] = {}
-        for accelerator, values in breakdown.items():
-            missing = [s for s in segments if s not in values]
-            if missing:
-                raise AnalysisError(
-                    f"{model}/{accelerator}: missing breakdown segments {missing}"
-                )
-            rows[model][accelerator] = {s: values[s] for s in segments}
-    return rows

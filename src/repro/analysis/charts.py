@@ -15,7 +15,7 @@ which design points survived domination.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..errors import AnalysisError
 
@@ -111,40 +111,6 @@ def fraction_chart(
     return horizontal_bar_chart(
         title, percentages, unit="%", reference=scaled_reference, max_value=100.0
     )
-
-
-def stacked_chart(
-    title: str,
-    per_model: Mapping[str, Mapping[str, float]],
-    segments: Sequence[str],
-    *,
-    width: int = 50,
-) -> str:
-    """Figure 9/10-style chart: one stacked bar per (model, accelerator) row.
-
-    ``per_model`` maps a row label to segment -> value; values are assumed to
-    be normalised so that 1.0 spans the full bar width.
-    """
-    if not per_model:
-        raise AnalysisError("cannot chart an empty mapping")
-    symbols = "#=+*o@"
-    if len(segments) > len(symbols):
-        raise AnalysisError(f"at most {len(symbols)} segments are supported")
-    label_width = max(len(label) for label in per_model)
-    lines = [title, "=" * len(title)]
-    for label, parts in per_model.items():
-        missing = [s for s in segments if s not in parts]
-        if missing:
-            raise AnalysisError(f"{label}: missing segments {missing}")
-        bar = ""
-        for symbol, segment in zip(symbols, segments):
-            bar += symbol * int(round(width * max(0.0, parts[segment])))
-        bar = bar[:width].ljust(width)
-        total = sum(parts[s] for s in segments)
-        lines.append(f"{label.ljust(label_width)} [{bar}] {total:.2f}")
-    legend = ", ".join(f"{symbol}={segment}" for symbol, segment in zip(symbols, segments))
-    lines.append(f"{' ' * label_width}  legend: {legend}")
-    return "\n".join(lines)
 
 
 #: Metric extractors for multi_comparison_chart: name -> (getter, unit).

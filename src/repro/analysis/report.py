@@ -9,7 +9,7 @@ regeneration of every table/figure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..errors import AnalysisError
 
@@ -162,8 +162,3 @@ def format_frontier(
 def format_key_values(title: str, values: Mapping[str, object]) -> str:
     """Render a flat mapping as a two-column table."""
     return format_table(["Quantity", "Value"], list(values.items()), title=title)
-
-
-def bullet_list(items: Iterable[str]) -> str:
-    """Render a simple bulleted list (used by the CLI summaries)."""
-    return "\n".join(f"  - {item}" for item in items)

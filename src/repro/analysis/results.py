@@ -143,9 +143,6 @@ class NetworkResult:
                 return result
         raise AnalysisError(f"no layer result named '{name}' in {self.network_name}")
 
-    def transposed_results(self) -> Tuple[LayerResult, ...]:
-        return tuple(r for r in self.layer_results if r.is_transposed)
-
 
 @dataclass(frozen=True)
 class GanResult:
@@ -276,12 +273,6 @@ class MultiComparison:
     def generator_speedups(self) -> Dict[str, float]:
         """Speedup over the baseline per accelerator (baseline maps to 1.0)."""
         return {name: self.generator_speedup(name) for name in self.results}
-
-    def generator_energy_reductions(self) -> Dict[str, float]:
-        """Energy reduction over the baseline per accelerator."""
-        return {
-            name: self.generator_energy_reduction(name) for name in self.results
-        }
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """JSON-friendly per-accelerator headline metrics."""

@@ -1,11 +1,10 @@
-"""Export experiment results and simulation results to JSON / CSV, plus
-content fingerprints for the simulation cache.
+"""Flatten simulation results into rows, plus content fingerprints for the
+simulation cache.
 
 Downstream users typically want the regenerated figure data in a form their
 own plotting pipeline can ingest.  This module flattens the nested result
-structures produced by the simulators and the experiment harness into rows and
-writes them as CSV (stdlib ``csv``) or JSON, without adding any plotting
-dependencies to the library.
+structures produced by the simulators and the experiment harness into flat
+row mappings, without adding any plotting dependencies to the library.
 
 It also defines the **canonical serialization** of the simulation inputs —
 :class:`~repro.config.ArchitectureConfig`, :class:`~repro.config.
@@ -19,13 +18,11 @@ Python versions.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
 from functools import lru_cache
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import AnalysisError
@@ -33,9 +30,7 @@ from ..nn.layers import LayerSpec
 from ..nn.network import GANModel, LayerBinding, Network
 from ..nn.shapes import FeatureMapShape
 from ..schedule import resolve_schedule, schedule_fingerprint
-from .results import ComparisonResult, GanResult, MultiComparison, NetworkResult
-
-PathLike = Union[str, Path]
+from .results import GanResult, MultiComparison, NetworkResult
 
 
 # ----------------------------------------------------------------------
@@ -272,28 +267,6 @@ def gan_result_rows(result: GanResult) -> List[Dict[str, object]]:
     return rows
 
 
-def comparison_rows(comparisons: Mapping[str, ComparisonResult]) -> List[Dict[str, object]]:
-    """One summary row per GAN with the Figure 8 / Figure 11 quantities."""
-    if not comparisons:
-        raise AnalysisError("no comparisons to serialise")
-    rows = []
-    for name, comparison in comparisons.items():
-        rows.append(
-            {
-                "model": name,
-                "speedup": comparison.generator_speedup,
-                "energy_reduction": comparison.generator_energy_reduction,
-                "eyeriss_utilization": comparison.eyeriss_generator_utilization,
-                "ganax_utilization": comparison.ganax_generator_utilization,
-                "eyeriss_generator_cycles": comparison.eyeriss.generator.cycles,
-                "ganax_generator_cycles": comparison.ganax.generator.cycles,
-                "eyeriss_generator_energy_pj": comparison.eyeriss.generator.energy_pj,
-                "ganax_generator_energy_pj": comparison.ganax.generator.energy_pj,
-            }
-        )
-    return rows
-
-
 def multi_comparison_rows(
     comparisons: Mapping[str, MultiComparison]
 ) -> List[Dict[str, object]]:
@@ -319,65 +292,3 @@ def multi_comparison_rows(
                 }
             )
     return rows
-
-
-# ----------------------------------------------------------------------
-# Writers
-# ----------------------------------------------------------------------
-def write_csv(rows: Sequence[Mapping[str, object]], path: PathLike) -> Path:
-    """Write a list of flat row mappings as CSV; returns the written path."""
-    rows = list(rows)
-    if not rows:
-        raise AnalysisError("cannot write an empty row set")
-    path = Path(path)
-    fieldnames: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(dict(row))
-    return path
-
-
-def write_json(data: Mapping, path: PathLike, indent: int = 2) -> Path:
-    """Write a nested mapping as JSON; returns the written path."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=indent, sort_keys=True)
-    return path
-
-
-def read_csv(path: PathLike) -> List[Dict[str, str]]:
-    """Read back a CSV written by :func:`write_csv` (values are strings)."""
-    path = Path(path)
-    if not path.exists():
-        raise AnalysisError(f"CSV file {path} does not exist")
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        return [dict(row) for row in csv.DictReader(handle)]
-
-
-def export_comparisons(
-    comparisons: Mapping[str, ComparisonResult],
-    directory: PathLike,
-    prefix: str = "ganax",
-) -> Dict[str, Path]:
-    """Export a full comparison set: summary CSV plus per-layer CSVs.
-
-    Returns a mapping of artefact name to written path.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: Dict[str, Path] = {}
-    written["summary"] = write_csv(
-        comparison_rows(comparisons), directory / f"{prefix}_summary.csv"
-    )
-    layer_rows: List[Dict[str, object]] = []
-    for comparison in comparisons.values():
-        layer_rows.extend(gan_result_rows(comparison.eyeriss))
-        layer_rows.extend(gan_result_rows(comparison.ganax))
-    written["layers"] = write_csv(layer_rows, directory / f"{prefix}_layers.csv")
-    return written

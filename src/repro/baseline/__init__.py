@@ -1,7 +1,7 @@
 """EYERISS-style row-stationary baseline accelerator model."""
 
 from .performance import BaselineLayerEstimate, estimate_layer
-from .row_stationary import RowStationaryMapping, map_layer, mapping_utilization
+from .row_stationary import RowStationaryMapping, map_layer
 from .simulator import ACCELERATOR_NAME, EyerissSimulator
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "estimate_layer",
     "RowStationaryMapping",
     "map_layer",
-    "mapping_utilization",
     "ACCELERATOR_NAME",
     "EyerissSimulator",
 ]

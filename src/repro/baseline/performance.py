@@ -191,7 +191,7 @@ def estimate_layer(
 def _estimate_non_convolutional(
     binding: LayerBinding, config: ArchitectureConfig
 ) -> BaselineLayerEstimate:
-    """Dense/batch-norm/activation/pooling layers: element-wise streaming.
+    """Dense/batch-norm/activation/reshape layers: element-wise streaming.
 
     These layers are a negligible share of GAN compute; they are modelled as
     a streaming pass over their operands at one element per PE per cycle,

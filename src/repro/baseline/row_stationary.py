@@ -119,13 +119,3 @@ def map_layer(binding: LayerBinding, config: ArchitectureConfig) -> RowStationar
         sets_per_pass=sets_per_pass,
         occupancy=occupancy,
     )
-
-
-def mapping_utilization(binding: LayerBinding, config: ArchitectureConfig) -> float:
-    """Spatial mapping utilization of the RS dataflow for one layer.
-
-    This is the fraction of PEs holding useful work, before accounting for
-    inserted zeros; it bounds the throughput of both the baseline and (to
-    first order) GANAX, which uses the same PE count.
-    """
-    return map_layer(binding, config).occupancy

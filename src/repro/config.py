@@ -277,7 +277,3 @@ class SimulationOptions:
         if unknown:
             raise ConfigurationError(f"unknown option keys: {sorted(unknown)}")
         return cls(**dict(mapping))
-
-
-DEFAULT_CONFIG = ArchitectureConfig.paper_default()
-DEFAULT_OPTIONS = SimulationOptions()

@@ -8,7 +8,6 @@ from .dataflow import (
     RowGroup,
     average_active_filter_rows,
     build_schedule,
-    pv_assignment,
 )
 from .execute_engine import ExecuteEngine
 from .index_generator import GeneratorConfig, StridedIndexGenerator
@@ -28,7 +27,6 @@ __all__ = [
     "RowGroup",
     "average_active_filter_rows",
     "build_schedule",
-    "pv_assignment",
     "ExecuteEngine",
     "GeneratorConfig",
     "StridedIndexGenerator",

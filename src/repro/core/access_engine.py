@@ -10,7 +10,7 @@ the two µ-engines, exactly as in the paper's decoupled design.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import SimulationError
 from ..hw.counters import EventCounters
@@ -110,19 +110,9 @@ class AccessEngine:
     # ------------------------------------------------------------------
     # Execute-side interface
     # ------------------------------------------------------------------
-    def peek_address(self, stream: AddressGenerator) -> Optional[int]:
-        return self._fifos[stream].peek()
-
     def pop_address(self, stream: AddressGenerator) -> Optional[int]:
         """Pop the next address for ``stream`` or None when the FIFO is empty."""
         return self._fifos[stream].try_pop()
 
     def has_address(self, stream: AddressGenerator) -> bool:
         return not self._fifos[stream].is_empty
-
-    def drain_statistics(self) -> Dict[str, Tuple[int, int]]:
-        """Per-stream (pushes, pops) statistics for tests and reports."""
-        return {
-            stream.name.lower(): (fifo.total_pushes, fifo.total_pops)
-            for stream, fifo in self._fifos.items()
-        }

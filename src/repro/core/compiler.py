@@ -152,28 +152,6 @@ class GanaxLayerExecutor:
             return self._run_ganax_dataflow(binding, x, weight)
         return self._run_conventional_dataflow(binding, x, weight)
 
-    def run_conv(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        stride: int,
-        padding: int,
-    ) -> LayerExecution:
-        """Execute a single-channel 2-D conventional convolution (SIMD-style)."""
-        self._check_2d(x, weight)
-        layer = ConvLayer(
-            name="conv_exec",
-            out_channels=1,
-            kernel=(weight.shape[0], weight.shape[1]),
-            stride=stride,
-            padding=padding,
-        )
-        input_shape = FeatureMapShape.image(1, x.shape[0], x.shape[1])
-        binding = _bind(layer, input_shape)
-        padded = np.pad(x, ((padding, padding), (padding, padding)))
-        tasks = self._dense_tasks(binding, padded, weight, stride)
-        return self._execute_tasks(binding, tasks, skip_zeros=True)
-
     @staticmethod
     def _check_2d(x: np.ndarray, weight: np.ndarray) -> None:
         if x.ndim != 2 or weight.ndim != 2:

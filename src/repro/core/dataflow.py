@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import DataflowError
 from ..nn.layers import ConvLayer, TransposedConvLayer
@@ -96,14 +96,6 @@ class RowGroup:
     def active_pes(self) -> int:
         """PEs doing useful work for one output row of this group."""
         return len(self.filter_rows)
-
-    @property
-    def macs_per_output_row(self) -> int:
-        """Consequential MACs (per input channel, per output channel) per row."""
-        per_row = 0
-        for segment in self.column_segments:
-            per_row += segment.width * segment.taps
-        return per_row * max(1, len(self.filter_rows))
 
     @property
     def accumulation_depth(self) -> int:
@@ -456,22 +448,3 @@ def average_active_filter_rows(schedule: DataflowSchedule) -> float:
     if rows == 0:
         return 0.0
     return weighted / rows
-
-
-def pv_assignment(schedule: DataflowSchedule, num_pvs: int) -> Dict[int, List[int]]:
-    """Round-robin assignment of output rows to PVs, group by group.
-
-    Rows of the same group are assigned to consecutive PVs so that (a) rows
-    sharing a pattern are adjacent, preserving filter-row reuse, and (b) at
-    any instant different PVs may be working on different patterns, which is
-    what the MIMD-SIMD execution model supports.
-    """
-    if num_pvs <= 0:
-        raise DataflowError("num_pvs must be positive")
-    assignment: Dict[int, List[int]] = {pv: [] for pv in range(num_pvs)}
-    next_pv = 0
-    for group in schedule.row_groups:
-        for row in group.output_rows:
-            assignment[next_pv].append(row)
-            next_pv = (next_pv + 1) % num_pvs
-    return assignment

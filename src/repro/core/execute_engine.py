@@ -137,9 +137,6 @@ class ExecuteEngine:
             raise SimulationError(f"{self._name}: {uop!r} is not an execute-group µop")
         return self._uop_fifo.try_push(uop)
 
-    def reset_accumulator(self) -> None:
-        self._accumulator = 0.0
-
     # ------------------------------------------------------------------
     # Cycle behaviour
     # ------------------------------------------------------------------

@@ -111,10 +111,6 @@ class GlobalUopBuffer:
         return self._entries
 
     @property
-    def program_counter(self) -> int:
-        return self._pc
-
-    @property
     def fetches(self) -> int:
         return self._fetches
 

@@ -9,7 +9,6 @@ from .encoding import (
     decode_local_uop,
     encode_global_uop,
     encode_local_uop,
-    encoded_size_bits,
     is_mimd_word,
 )
 from .program import MicroProgram, MicroProgramBuilder
@@ -39,7 +38,6 @@ __all__ = [
     "decode_local_uop",
     "encode_global_uop",
     "encode_local_uop",
-    "encoded_size_bits",
     "is_mimd_word",
     "MicroProgram",
     "MicroProgramBuilder",

@@ -260,10 +260,3 @@ def decode_global_uop(word: int, num_pvs: int = 16) -> MicroOp:
 def is_mimd_word(word: int) -> bool:
     """The 1-bit mode field: True when the word is a MIMD-SIMD µop."""
     return bool((word >> _MODE_SHIFT) & 0x1)
-
-
-def encoded_size_bits(uop: MicroOp) -> int:
-    """Size in bits of a µop in the buffer it belongs to."""
-    if isinstance(uop, (ExecuteUop, RepeatUop)):
-        return LOCAL_UOP_BITS
-    return GLOBAL_UOP_BITS

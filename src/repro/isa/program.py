@@ -187,21 +187,6 @@ class MicroProgram:
                 ) from exc
         return tuple(words)
 
-    def encoded_local_words(self) -> Tuple[Tuple[int, ...], ...]:
-        """The encoded 16-bit words of every local buffer."""
-        encoded = []
-        for pv, buffer in enumerate(self.local_uops):
-            words = []
-            for index, uop in enumerate(buffer):
-                try:
-                    words.append(encode_local_uop(uop))
-                except IsaError as exc:
-                    raise ProgramEncodingError(
-                        self.name, f"PV {pv} local µop {index}", repr(uop), str(exc)
-                    ) from exc
-            encoded.append(tuple(words))
-        return tuple(encoded)
-
     # ------------------------------------------------------------------
     # Disassembly
     # ------------------------------------------------------------------
@@ -321,13 +306,17 @@ class MicroProgramBuilder:
 
     def emit_mimd(self, local_indices: Sequence[int]) -> None:
         """Dispatch one local µop index per PV in MIMD-SIMD mode."""
-        # mimd.exe stores int(index) of each entry, so equal index tuples
-        # build equal µops whatever their element types.
         indices = tuple(local_indices)
-        key = (MimdExecute, indices)
+        # Only all-int tuples are shared: 1.0 and True hash like 1, and must
+        # reach MimdExecute, which rejects them.
+        key = None
+        if all(type(i) is int for i in indices):
+            key = (MimdExecute, indices)
         uop = self._shared.get(key)
         if uop is None:
-            uop = self._shared[key] = MimdExecute(local_indices=indices)
+            uop = MimdExecute(local_indices=indices)
+            if key is not None:
+                self._shared[key] = uop
         self._global.append(uop)
 
     def emit_access_cfg(self, pv_index: int, generator, register, immediate: int) -> None:

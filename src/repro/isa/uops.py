@@ -20,6 +20,7 @@ one 4-bit index field per PV and a 1-bit SIMD/MIMD-SIMD mode flag).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -240,6 +241,9 @@ class MimdExecute(MicroOp):
     def __post_init__(self) -> None:
         if not self.local_indices:
             raise IsaError("mimd.exe requires at least one local µop index")
+        for i in self.local_indices:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise IsaError(f"mimd.exe: local µop index {i!r} is not an integer")
         if any(i < 0 for i in self.local_indices):
             raise IsaError("mimd.exe: local µop indices must be >= 0")
         object.__setattr__(self, "local_indices", tuple(int(i) for i in self.local_indices))
@@ -253,9 +257,6 @@ class MimdExecute(MicroOp):
         """True when every PV receives the same index (degenerates to SIMD)."""
         return len(set(self.local_indices)) == 1
 
-
-#: µops that may appear in a local µop buffer.
-LOCAL_BUFFER_UOPS = (ExecuteUop, RepeatUop)
 
 #: µops that may appear in the global µop buffer.
 GLOBAL_BUFFER_UOPS = (ExecuteUop, RepeatUop, MimdLoad, MimdExecute, AccessCfg, AccessStart, AccessStop)

@@ -12,7 +12,6 @@ from .layers import (
     ConvLayer,
     DenseLayer,
     LayerSpec,
-    PoolingLayer,
     ReshapeLayer,
     TransposedConvLayer,
 )
@@ -21,7 +20,6 @@ from .zero_analysis import (
     RowPattern,
     TransposedConvAnalysis,
     analyze_transposed_conv,
-    count_consequential_macs_bruteforce,
 )
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "ConvLayer",
     "DenseLayer",
     "LayerSpec",
-    "PoolingLayer",
     "ReshapeLayer",
     "TransposedConvLayer",
     "GANModel",
@@ -43,5 +40,4 @@ __all__ = [
     "RowPattern",
     "TransposedConvAnalysis",
     "analyze_transposed_conv",
-    "count_consequential_macs_bruteforce",
 ]

@@ -51,56 +51,6 @@ def insert_zeros_2d(x: np.ndarray, stride: int | Tuple[int, int]) -> np.ndarray:
     return out
 
 
-def insert_zeros_nd(x: np.ndarray, stride: Tuple[int, ...]) -> np.ndarray:
-    """Insert zeros along every spatial dimension of a ``(C, *spatial)`` array."""
-    if x.ndim < 2:
-        raise ShapeError(f"expected (C, *spatial), got shape {x.shape}")
-    spatial = x.shape[1:]
-    if len(stride) != len(spatial):
-        raise ShapeError(
-            f"stride rank {len(stride)} does not match spatial rank {len(spatial)}"
-        )
-    if any(s <= 0 for s in stride):
-        raise ShapeError(f"stride must be positive, got {stride}")
-    out_spatial = tuple((e - 1) * s + 1 for e, s in zip(spatial, stride))
-    out = np.zeros((x.shape[0], *out_spatial), dtype=x.dtype)
-    slices = (slice(None),) + tuple(slice(None, None, s) for s in stride)
-    out[slices] = x
-    return out
-
-
-def genuine_mask_2d(
-    input_spatial: Tuple[int, int],
-    stride: int | Tuple[int, int],
-    kernel: int | Tuple[int, int],
-    padding: int | Tuple[int, int],
-) -> np.ndarray:
-    """Boolean mask of genuine positions over the expanded (padded) input.
-
-    The expanded input is what the unit-stride convolution window slides over
-    during a transposed convolution: border zeros of ``kernel - 1 - padding``
-    on the leading edges, the zero-inserted input, and border zeros on the
-    trailing edges sized so that the output matches the standard formula.
-    """
-    h, w = input_spatial
-    sh, sw = _pair(stride)
-    kh, kw = _pair(kernel)
-    ph, pw = _pair(padding)
-    border_h, border_w = kh - 1 - ph, kw - 1 - pw
-    if border_h < 0 or border_w < 0:
-        raise ShapeError("padding must not exceed kernel - 1")
-    out_h = (h - 1) * sh - 2 * ph + kh
-    out_w = (w - 1) * sw - 2 * pw + kw
-    exp_h, exp_w = out_h + kh - 1, out_w + kw - 1
-    mask = np.zeros((exp_h, exp_w), dtype=bool)
-    rows = border_h + sh * np.arange(h)
-    cols = border_w + sw * np.arange(w)
-    rows = rows[rows < exp_h]
-    cols = cols[cols < exp_w]
-    mask[np.ix_(rows, cols)] = True
-    return mask
-
-
 # ----------------------------------------------------------------------
 # Conventional convolution
 # ----------------------------------------------------------------------

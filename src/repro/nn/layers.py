@@ -378,49 +378,6 @@ class ReshapeLayer(LayerSpec):
 
 
 @dataclass(frozen=True)
-class PoolingLayer(LayerSpec):
-    """Max/average pooling.  Counted as comparisons/adds, not MACs."""
-
-    kernel: Tuple[int, ...] = (2,)
-    stride: Tuple[int, ...] = (2,)
-    rank: int = 2
-    mode: str = "max"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kernel", conv_geometry_tuple(self.kernel, self.rank, "kernel"))
-        object.__setattr__(self, "stride", conv_geometry_tuple(self.stride, self.rank, "stride"))
-        if not self.name:
-            raise LayerError("layer name must be non-empty")
-        if self.mode not in ("max", "avg"):
-            raise LayerError(f"{self.name}: pooling mode must be 'max' or 'avg'")
-        if any(k <= 0 for k in self.kernel) or any(s <= 0 for s in self.stride):
-            raise LayerError(f"{self.name}: kernel and stride must be positive")
-
-    def output_shape(self, input_shape: FeatureMapShape) -> FeatureMapShape:
-        if input_shape.rank != self.rank:
-            raise ShapeError(
-                f"{self.name}: expected rank-{self.rank} input, got {input_shape.rank}"
-            )
-        spatial = tuple(
-            conv_output_extent(extent, k, s, 0)
-            for extent, k, s in zip(input_shape.spatial, self.kernel, self.stride)
-        )
-        return FeatureMapShape(channels=input_shape.channels, spatial=spatial)
-
-    def weight_count(self, input_shape: FeatureMapShape) -> int:
-        return 0
-
-    def total_macs(self, input_shape: FeatureMapShape) -> int:
-        # Pooling does not multiply; we count it as zero MACs.  Its runtime is
-        # negligible relative to (t)conv layers and the paper does not report
-        # it separately.
-        return 0
-
-    def consequential_macs(self, input_shape: FeatureMapShape) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
 class ActivationLayer(LayerSpec):
     """Element-wise activation (ReLU, leaky ReLU, tanh, sigmoid)."""
 

@@ -10,7 +10,7 @@ and the standard convolution / transposed-convolution output-size formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import ShapeError
 
@@ -183,13 +183,3 @@ def conv_geometry_tuple(
 ) -> Tuple[int, ...]:
     """Public wrapper over :func:`_as_tuple` for layer constructors."""
     return _as_tuple(value, rank, name)
-
-
-def validate_same_rank(shapes: Iterable[FeatureMapShape]) -> int:
-    """Check that all shapes share the same spatial rank and return it."""
-    ranks = {shape.rank for shape in shapes}
-    if not ranks:
-        raise ShapeError("no shapes provided")
-    if len(ranks) != 1:
-        raise ShapeError(f"mixed spatial ranks: {sorted(ranks)}")
-    return ranks.pop()

@@ -12,8 +12,8 @@ that drive both the paper's motivation (Figure 1) and the GANAX dataflow
   determines how many distinct µop sequences — and thus how much MIMD-ness —
   the layer needs.
 
-Two implementations are provided: an exact arithmetic one used by the models
-and an explicit mask-based one used to cross-check it in tests.
+The counts are exact arithmetic; the tests cross-check them against
+independent mask-based and implicit-GEMM counts.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ class RowPattern:
     def filter_rows_used(self) -> int:
         """Number of filter rows contributing to rows of this phase."""
         return len(self.consequential_filter_rows)
-
-    @property
-    def mean_column_taps(self) -> float:
-        """Average consequential kernel columns per output element."""
-        if not self.taps_per_output_column:
-            return 0.0
-        return sum(self.taps_per_output_column) / len(self.taps_per_output_column)
 
 
 @dataclass(frozen=True)
@@ -168,40 +161,3 @@ def _count_rows_with_phase(extent: int, stride: int, phase: int) -> int:
     if phase >= extent:
         return 0
     return (extent - 1 - phase) // stride + 1
-
-
-# ----------------------------------------------------------------------
-# Mask-based (brute force) counting used for validation
-# ----------------------------------------------------------------------
-def count_consequential_macs_bruteforce(
-    layer: TransposedConvLayer, input_shape: FeatureMapShape
-) -> int:
-    """Count consequential MACs by materialising the genuine-value mask.
-
-    This is O(output volume * kernel volume) and intended for small layers in
-    tests; the exact arithmetic in :meth:`TransposedConvLayer.consequential_macs`
-    must agree with it.
-    """
-    if layer.rank not in (1, 2, 3):
-        raise LayerError("brute-force counting supports ranks 1-3 only")
-    out = layer.output_shape(input_shape)
-    expanded = layer.expanded_spatial(input_shape)
-
-    mask = np.zeros(expanded, dtype=bool)
-    genuine_coords = []
-    for dim in range(layer.rank):
-        border = layer.kernel[dim] - 1 - layer.padding[dim]
-        coords = border + layer.stride[dim] * np.arange(input_shape.spatial[dim])
-        coords = coords[coords < expanded[dim]]
-        genuine_coords.append(coords)
-    mask[np.ix_(*genuine_coords)] = True
-
-    count = 0
-    for out_index in np.ndindex(*out.spatial):
-        window = mask[
-            tuple(
-                slice(o, o + k) for o, k in zip(out_index, layer.kernel)
-            )
-        ]
-        count += int(window.sum())
-    return count * out.channels * input_shape.channels

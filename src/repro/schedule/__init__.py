@@ -12,8 +12,6 @@ from .registry import (
     canonical_schedule_name,
     describe_schedule,
     describe_schedules,
-    get_schedule,
-    get_schedule_family,
     register_schedule,
     register_schedule_family,
     resolve_schedule,
@@ -39,8 +37,6 @@ __all__ = [
     "canonical_schedule_name",
     "describe_schedule",
     "describe_schedules",
-    "get_schedule",
-    "get_schedule_family",
     "register_schedule",
     "register_schedule_family",
     "resolve_schedule",

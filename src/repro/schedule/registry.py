@@ -138,30 +138,6 @@ def schedule_families() -> Tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
-def get_schedule(name: str) -> ScheduleSpec:
-    """Exact-name lookup of a registered schedule."""
-    _load_builtin_schedules()
-    key = _normalize_name(name)
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise UnknownScheduleError(
-            key, schedule_names(), schedule_families()
-        ) from None
-
-
-def get_schedule_family(name: str) -> ScheduleFamily:
-    """Lookup of a registered schedule family."""
-    _load_builtin_schedules()
-    key = _normalize_name(name)
-    try:
-        return _FAMILIES[key]
-    except KeyError:
-        raise UnknownScheduleError(
-            key, schedule_names(), schedule_families()
-        ) from None
-
-
 def resolve_schedule(spec: ScheduleLike) -> ScheduleSpec:
     """Resolve anything schedule-like to a concrete :class:`ScheduleSpec`.
 

@@ -27,6 +27,7 @@ from typing import Deque, Dict, Generic, Optional, Tuple, TypeVar
 
 from ..errors import ServiceError
 from ..telemetry import get_metrics
+from .protocol import REJECT_QUEUE_FULL, REJECT_QUOTA
 
 T = TypeVar("T")
 
@@ -34,10 +35,6 @@ T = TypeVar("T")
 DEFAULT_QUOTA = 64
 #: Default server-wide in-flight job bound.
 DEFAULT_QUEUE_LIMIT = 1024
-
-#: Rejection codes (mirrored by :mod:`repro.service.protocol`).
-CODE_QUOTA = "quota"
-CODE_QUEUE_FULL = "queue-full"
 
 
 class AdmissionController:
@@ -88,14 +85,14 @@ class AdmissionController:
             held = self._inflight.get(client, 0)
             if held + jobs > self._quota:
                 refusal = (
-                    CODE_QUOTA,
+                    REJECT_QUOTA,
                     f"client '{client}' holds {held} in-flight jobs; admitting "
                     f"{jobs} more would exceed the per-client quota of "
                     f"{self._quota}",
                 )
             elif self._total + jobs > self._queue_limit:
                 refusal = (
-                    CODE_QUEUE_FULL,
+                    REJECT_QUEUE_FULL,
                     f"server holds {self._total} in-flight jobs; admitting "
                     f"{jobs} more would exceed the queue limit of "
                     f"{self._queue_limit}",

@@ -23,7 +23,6 @@ from .checks import (
     CATALOG,
     CheckSpec,
     check_ids,
-    max_severity,
     verify_program,
     verify_words,
 )
@@ -36,7 +35,7 @@ from .filecheck import (
     run_filecheck,
 )
 from .ir import Finding, MachineModel, ProgramInterpreter, Severity
-from .lint import LINT_CATALOG, LintError, LintFinding, lint_ids, run_lints
+from .lint import LINT_CATALOG, LintError, LintFinding, run_lints
 from .programs import (
     GridReport,
     ProgramReport,
@@ -64,8 +63,6 @@ __all__ = [
     "check_ids",
     "filecheck",
     "iter_compilable_bindings",
-    "lint_ids",
-    "max_severity",
     "parse_check_file",
     "run_check_grid",
     "run_filecheck",

@@ -440,12 +440,3 @@ def verify_words(
     collect = _Collector(program_name, select)
     _pass_words(words, num_pvs, collect)
     return collect.findings
-
-
-def max_severity(findings: Sequence[Finding]) -> Optional[Severity]:
-    """The worst severity present, or None for an empty list."""
-    if any(f.severity is Severity.ERROR for f in findings):
-        return Severity.ERROR
-    if findings:
-        return Severity.WARNING
-    return None

@@ -88,10 +88,6 @@ _FINGERPRINT_FILE_HINTS = ("serialization", "cache", "fingerprint")
 _FINGERPRINT_FUNC_HINTS = ("fingerprint", "cache_key")
 
 
-def lint_ids() -> Tuple[str, ...]:
-    return tuple(sorted(LINT_CATALOG))
-
-
 @dataclass
 class _Module:
     path: Path

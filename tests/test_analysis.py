@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.breakdown import (
-    average_breakdown,
-    check_components,
-    stacked_rows,
-    total_of,
-)
+from repro.analysis.breakdown import average_breakdown
 from repro.analysis.metrics import (
     arithmetic_mean,
     fraction_summary,
@@ -22,7 +17,6 @@ from repro.analysis.metrics import (
     utilization,
 )
 from repro.analysis.report import (
-    bullet_list,
     format_fraction_series,
     format_key_values,
     format_ratio_series,
@@ -96,21 +90,6 @@ class TestBreakdownHelpers:
         with pytest.raises(AnalysisError):
             average_breakdown({})
 
-    def test_total_of(self):
-        assert total_of({"a": 0.2, "b": 0.3}) == pytest.approx(0.5)
-
-    def test_check_components(self):
-        check_components({"pe": 0.1, "dram": 0.2})
-        with pytest.raises(AnalysisError):
-            check_components({"pe": 0.1, "magic": 0.2})
-
-    def test_stacked_rows_requires_segments(self):
-        per_model = {"A": {"eyeriss": {"generative": 0.6}}}
-        with pytest.raises(AnalysisError):
-            stacked_rows(per_model, segments=("generative", "discriminative"))
-        rows = stacked_rows(per_model, segments=("generative",))
-        assert rows["A"]["eyeriss"] == {"generative": 0.6}
-
 
 class TestReportRendering:
     def test_format_table_alignment(self):
@@ -150,9 +129,6 @@ class TestReportRendering:
     def test_format_key_values(self):
         text = format_key_values("KV", {"speed": "3.6x"})
         assert "speed" in text and "3.6x" in text
-
-    def test_bullet_list(self):
-        assert bullet_list(["a", "b"]).count("-") == 2
 
 
 class TestSweep:

@@ -10,7 +10,6 @@ from repro.analysis.charts import (
     fraction_chart,
     horizontal_bar_chart,
     ratio_chart,
-    stacked_chart,
 )
 from repro.errors import AnalysisError
 
@@ -72,37 +71,6 @@ class TestFigureStyleCharts:
         chart = fraction_chart("F", {"DCGAN": 0.9}, reference={"DCGAN": 0.5})
         bar = chart.splitlines()[2].split("[")[1].split("]")[0]
         assert MARKER_CHAR in bar
-
-
-class TestStackedChart:
-    def test_segments_render_with_distinct_symbols(self):
-        chart = stacked_chart(
-            "Runtime",
-            {"DCGAN/eyeriss": {"disc": 0.1, "gen": 0.9}},
-            segments=("disc", "gen"),
-        )
-        bar = chart.splitlines()[2].split("[")[1].split("]")[0]
-        assert "#" in bar and "=" in bar
-        assert "legend" in chart
-
-    def test_total_shown(self):
-        chart = stacked_chart(
-            "T", {"row": {"a": 0.25, "b": 0.25}}, segments=("a", "b")
-        )
-        assert "0.50" in chart
-
-    def test_missing_segment_rejected(self):
-        with pytest.raises(AnalysisError):
-            stacked_chart("T", {"row": {"a": 0.5}}, segments=("a", "b"))
-
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(AnalysisError):
-            stacked_chart("T", {}, segments=("a",))
-
-    def test_too_many_segments_rejected(self):
-        segments = tuple("abcdefgh")
-        with pytest.raises(AnalysisError):
-            stacked_chart("T", {"row": {s: 0.1 for s in segments}}, segments=segments)
 
 
 class TestRegistryAwareCharts:

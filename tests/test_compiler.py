@@ -18,7 +18,7 @@ from repro.core.compiler import (
 )
 from repro.core.dataflow import build_schedule
 from repro.errors import CompilationError
-from repro.nn.functional import conv2d, transposed_conv2d
+from repro.nn.functional import transposed_conv2d
 from repro.nn.layers import TransposedConvLayer
 from repro.nn.shapes import FeatureMapShape
 from repro.schedule import resolve_schedule, schedule_names
@@ -90,22 +90,6 @@ class TestConventionalDataflowCorrectness:
         result = executor.run_transposed_conv(x, w, stride=2, padding=2)
         np.testing.assert_allclose(result.output, reference, atol=1e-9)
         assert not result.skip_zeros
-
-    def test_conv_matches_reference(self, rng):
-        x = rng.standard_normal((6, 6))
-        w = rng.standard_normal((3, 3))
-        reference = conv2d(x[None], w[None, None], stride=1, padding=1)[0]
-        executor = GanaxLayerExecutor(num_pvs=2, pes_per_pv=3)
-        result = executor.run_conv(x, w, stride=1, padding=1)
-        np.testing.assert_allclose(result.output, reference, atol=1e-9)
-
-    def test_strided_conv_matches_reference(self, rng):
-        x = rng.standard_normal((8, 8))
-        w = rng.standard_normal((4, 4))
-        reference = conv2d(x[None], w[None, None], stride=2, padding=1)[0]
-        executor = GanaxLayerExecutor(num_pvs=2, pes_per_pv=4)
-        result = executor.run_conv(x, w, stride=2, padding=1)
-        np.testing.assert_allclose(result.output, reference, atol=1e-9)
 
 
 class TestZeroSkippingBenefit:

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dataflow import (
-    average_active_filter_rows,
-    build_schedule,
-    pv_assignment,
-)
+from repro.core.dataflow import average_active_filter_rows, build_schedule
 from repro.errors import DataflowError
 from repro.nn.layers import ActivationLayer, ConvLayer, TransposedConvLayer
 from repro.nn.network import LayerBinding
@@ -97,7 +93,7 @@ class TestTransposedConvSchedule:
     def test_filter_rows_match_genuine_value_mask(self, geometry):
         """Each phase's filter rows are the kernel rows whose window row holds
         a genuine input value, read off an explicit zero-insertion mask (built
-        as ``count_consequential_macs_bruteforce`` builds it) for an interior
+        as ``oracles.count_consequential_macs_bruteforce`` builds it) for an interior
         output row of that phase, where no border truncates the window."""
         kernel, stride, padding, size = geometry
         layer = TransposedConvLayer(
@@ -180,24 +176,3 @@ class TestConvSchedule:
         )
         with pytest.raises(DataflowError):
             build_schedule(binding)
-
-
-class TestPvAssignment:
-    def test_round_robin_covers_all_rows(self, example_tconv_binding):
-        schedule = build_schedule(example_tconv_binding)
-        assignment = pv_assignment(schedule, num_pvs=4)
-        assigned = sorted(row for rows in assignment.values() for row in rows)
-        assert assigned == list(range(schedule.output_rows))
-
-    def test_adjacent_rows_of_same_group_land_on_adjacent_pvs(self, example_tconv_binding):
-        schedule = build_schedule(example_tconv_binding)
-        assignment = pv_assignment(schedule, num_pvs=16)
-        even_rows = schedule.row_groups[0].output_rows
-        pv_of = {row: pv for pv, rows in assignment.items() for row in rows}
-        pvs = [pv_of[row] for row in even_rows]
-        assert pvs == list(range(len(even_rows)))
-
-    def test_invalid_pv_count(self, example_tconv_binding):
-        schedule = build_schedule(example_tconv_binding)
-        with pytest.raises(DataflowError):
-            pv_assignment(schedule, num_pvs=0)

@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import genuine_mask_2d, insert_zeros_nd
 from repro.errors import ShapeError
 from repro.nn.functional import (
     conv2d,
     conv3d,
-    genuine_mask_2d,
     insert_zeros_2d,
-    insert_zeros_nd,
     leaky_relu,
     relu,
     sigmoid,
@@ -25,11 +24,9 @@ from repro.nn.layers import (
     BatchNormLayer,
     ConvLayer,
     DenseLayer,
-    PoolingLayer,
     ReshapeLayer,
     TransposedConvLayer,
 )
-from repro.nn.network import Network
 from repro.nn.shapes import FeatureMapShape
 from repro.workloads import get_workload, workload_names
 
@@ -268,13 +265,6 @@ def _run_layer(binding, x: np.ndarray) -> np.ndarray:
         return (weight @ flat).reshape(layer.out_features, 1)
     if isinstance(layer, ReshapeLayer):
         return x.reshape(layer.target.as_tuple())
-    if isinstance(layer, PoolingLayer):
-        spatial_axes = tuple(range(1, x.ndim))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            x[:1], layer.kernel, axis=spatial_axes
-        )
-        strided = windows[(slice(None),) + tuple(slice(None, None, s) for s in layer.stride)]
-        return strided.max(axis=tuple(range(x.ndim, strided.ndim)))
     if isinstance(layer, ActivationLayer):
         return _ACTIVATIONS[layer.function](x)
     if isinstance(layer, BatchNormLayer):
@@ -282,25 +272,11 @@ def _run_layer(binding, x: np.ndarray) -> np.ndarray:
     raise AssertionError(f"{binding.name}: no numerical step for {type(layer).__name__}")
 
 
-def _pooling_network() -> Network:
-    """The paper GANs have no pooling layer; this small CNN covers that step."""
-    return Network(
-        name="cnn",
-        input_shape=FeatureMapShape.image(1, 8, 8),
-        layers=(
-            ConvLayer(name="c1", out_channels=4, kernel=3, stride=1, padding=1),
-            PoolingLayer(name="p1", kernel=2, stride=2),
-            DenseLayer(name="fc", out_features=1),
-        ),
-    )
-
-
 def _shape_chain_networks():
     for name in workload_names():
         model = get_workload(name)
         yield pytest.param(model.generator, id=f"{name}-generator")
         yield pytest.param(model.discriminator, id=f"{name}-discriminator")
-    yield pytest.param(_pooling_network(), id="pooling-cnn")
 
 
 class TestWorkloadShapeChains:

@@ -13,7 +13,6 @@ from repro.isa.encoding import (
     decode_local_uop,
     encode_global_uop,
     encode_local_uop,
-    encoded_size_bits,
     is_mimd_word,
 )
 from repro.isa.program import MicroProgram, MicroProgramBuilder
@@ -128,10 +127,6 @@ class TestEncoding:
     def test_mimd_exe_too_many_pvs(self):
         with pytest.raises(IsaError):
             encode_global_uop(MimdExecute(local_indices=(0,) * 17), num_pvs=17)
-
-    def test_encoded_sizes(self):
-        assert encoded_size_bits(ExecuteUop(op=ExecuteOp.MAC)) == LOCAL_UOP_BITS
-        assert encoded_size_bits(MimdExecute(local_indices=(0,))) == GLOBAL_UOP_BITS
 
     def test_decode_rejects_out_of_range_words(self):
         with pytest.raises(IsaError):
@@ -342,7 +337,6 @@ class TestMicroProgram:
         assert program.global_buffer_bits() == 5 * GLOBAL_UOP_BITS
         assert program.local_buffer_bits() == 4 * LOCAL_UOP_BITS
         assert len(program.encoded_global_words()) == 5
-        assert all(len(words) == 2 for words in program.encoded_local_words())
 
     def test_builder_rejects_bad_pv(self):
         builder = MicroProgramBuilder(name="p", num_pvs=1)

@@ -10,7 +10,6 @@ from repro.nn.layers import (
     BatchNormLayer,
     ConvLayer,
     DenseLayer,
-    PoolingLayer,
     ReshapeLayer,
     TransposedConvLayer,
 )
@@ -167,16 +166,6 @@ class TestOtherLayers:
         layer = ReshapeLayer(name="r", target=FeatureMapShape.image(4, 2, 2))
         with pytest.raises(ShapeError):
             layer.output_shape(FeatureMapShape.vector(15))
-
-    def test_pooling_layer(self):
-        layer = PoolingLayer(name="p", kernel=2, stride=2)
-        out = layer.output_shape(FeatureMapShape.image(8, 16, 16))
-        assert out.as_tuple() == (8, 8, 8)
-        assert layer.total_macs(FeatureMapShape.image(8, 16, 16)) == 0
-
-    def test_pooling_rejects_bad_mode(self):
-        with pytest.raises(LayerError):
-            PoolingLayer(name="p", kernel=2, stride=2, mode="median")
 
     def test_activation_layer_identity_shape(self):
         layer = ActivationLayer(name="a", function="tanh")

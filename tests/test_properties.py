@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import count_consequential_macs_bruteforce, count_consequential_macs_gemm
 from repro.analysis.serialization import (
     config_fingerprint,
     fingerprint_data,
@@ -44,10 +45,7 @@ from repro.nn.functional import (
 )
 from repro.nn.layers import TransposedConvLayer
 from repro.nn.shapes import FeatureMapShape, transposed_conv_output_extent
-from repro.nn.zero_analysis import (
-    analyze_transposed_conv,
-    count_consequential_macs_bruteforce,
-)
+from repro.nn.zero_analysis import analyze_transposed_conv
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -134,7 +132,9 @@ class TestTransposedConvProperties:
             name="t", out_channels=1, kernel=kernel, stride=stride, padding=padding
         )
         shape = FeatureMapShape.image(1, size, size)
-        assert layer.consequential_macs(shape) == count_consequential_macs_bruteforce(layer, shape)
+        exact = layer.consequential_macs(shape)
+        assert exact == count_consequential_macs_bruteforce(layer, shape)
+        assert exact == count_consequential_macs_gemm(layer, shape)
 
     @given(tconv_geometry)
     @settings(max_examples=50, deadline=None)

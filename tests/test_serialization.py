@@ -1,4 +1,4 @@
-"""Tests for CSV/JSON export of simulation and comparison results."""
+"""Tests for flattening simulation results into rows."""
 
 from __future__ import annotations
 
@@ -7,17 +7,11 @@ import json
 import pytest
 
 from repro.analysis.serialization import (
-    comparison_rows,
-    export_comparisons,
     flatten_mapping,
     gan_result_rows,
     network_result_rows,
-    read_csv,
-    write_csv,
-    write_json,
 )
 from repro.analysis.sweep import compare_model
-from repro.errors import AnalysisError
 from repro.workloads import get_workload
 
 
@@ -48,50 +42,3 @@ class TestRowBuilders:
         networks = {row["network"] for row in rows}
         assert len(networks) == 2
         assert all(row["model"] == "DCGAN" for row in rows)
-
-    def test_comparison_rows_contents(self, comparison):
-        rows = comparison_rows({"DCGAN": comparison})
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["speedup"] > 1.0
-        assert row["ganax_generator_cycles"] < row["eyeriss_generator_cycles"]
-
-    def test_comparison_rows_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            comparison_rows({})
-
-
-class TestWriters:
-    def test_csv_roundtrip(self, tmp_path, comparison):
-        rows = comparison_rows({"DCGAN": comparison})
-        path = write_csv(rows, tmp_path / "summary.csv")
-        loaded = read_csv(path)
-        assert len(loaded) == 1
-        assert loaded[0]["model"] == "DCGAN"
-        assert float(loaded[0]["speedup"]) == pytest.approx(rows[0]["speedup"])
-
-    def test_csv_unions_fieldnames(self, tmp_path):
-        path = write_csv([{"a": 1}, {"b": 2}], tmp_path / "mixed.csv")
-        loaded = read_csv(path)
-        assert set(loaded[0]) == {"a", "b"}
-        assert loaded[1]["a"] == ""
-
-    def test_empty_csv_rejected(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            write_csv([], tmp_path / "empty.csv")
-
-    def test_read_missing_csv_rejected(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            read_csv(tmp_path / "missing.csv")
-
-    def test_json_writer(self, tmp_path):
-        path = write_json({"x": {"y": 1.5}}, tmp_path / "data.json")
-        assert json.loads(path.read_text()) == {"x": {"y": 1.5}}
-
-    def test_export_comparisons_writes_two_files(self, tmp_path, comparison):
-        written = export_comparisons({"DCGAN": comparison}, tmp_path)
-        assert written["summary"].exists()
-        assert written["layers"].exists()
-        layer_rows = read_csv(written["layers"])
-        accelerators = {row["accelerator"] for row in layer_rows}
-        assert accelerators == {"eyeriss", "ganax"}

@@ -9,7 +9,6 @@ from repro.nn.shapes import (
     FeatureMapShape,
     conv_output_extent,
     transposed_conv_output_extent,
-    validate_same_rank,
     zero_inserted_extent,
 )
 
@@ -125,18 +124,3 @@ class TestConvExtents:
     def test_zero_inserted_extent_invalid(self):
         with pytest.raises(ShapeError):
             zero_inserted_extent(0, 2)
-
-
-class TestValidateSameRank:
-    def test_uniform_rank(self):
-        shapes = [FeatureMapShape.image(1, 4, 4), FeatureMapShape.image(3, 8, 8)]
-        assert validate_same_rank(shapes) == 2
-
-    def test_mixed_rank_raises(self):
-        shapes = [FeatureMapShape.image(1, 4, 4), FeatureMapShape.volume(1, 2, 2, 2)]
-        with pytest.raises(ShapeError):
-            validate_same_rank(shapes)
-
-    def test_empty_raises(self):
-        with pytest.raises(ShapeError):
-            validate_same_rank([])

@@ -249,6 +249,20 @@ class TestTracer:
         assert records[0]["parent_id"] == records[1]["span_id"]
         assert all(record["end"] >= record["start"] for record in records)
 
+    def test_keeps_only_the_newest_finished_spans(self, monkeypatch, tmp_path):
+        from repro.telemetry import tracing
+
+        monkeypatch.setattr(tracing, "MAX_FINISHED_SPANS", 3)
+        tracer = Tracer()
+        for index in range(5):
+            with tracer.span(f"s{index}"):
+                pass
+        assert [span.name for span in tracer.finished_spans()] == ["s2", "s3", "s4"]
+        path = tmp_path / "trace.jsonl"
+        tracer.export(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["name"] for record in records] == ["s2", "s3", "s4"]
+
     def test_configure_tracing_toggles_the_global(self):
         assert get_tracer() is None  # off by default
         tracer = configure_tracing()

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import count_consequential_macs_bruteforce, count_consequential_macs_gemm
 from repro.errors import LayerError
 from repro.nn.layers import ConvLayer, TransposedConvLayer
 from repro.nn.shapes import FeatureMapShape
-from repro.nn.zero_analysis import (
-    analyze_transposed_conv,
-    count_consequential_macs_bruteforce,
-)
+from repro.nn.zero_analysis import analyze_transposed_conv
+from repro.workloads import get_workload, workload_names
 
 
 class TestAnalyzeTransposedConv:
@@ -100,3 +99,19 @@ class TestBruteForceCrossCheck:
             layer, shape
         )
 
+
+class TestImplicitGemmCrossCheck:
+    @pytest.mark.parametrize("model_name", workload_names())
+    def test_gemm_count_matches_every_paper_tconv(self, model_name):
+        model = get_workload(model_name)
+        tconvs = [
+            binding
+            for network in (model.generator, model.discriminator)
+            for binding in network.bindings
+            if isinstance(binding.layer, TransposedConvLayer)
+        ]
+        assert tconvs
+        for binding in tconvs:
+            assert binding.consequential_macs == count_consequential_macs_gemm(
+                binding.layer, binding.input_shape
+            ), binding.name
