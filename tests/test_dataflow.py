@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.compiler import plan_ganax_row_tasks
 from repro.core.dataflow import average_active_filter_rows, build_schedule
-from repro.errors import DataflowError
+from repro.errors import DataflowError, ScheduleError
 from repro.nn.layers import ActivationLayer, ConvLayer, TransposedConvLayer
 from repro.nn.network import LayerBinding
 from repro.nn.shapes import FeatureMapShape
@@ -176,3 +177,29 @@ class TestConvSchedule:
         )
         with pytest.raises(DataflowError):
             build_schedule(binding)
+
+
+class TestPvAssignment:
+    """The compiler hands output rows to PVs round-robin, group by group."""
+
+    @staticmethod
+    def _pv_of_row(binding, num_pvs):
+        tasks = plan_ganax_row_tasks(
+            binding.layer, binding.input_shape.spatial[1], build_schedule(binding), num_pvs
+        )
+        return {task.output_row: task.pv_index for task in tasks}, len(tasks)
+
+    def test_round_robin_covers_all_rows(self, example_tconv_binding):
+        pv_of, count = self._pv_of_row(example_tconv_binding, num_pvs=4)
+        assert count == len(pv_of)  # no row is planned twice
+        assert sorted(pv_of) == list(range(build_schedule(example_tconv_binding).output_rows))
+        assert set(pv_of.values()) == set(range(4))
+
+    def test_adjacent_rows_of_same_group_land_on_adjacent_pvs(self, example_tconv_binding):
+        pv_of, _count = self._pv_of_row(example_tconv_binding, num_pvs=16)
+        even_rows = build_schedule(example_tconv_binding).row_groups[0].output_rows
+        assert [pv_of[row] for row in even_rows] == list(range(len(even_rows)))
+
+    def test_invalid_pv_count(self, example_tconv_binding):
+        with pytest.raises(ScheduleError):
+            self._pv_of_row(example_tconv_binding, num_pvs=0)

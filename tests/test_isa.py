@@ -128,6 +128,14 @@ class TestEncoding:
         with pytest.raises(IsaError):
             encode_global_uop(MimdExecute(local_indices=(0,) * 17), num_pvs=17)
 
+    def test_encoded_sizes(self):
+        # Every local µop fits the 16-bit local word; sixteen 4-bit mimd.exe
+        # indices exactly fill the 64-bit global payload below the mode flag.
+        local = [ExecuteUop(op=op) for op in ExecuteOp] + [RepeatUop(count=(1 << 12) - 1)]
+        assert all(0 <= encode_local_uop(uop) < 1 << LOCAL_UOP_BITS for uop in local)
+        mimd_word = encode_global_uop(MimdExecute(local_indices=(15,) * 16), num_pvs=16)
+        assert (mimd_word & ((1 << GLOBAL_UOP_BITS) - 1)).bit_length() == GLOBAL_UOP_BITS
+
     def test_decode_rejects_out_of_range_words(self):
         with pytest.raises(IsaError):
             decode_local_uop(1 << 16)

@@ -47,6 +47,24 @@ class TestRowStationaryMapping:
         assert 0.0 < mapping.occupancy <= 1.0
         assert mapping.sets_per_pass >= 1
 
+    @pytest.mark.parametrize("model_name", workload_names())
+    def test_mapping_occupancy_bounds(self, model_name, paper_config):
+        model = get_workload(model_name)
+        array = paper_config.num_pvs * paper_config.pes_per_pv
+        bindings = [
+            binding
+            for network in (model.generator, model.discriminator)
+            for binding in network.bindings
+            if isinstance(binding.layer, (ConvLayer, TransposedConvLayer))
+        ]
+        assert bindings
+        for binding in bindings:
+            mapping = map_layer(binding, paper_config)
+            used = mapping.sets_per_pass * mapping.set_height * mapping.set_width
+            assert used <= array, binding.name
+            assert mapping.occupancy == pytest.approx(used / array), binding.name
+            assert mapping.folds >= -(-mapping.filter_rows // mapping.set_height)
+
     def test_spatial_rows_cols_2d(self, conv_binding):
         rows, cols, out_rows, out_cols = spatial_rows_cols(conv_binding)
         assert (rows, cols) == (4, 4)

@@ -178,6 +178,13 @@ class TestAdmission:
         assert controller.try_admit("b", 4) is None
         assert controller.inflight() == 12
 
+    def test_rejection_codes_are_the_protocol_constants(self):
+        controller = AdmissionController(quota=2, queue_limit=3)
+        assert controller.try_admit("a", 2) is None
+        quota_code, _reason = controller.try_admit("a", 1)
+        queue_code, _reason = controller.try_admit("b", 2)
+        assert (quota_code, queue_code) == (protocol.REJECT_QUOTA, protocol.REJECT_QUEUE_FULL)
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ServiceError):
             AdmissionController(quota=0)

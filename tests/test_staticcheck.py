@@ -8,7 +8,10 @@ that check — so a verifier pass can never silently stop detecting anything.
 from __future__ import annotations
 
 import textwrap
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.errors import IsaError, ProgramEncodingError
@@ -579,14 +582,25 @@ class TestVerifierMemos:
         assert _as_tuples(verify_program(built)) == PINNED_TYPE_TWINS
         assert _as_tuples(verify_program(by_hand)) == PINNED_TYPE_TWINS
 
-    @pytest.mark.parametrize("indices", [(1.5, 2.9), (True,), (0, False), (1.0, 0)])
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            (1.5, 2.9),
+            (True,),
+            (0, False),
+            (1.0, 0),
+            (np.float64(1.0),),
+            (np.bool_(True),),
+            (Fraction(1),),
+            (Decimal(1),),
+            ("1",),
+        ],
+    )
     def test_mimd_exe_rejects_non_integer_indices(self, indices):
         with pytest.raises(IsaError, match="is not an integer"):
             MimdExecute(local_indices=indices)
 
     def test_mimd_exe_normalises_numpy_indices(self):
-        import numpy as np
-
         uop = MimdExecute(local_indices=(np.int64(1), np.uint8(2)))
         assert uop.local_indices == (1, 2)
         assert all(type(i) is int for i in uop.local_indices)
@@ -775,6 +789,19 @@ class TestEncodingDiagnostics:
         assert error.program == "t"
         assert "global µop 0" in error.location
         assert "RepeatUop" in error.uop_repr
+
+    def test_local_encoding_error_names_pv_and_index(self):
+        program = make_program(
+            [], local=[[MAC], [MAC, RepeatUop(count=1 << 12)]], num_pvs=2
+        )
+        roundtrip = [
+            (f.mnemonic, f.message)
+            for f in verify_program(program)
+            if f.check_id == "roundtrip-divergence"
+        ]
+        assert roundtrip == [
+            ("local[pv1][1]", "encode→decode failed: repeat count 4096 does not fit in 12 bits")
+        ]
 
     def test_disassembly_roundtrips_through_records(self):
         program = valid_program()

@@ -263,6 +263,19 @@ class TestTracer:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [record["name"] for record in records] == ["s2", "s3", "s4"]
 
+    def test_open_span_outlives_the_eviction_of_its_children(self, monkeypatch):
+        from repro.telemetry import tracing
+
+        monkeypatch.setattr(tracing, "MAX_FINISHED_SPANS", 2)
+        tracer = Tracer()
+        with tracer.span("batch") as batch:
+            for index in range(4):
+                with tracer.span(f"job{index}"):
+                    pass
+        spans = tracer.finished_spans()
+        assert [span.name for span in spans] == ["job3", "batch"]
+        assert spans[0].parent_id == batch.span_id
+
     def test_configure_tracing_toggles_the_global(self):
         assert get_tracer() is None  # off by default
         tracer = configure_tracing()

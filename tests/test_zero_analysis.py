@@ -60,18 +60,20 @@ class TestAnalyzeTransposedConv:
             analyze_transposed_conv(layer, FeatureMapShape.image(1, 8, 8))
 
 
+#: Square 2-D geometries ``(kernel, stride, padding, size)`` every count is
+#: pinned on.
+GEOMETRIES_2D = [
+    (5, 2, 2, 4),
+    (4, 2, 1, 4),
+    (4, 2, 1, 6),
+    (3, 1, 1, 5),
+    (6, 3, 2, 3),
+    (5, 2, 1, 5),
+]
+
+
 class TestBruteForceCrossCheck:
-    @pytest.mark.parametrize(
-        "kernel,stride,padding,size",
-        [
-            (5, 2, 2, 4),
-            (4, 2, 1, 4),
-            (4, 2, 1, 6),
-            (3, 1, 1, 5),
-            (6, 3, 2, 3),
-            (5, 2, 1, 5),
-        ],
-    )
+    @pytest.mark.parametrize("kernel,stride,padding,size", GEOMETRIES_2D)
     def test_exact_count_matches_bruteforce_2d(self, kernel, stride, padding, size):
         layer = TransposedConvLayer(
             name="t", out_channels=2, kernel=kernel, stride=stride, padding=padding
@@ -101,6 +103,35 @@ class TestBruteForceCrossCheck:
 
 
 class TestImplicitGemmCrossCheck:
+    @pytest.mark.parametrize("kernel,stride,padding,size", GEOMETRIES_2D)
+    def test_gemm_count_matches_bruteforce_2d(self, kernel, stride, padding, size):
+        layer = TransposedConvLayer(
+            name="t", out_channels=2, kernel=kernel, stride=stride, padding=padding
+        )
+        shape = FeatureMapShape.image(3, size, size)
+        assert count_consequential_macs_gemm(layer, shape) == (
+            count_consequential_macs_bruteforce(layer, shape)
+        )
+
+    def test_gemm_count_matches_bruteforce_3d(self):
+        layer = TransposedConvLayer(
+            name="t", out_channels=2, kernel=(4, 3, 5), stride=(2, 1, 3), padding=(1, 1, 2),
+            rank=3,
+        )
+        shape = FeatureMapShape.volume(3, 3, 4, 2)
+        assert count_consequential_macs_gemm(layer, shape) == (
+            count_consequential_macs_bruteforce(layer, shape)
+        )
+
+    def test_gemm_count_matches_bruteforce_anisotropic(self):
+        layer = TransposedConvLayer(
+            name="t", out_channels=1, kernel=(5, 3), stride=(2, 1), padding=(2, 1)
+        )
+        shape = FeatureMapShape.image(1, 4, 6)
+        assert count_consequential_macs_gemm(layer, shape) == (
+            count_consequential_macs_bruteforce(layer, shape)
+        )
+
     @pytest.mark.parametrize("model_name", workload_names())
     def test_gemm_count_matches_every_paper_tconv(self, model_name):
         model = get_workload(model_name)
