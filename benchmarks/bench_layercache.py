@@ -32,6 +32,14 @@ medians of 8.67, 8.70, 8.80, 8.81, 8.92, 9.06, 9.12, 9.15, 9.25, 9.29, 9.31
 and 10.06x, so the bar is 8.67 - (10.06 - 8.67) = 7.28, i.e. 7.2x.  The
 parent commit's memo path read 3.89-4.29x in 12 interleaved runs of the
 same step.
+
+Re-derived when the estimator and pricing path stopped copying estimates and
+counters per layer, which made the cold (memo-off) side faster and left the
+warm path alone: 12 runs of ``scripts/ci.sh`` step 2 (2-vCPU VM) read sorted
+medians of 5.55, 5.98, 6.11, 6.12, 6.20, 6.21, 6.22, 6.31, 6.35, 6.48, 6.49
+and 6.52x, so the bar is 5.55 - (6.52 - 5.55) = 4.58, i.e. 4.5x.  The parent
+commit read 8.09, 8.51, 8.67, 8.84, 8.85, 8.85, 8.88, 8.93, 9.11, 9.38, 9.81
+and 9.82x (sorted) in 12 runs interleaved with those.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ FAMILY_SIZE = 12
 
 #: Required median per-pair advantage of the memo-warm sweep over the
 #: memo-disabled sweep (set from recorded runs; see the module docstring).
-MIN_MEMO_SPEEDUP = 7.2
+MIN_MEMO_SPEEDUP = 4.5
 
 #: Timed rounds per mode; cold and warm rounds alternate.
 ROUNDS = 7

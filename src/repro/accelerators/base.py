@@ -10,7 +10,7 @@ the model's estimates respond to.
 
 :class:`GanSimulatorBase` is the shared implementation the built-in analytical
 simulators derive from.  It owns the configuration/options/energy-model
-wiring, the batch-size scaling and energy pricing of a layer's raw activity
+wiring, the one function that batch-scales and prices a layer estimate
 (:meth:`GanSimulatorBase._layer_result`), and the network / whole-GAN
 aggregation including the paper's MAGAN discriminator accounting rule, so a
 concrete model only supplies ``simulate_layer``.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -32,9 +33,11 @@ from typing import (
 
 from ..analysis.results import GanResult, LayerResult, NetworkResult
 from ..config import ArchitectureConfig, SimulationOptions
-from ..hw.counters import EventCounters
 from ..hw.energy import EnergyModel, EnergyTable
 from ..nn.network import GANModel, LayerBinding, Network
+
+if TYPE_CHECKING:  # the baseline package imports this module
+    from ..baseline.performance import LayerEstimate
 
 
 @runtime_checkable
@@ -158,50 +161,45 @@ class GanSimulatorBase:
         built-in analytical simulators override it to estimate the batch in
         one ``estimate_network`` call (the same scalar estimator, with
         per-batch setup such as schedule resolution done once) and price each
-        estimate, so results equal the per-layer loop exactly.  The runner's
-        layer-grain memo also routes its misses through this entry point.
+        estimate with :meth:`_layer_result`, the one pricing function their
+        ``simulate_layer`` uses too, so results equal the per-layer loop
+        exactly.  The runner's layer-grain memo also routes its misses
+        through this entry point.
         """
         return tuple(self.simulate_layer(binding) for binding in bindings)
 
     def _layer_results_from_estimates(
-        self, bindings: Sequence[LayerBinding], estimates: Sequence[object]
+        self, bindings: Sequence[LayerBinding], estimates: Sequence[LayerEstimate]
     ) -> Tuple[LayerResult, ...]:
-        """Price and batch-scale a column of raw per-layer estimates."""
-        return tuple(
-            self._layer_result(
-                binding,
-                cycles=estimate.cycles,
-                active_pe_cycles=estimate.active_pe_cycles,
-                busy_pe_cycles=estimate.busy_pe_cycles,
-                total_pe_cycles=estimate.total_pe_cycles,
-                counters=estimate.counters,
-            )
-            for binding, estimate in zip(bindings, estimates)
-        )
+        """Price and batch-scale a column of per-layer estimates."""
+        return tuple(map(self._layer_result, bindings, estimates))
 
     def _layer_result(
-        self,
-        binding: LayerBinding,
-        cycles: int,
-        active_pe_cycles: int,
-        busy_pe_cycles: int,
-        total_pe_cycles: int,
-        counters: EventCounters,
+        self, binding: LayerBinding, estimate: LayerEstimate
     ) -> LayerResult:
-        """Scale one layer's raw activity by the batch size and price energy."""
+        """Scale one layer's estimate by the batch size and price its energy.
+
+        The single pricing function of every built-in simulator.  At batch
+        size 1 the result takes over the estimate's counters instead of
+        copying them: every estimate owns a fresh
+        :class:`~repro.hw.counters.EventCounters`, and nothing mutates a
+        result's counters afterwards.
+        """
         batch = self._options.batch_size
-        scaled = counters.scaled(batch)
+        counters = estimate.counters
+        if batch != 1:
+            counters = counters.scaled(batch)
         return LayerResult(
             layer_name=binding.name,
             accelerator=self.name,
-            cycles=cycles * batch,
-            active_pe_cycles=active_pe_cycles * batch,
-            busy_pe_cycles=busy_pe_cycles * batch,
-            total_pe_cycles=total_pe_cycles * batch,
+            cycles=estimate.cycles * batch,
+            active_pe_cycles=estimate.active_pe_cycles * batch,
+            busy_pe_cycles=estimate.busy_pe_cycles * batch,
+            total_pe_cycles=estimate.total_pe_cycles * batch,
             macs_total=binding.total_macs * batch,
             macs_consequential=binding.consequential_macs * batch,
-            counters=scaled,
-            energy=self._energy_model.energy_of(scaled),
+            counters=counters,
+            energy=self._energy_model.energy_of(counters),
             is_transposed=binding.is_transposed,
             is_convolutional=binding.is_convolutional,
         )

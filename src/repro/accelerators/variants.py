@@ -21,6 +21,7 @@ import math
 from typing import Optional, Tuple
 
 from ..analysis.results import LayerResult
+from ..baseline.performance import LayerEstimate, streaming_mapping
 from ..config import ArchitectureConfig, SimulationOptions
 from ..core.simulator import GanaxSimulator
 from ..hw.counters import EventCounters
@@ -72,18 +73,22 @@ class IdealRooflineSimulator(GanSimulatorBase):
         per PE per cycle, mirroring the baseline's accounting for them.
         """
         macs = binding.consequential_macs
-        work = macs if macs else binding.output_shape.num_elements
+        work = macs if macs else binding.output_elements
+        num_pes = self._config.num_pes
         cycles = math.ceil(work / self._config.peak_macs_per_cycle)
-        counters = EventCounters()
-        counters.mac_ops = macs
-        return self._layer_result(
-            binding,
+        estimate = LayerEstimate(
+            layer_name=binding.name,
             cycles=cycles,
+            compute_cycles=cycles,
+            accumulation_cycles=0,
+            dram_cycles=0,
             active_pe_cycles=macs,
             busy_pe_cycles=work,
-            total_pe_cycles=cycles * self._config.num_pes,
-            counters=counters,
+            total_pe_cycles=cycles * num_pes,
+            counters=EventCounters(mac_ops=macs),
+            mapping=streaming_mapping(num_pes),
         )
+        return self._layer_result(binding, estimate)
 
     def config_space(self) -> Tuple[str, ...]:
         """Only the array geometry and clock move the roofline."""

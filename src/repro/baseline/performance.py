@@ -21,18 +21,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from ..config import ArchitectureConfig
 from ..errors import SimulationError
 from ..hw.counters import EventCounters
-from ..nn.layers import ConvLayer, TransposedConvLayer
 from ..nn.network import LayerBinding
 from .row_stationary import RowStationaryMapping, map_layer, spatial_rows_cols
 
+
 @dataclass(frozen=True)
-class BaselineLayerEstimate:
-    """Cycle and activity estimate of one layer on the EYERISS baseline."""
+class LayerEstimate:
+    """Cycle and activity estimate of one layer, on EYERISS or on GANAX.
+
+    The EYERISS estimators fill the baseline fields and leave the last two at
+    their defaults.  GANAX returns the EYERISS estimate unchanged for every
+    conventional layer (pure SIMD mode, no dispatch), and builds its own for
+    transposed convolutions, with ``dispatch_cycles`` and a MIMD ``mode``.
+    """
 
     layer_name: str
     cycles: int
@@ -44,6 +51,8 @@ class BaselineLayerEstimate:
     total_pe_cycles: int
     counters: EventCounters
     mapping: RowStationaryMapping
+    dispatch_cycles: int = 0
+    mode: str = "simd"  # "mimd-simd" / "mimd-simd-dense" for GANAX tconvs
 
 
 def gbuf_input_tiles(
@@ -83,23 +92,22 @@ def _effective_input_elements(binding: LayerBinding) -> int:
     input, so the streamed volume is the expanded spatial size times the
     channel count.  For everything else it is the genuine input size.
     """
-    layer = binding.layer
-    if isinstance(layer, TransposedConvLayer):
-        expanded = layer.zero_inserted_spatial(binding.input_shape)
+    if binding.is_transposed:
+        expanded = binding.layer.zero_inserted_spatial(binding.input_shape)
         elements = binding.input_shape.channels
         for extent in expanded:
             elements *= extent
         return elements
-    return binding.input_shape.num_elements
+    return binding.input_elements
 
 
 def estimate_layer(
     binding: LayerBinding, config: ArchitectureConfig
-) -> BaselineLayerEstimate:
+) -> LayerEstimate:
     """Estimate cycles and activity of one layer on the EYERISS baseline."""
-    layer = binding.layer
     if not binding.is_convolutional:
         return _estimate_non_convolutional(binding, config)
+    layer = binding.layer
 
     mapping = map_layer(binding, config)
     peak = config.num_pes
@@ -112,7 +120,7 @@ def estimate_layer(
     gated = dense_macs - consequential
 
     filter_rows, _fc, output_rows, _oc = spatial_rows_cols(binding)
-    output_elements = binding.output_shape.num_elements
+    output_elements = binding.output_elements
 
     # --- cycles --------------------------------------------------------
     compute_cycles = math.ceil(dense_macs / effective_throughput)
@@ -130,7 +138,7 @@ def estimate_layer(
     # zero-inserted input, so for transposed convolutions the expanded feature
     # map is written out once (by the zero-insertion pass) before being read
     # back; GANAX never materialises it.
-    if isinstance(layer, TransposedConvLayer):
+    if binding.is_transposed:
         materialisation_words = input_elements
     else:
         materialisation_words = 0
@@ -140,41 +148,37 @@ def estimate_layer(
     cycles = max(compute_cycles + accumulation_cycles, dram_cycles)
 
     # --- activity counters ----------------------------------------------
-    counters = EventCounters()
-    counters.mac_ops = consequential
-    counters.gated_ops = gated
-    counters.alu_ops = accumulation_hops
-
-    # Register file: consequential MACs read input+weight and update a psum
-    # (3 accesses); gated slots still read the input operand to detect the
-    # zero and keep the partial sum flowing through the pipeline (2 accesses).
-    counters.register_file_reads = 2 * consequential + gated
-    counters.register_file_writes = consequential + gated
-
     # Output-channel passes force the (expanded) input to be re-fetched from
     # the global buffer; weights are fetched once per pass over the input.
     out_channels = binding.output_shape.channels
     m_parallel = max(1, mapping.sets_per_pass)
     m_passes = max(1, math.ceil(out_channels / m_parallel))
-    gbuf_input_reads = input_elements * m_passes
-    gbuf_weight_reads = weight_words * weight_tiles
-    counters.global_buffer_reads = gbuf_input_reads + gbuf_weight_reads
-    counters.global_buffer_writes = output_words
+    gbuf_reads = input_elements * m_passes + weight_words * weight_tiles
 
-    # NoC: delivery of operands from the global buffer into the array plus
-    # psum forwarding along the accumulation chain.
-    counters.noc_transfers = (
-        gbuf_input_reads + gbuf_weight_reads + accumulation_hops
+    counters = EventCounters(
+        mac_ops=consequential,
+        gated_ops=gated,
+        alu_ops=accumulation_hops,
+        # Register file: consequential MACs read input+weight and update a
+        # psum (3 accesses); gated slots still read the input operand to
+        # detect the zero and keep the partial sum flowing through the
+        # pipeline (2 accesses).
+        register_file_reads=2 * consequential + gated,
+        register_file_writes=consequential + gated,
+        # NoC: delivery of operands from the global buffer into the array
+        # plus psum forwarding along the accumulation chain.
+        noc_transfers=gbuf_reads + accumulation_hops,
+        global_buffer_reads=gbuf_reads,
+        global_buffer_writes=output_words,
+        dram_reads=dram_read_words,
+        dram_writes=dram_write_words,
     )
-
-    counters.dram_reads = dram_read_words
-    counters.dram_writes = dram_write_words
 
     active_pe_cycles = consequential
     busy_pe_cycles = dense_macs + accumulation_hops
     total_pe_cycles = cycles * peak
 
-    return BaselineLayerEstimate(
+    return LayerEstimate(
         layer_name=layer.name,
         cycles=cycles,
         compute_cycles=compute_cycles,
@@ -188,9 +192,28 @@ def estimate_layer(
     )
 
 
+@lru_cache(maxsize=8)
+def streaming_mapping(num_pes: int) -> RowStationaryMapping:
+    """The mapping of a fully-occupied streaming pass over ``num_pes`` PEs.
+
+    Frozen and equal for every non-convolutional layer on one array (and for
+    every layer of the ideal roofline), so it is built and validated once per
+    array size, not once per layer.
+    """
+    return RowStationaryMapping(
+        filter_rows=1,
+        output_rows=1,
+        set_height=1,
+        set_width=1,
+        folds=1,
+        sets_per_pass=num_pes,
+        occupancy=1.0,
+    )
+
+
 def _estimate_non_convolutional(
     binding: LayerBinding, config: ArchitectureConfig
-) -> BaselineLayerEstimate:
+) -> LayerEstimate:
     """Dense/batch-norm/activation/reshape layers: element-wise streaming.
 
     These layers are a negligible share of GAN compute; they are modelled as
@@ -200,37 +223,25 @@ def _estimate_non_convolutional(
     """
     peak = config.num_pes
     macs = binding.total_macs
-    elements = binding.output_shape.num_elements
-    weight_words = binding.weight_count
+    elements = binding.output_elements
+    streamed = binding.input_elements + binding.weight_count
 
     compute_cycles = math.ceil(max(macs, elements) / peak)
-    dram_cycles = dram_roofline_cycles(
-        binding.input_shape.num_elements + weight_words + elements, config
-    )
+    dram_cycles = dram_roofline_cycles(streamed + elements, config)
     cycles = max(compute_cycles, dram_cycles)
 
-    counters = EventCounters()
-    counters.mac_ops = macs
-    counters.alu_ops = 0 if macs else elements
-    counters.register_file_reads = 2 * macs
-    counters.register_file_writes = macs
-    counters.global_buffer_reads = binding.input_shape.num_elements + weight_words
-    counters.global_buffer_writes = elements
-    counters.noc_transfers = binding.input_shape.num_elements + weight_words
-    counters.dram_reads = binding.input_shape.num_elements + weight_words
-    counters.dram_writes = elements
-
-    # A mapping placeholder describing a fully-occupied streaming pass.
-    mapping = RowStationaryMapping(
-        filter_rows=1,
-        output_rows=1,
-        set_height=1,
-        set_width=1,
-        folds=1,
-        sets_per_pass=config.num_pes,
-        occupancy=1.0,
+    counters = EventCounters(
+        mac_ops=macs,
+        alu_ops=0 if macs else elements,
+        register_file_reads=2 * macs,
+        register_file_writes=macs,
+        noc_transfers=streamed,
+        global_buffer_reads=streamed,
+        global_buffer_writes=elements,
+        dram_reads=streamed,
+        dram_writes=elements,
     )
-    return BaselineLayerEstimate(
+    return LayerEstimate(
         layer_name=binding.name,
         cycles=cycles,
         compute_cycles=compute_cycles,
@@ -240,13 +251,13 @@ def _estimate_non_convolutional(
         busy_pe_cycles=max(macs, elements),
         total_pe_cycles=cycles * peak,
         counters=counters,
-        mapping=mapping,
+        mapping=streaming_mapping(peak),
     )
 
 
 def estimate_network(
     bindings: Sequence[LayerBinding], config: ArchitectureConfig
-) -> Tuple[BaselineLayerEstimate, ...]:
+) -> Tuple[LayerEstimate, ...]:
     """Estimate every layer of a network, in binding order.
 
     The batch entry point of the baseline model: exactly

@@ -37,15 +37,7 @@ class EyerissSimulator(GanSimulatorBase):
 
     def simulate_layer(self, binding: LayerBinding) -> LayerResult:
         """Simulate a single bound layer."""
-        estimate = estimate_layer(binding, self._config)
-        return self._layer_result(
-            binding,
-            cycles=estimate.cycles,
-            active_pe_cycles=estimate.active_pe_cycles,
-            busy_pe_cycles=estimate.busy_pe_cycles,
-            total_pe_cycles=estimate.total_pe_cycles,
-            counters=estimate.counters,
-        )
+        return self._layer_result(binding, estimate_layer(binding, self._config))
 
     def simulate_layers(
         self, bindings: Sequence[LayerBinding]

@@ -13,7 +13,7 @@ from .execute_engine import ExecuteEngine
 from .index_generator import GeneratorConfig, StridedIndexGenerator
 from .machine import GanaxMachine, MachineRunStatistics
 from .pe import ProcessingEngine
-from .performance import GanaxLayerEstimate, estimate_layer
+from .performance import estimate_layer
 from .pv import ProcessingVector
 from .simulator import ACCELERATOR_NAME, GanaxSimulator
 from .uop_buffers import GlobalUopBuffer, LocalUopBuffer
@@ -33,7 +33,6 @@ __all__ = [
     "GanaxMachine",
     "MachineRunStatistics",
     "ProcessingEngine",
-    "GanaxLayerEstimate",
     "estimate_layer",
     "ProcessingVector",
     "ACCELERATOR_NAME",

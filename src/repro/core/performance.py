@@ -1,10 +1,11 @@
 """Analytical cycle and activity model of the GANAX accelerator.
 
-GANAX executes conventional convolutions in pure SIMD mode with the same
+GANAX executes conventional layers in pure SIMD mode with the same
 row-stationary behaviour as the EYERISS baseline ("without compromising the
-efficiency of conventional convolution accelerators"), so those layers reuse
-the baseline estimate.  Transposed convolutions run in MIMD-SIMD mode with the
-GANAX dataflow:
+efficiency of conventional convolution accelerators"), so the GANAX estimate
+of a conventional layer *is* the baseline estimate: the same
+:class:`~repro.baseline.performance.LayerEstimate` object, not a copy.
+Transposed convolutions run in MIMD-SIMD mode with the GANAX dataflow:
 
 * only consequential multiply-adds occupy PE cycles (zero skipping via the
   strided µindex generators),
@@ -25,11 +26,10 @@ utilization rather than 100%).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ..baseline.performance import (
-    BaselineLayerEstimate,
+    LayerEstimate,
     dram_roofline_cycles,
     estimate_layer as baseline_estimate,
     gbuf_input_tiles,
@@ -59,30 +59,13 @@ def _iround(value: float) -> int:
     return int(round(round(float(value), 9)))
 
 
-@dataclass(frozen=True)
-class GanaxLayerEstimate:
-    """Cycle and activity estimate of one layer on GANAX."""
-
-    layer_name: str
-    cycles: int
-    compute_cycles: int
-    accumulation_cycles: int
-    dispatch_cycles: int
-    dram_cycles: int
-    active_pe_cycles: int
-    busy_pe_cycles: int
-    total_pe_cycles: int
-    counters: EventCounters
-    mode: str  # "simd" for conventional layers, "mimd-simd" for tconv
-
-
 def estimate_layer(
     binding: LayerBinding,
     config: ArchitectureConfig,
     *,
     zero_skipping: bool = True,
     schedule: ScheduleLike = None,
-) -> GanaxLayerEstimate:
+) -> LayerEstimate:
     """Estimate cycles and activity of one layer on GANAX.
 
     ``zero_skipping=False`` models the ablated dense machine (the
@@ -104,13 +87,13 @@ def _estimate(
     config: ArchitectureConfig,
     zero_skipping: bool,
     spec: ScheduleSpec,
-) -> GanaxLayerEstimate:
+) -> LayerEstimate:
     """:func:`estimate_layer` with the schedule already resolved."""
-    if isinstance(binding.layer, TransposedConvLayer):
+    if binding.is_transposed:
         if not zero_skipping:
             return _estimate_dense_transposed_conv(binding, config, spec)
         return _estimate_transposed_conv(binding, config, spec)
-    return _from_baseline(baseline_estimate(binding, config), mode="simd")
+    return baseline_estimate(binding, config)
 
 
 def _dispatch_overhead(
@@ -143,26 +126,9 @@ def _dispatch_overhead(
     return dispatch_events, dispatch_cycles, uop_fetches
 
 
-def _from_baseline(estimate: BaselineLayerEstimate, mode: str) -> GanaxLayerEstimate:
-    """Wrap a baseline estimate: GANAX matches EYERISS on conventional layers."""
-    return GanaxLayerEstimate(
-        layer_name=estimate.layer_name,
-        cycles=estimate.cycles,
-        compute_cycles=estimate.compute_cycles,
-        accumulation_cycles=estimate.accumulation_cycles,
-        dispatch_cycles=0,
-        dram_cycles=estimate.dram_cycles,
-        active_pe_cycles=estimate.active_pe_cycles,
-        busy_pe_cycles=estimate.busy_pe_cycles,
-        total_pe_cycles=estimate.total_pe_cycles,
-        counters=estimate.counters,
-        mode=mode,
-    )
-
-
 def _estimate_transposed_conv(
     binding: LayerBinding, config: ArchitectureConfig, spec: ScheduleSpec
-) -> GanaxLayerEstimate:
+) -> LayerEstimate:
     layer = binding.layer
     assert isinstance(layer, TransposedConvLayer)
     schedule = schedule_summary(binding)
@@ -175,7 +141,7 @@ def _estimate_transposed_conv(
         raise SimulationError(f"{layer.name}: zero effective throughput")
 
     consequential = binding.consequential_macs
-    output_elements = binding.output_shape.num_elements
+    output_elements = binding.output_elements
 
     # --- compute -----------------------------------------------------------
     compute_cycles = math.ceil(consequential / effective_throughput)
@@ -198,7 +164,7 @@ def _estimate_transposed_conv(
     # Only genuine values are streamed: the zero insertion is performed
     # implicitly by the strided µindex generators, so the working set that
     # determines the weight re-streaming tile count is the genuine input.
-    input_elements = binding.input_shape.num_elements
+    input_elements = binding.input_elements
     weight_words = binding.weight_count
     output_words = output_elements
     weight_tiles = gbuf_input_tiles(input_elements, config)
@@ -208,55 +174,52 @@ def _estimate_transposed_conv(
     cycles = max(compute_cycles + accumulation_cycles + dispatch_cycles, dram_cycles)
 
     # --- activity counters ---------------------------------------------------
-    counters = EventCounters()
-    counters.mac_ops = consequential
-    counters.gated_ops = 0
-    counters.alu_ops = accumulation_hops
-    counters.index_generations = 3 * consequential  # input, weight, output streams
-
-    counters.register_file_reads = 2 * consequential
-    counters.register_file_writes = consequential
-
     out_channels = binding.output_shape.channels
     m_parallel = max(1, mapping.sets_per_pass)
     m_passes = max(1, math.ceil(out_channels / m_parallel))
-    gbuf_input_reads = input_elements * m_passes
-    gbuf_weight_reads = weight_words * weight_tiles
-    counters.global_buffer_reads = gbuf_input_reads + gbuf_weight_reads
-    counters.global_buffer_writes = output_words
+    gbuf_reads = input_elements * m_passes + weight_words * weight_tiles
 
-    counters.noc_transfers = gbuf_input_reads + gbuf_weight_reads + accumulation_hops
-
-    counters.dram_reads = dram_read_words
-    counters.dram_writes = output_words
-
-    # µop fetches: one global fetch per dispatch event plus the local-buffer
-    # fetches the PVs perform; both are tiny next to data traffic but are
-    # counted for completeness (they appear in the RF/µop energy bucket).
-    counters.uop_fetches = uop_fetches
+    counters = EventCounters(
+        mac_ops=consequential,
+        alu_ops=accumulation_hops,
+        register_file_reads=2 * consequential,
+        register_file_writes=consequential,
+        noc_transfers=gbuf_reads + accumulation_hops,
+        global_buffer_reads=gbuf_reads,
+        global_buffer_writes=output_words,
+        dram_reads=dram_read_words,
+        dram_writes=output_words,
+        # µop fetches: one global fetch per dispatch event plus the
+        # local-buffer fetches the PVs perform; both are tiny next to data
+        # traffic but are counted for completeness (they appear in the
+        # RF/µop energy bucket).
+        uop_fetches=uop_fetches,
+        index_generations=3 * consequential,  # input, weight, output streams
+    )
 
     active_pe_cycles = consequential
     busy_pe_cycles = consequential + accumulation_hops
     total_pe_cycles = cycles * peak
 
-    return GanaxLayerEstimate(
+    return LayerEstimate(
         layer_name=layer.name,
         cycles=cycles,
         compute_cycles=compute_cycles,
         accumulation_cycles=accumulation_cycles,
-        dispatch_cycles=dispatch_cycles,
         dram_cycles=dram_cycles,
         active_pe_cycles=active_pe_cycles,
         busy_pe_cycles=busy_pe_cycles,
         total_pe_cycles=total_pe_cycles,
         counters=counters,
+        mapping=mapping,
+        dispatch_cycles=dispatch_cycles,
         mode="mimd-simd",
     )
 
 
 def _estimate_dense_transposed_conv(
     binding: LayerBinding, config: ArchitectureConfig, spec: ScheduleSpec
-) -> GanaxLayerEstimate:
+) -> LayerEstimate:
     """Transposed convolution with zero skipping disabled (``ganax-noskip``).
 
     Without the strided µindex generators every inserted-zero slot occupies a
@@ -273,19 +236,22 @@ def _estimate_dense_transposed_conv(
         base.compute_cycles + base.accumulation_cycles + dispatch_cycles,
         base.dram_cycles,
     )
-    counters = EventCounters.from_dict(base.counters.as_dict())
+    # ``base`` is a fresh estimate nothing else holds, so its counters are
+    # taken over rather than copied.
+    counters = base.counters
     counters.uop_fetches += uop_fetches
-    return GanaxLayerEstimate(
+    return LayerEstimate(
         layer_name=binding.name,
         cycles=cycles,
         compute_cycles=base.compute_cycles,
         accumulation_cycles=base.accumulation_cycles,
-        dispatch_cycles=dispatch_cycles,
         dram_cycles=base.dram_cycles,
         active_pe_cycles=base.active_pe_cycles,
         busy_pe_cycles=base.busy_pe_cycles,
         total_pe_cycles=cycles * config.num_pes,
         counters=counters,
+        mapping=base.mapping,
+        dispatch_cycles=dispatch_cycles,
         mode="mimd-simd-dense",
     )
 
@@ -326,7 +292,7 @@ def estimate_network(
     *,
     zero_skipping: bool = True,
     schedule: ScheduleLike = None,
-) -> Tuple[GanaxLayerEstimate, ...]:
+) -> Tuple[LayerEstimate, ...]:
     """Estimate every layer of a network on GANAX, in binding order.
 
     The batch entry point of the GANAX model: exactly :func:`estimate_layer`

@@ -17,8 +17,9 @@ from typing import Sequence, Tuple
 from ..accelerators.base import GanSimulatorBase
 from ..accelerators.registry import register_accelerator
 from ..analysis.results import LayerResult
+from ..baseline.performance import LayerEstimate
 from ..nn.network import LayerBinding
-from .performance import GanaxLayerEstimate, estimate_layer, estimate_network
+from .performance import estimate_layer, estimate_network
 
 #: Canonical accelerator identifier used in results.
 ACCELERATOR_NAME = "ganax"
@@ -34,8 +35,8 @@ class GanaxSimulator(GanSimulatorBase):
         "zero skipping on transposed convolutions"
     )
 
-    def estimate_layer(self, binding: LayerBinding) -> GanaxLayerEstimate:
-        """Expose the raw analytical estimate (used by ablation benchmarks)."""
+    def estimate_layer(self, binding: LayerBinding) -> LayerEstimate:
+        """The layer's estimate under this simulator's options, unpriced."""
         return estimate_layer(
             binding,
             self._config,
@@ -45,15 +46,7 @@ class GanaxSimulator(GanSimulatorBase):
 
     def simulate_layer(self, binding: LayerBinding) -> LayerResult:
         """Simulate a single bound layer."""
-        estimate = self.estimate_layer(binding)
-        return self._layer_result(
-            binding,
-            cycles=estimate.cycles,
-            active_pe_cycles=estimate.active_pe_cycles,
-            busy_pe_cycles=estimate.busy_pe_cycles,
-            total_pe_cycles=estimate.total_pe_cycles,
-            counters=estimate.counters,
-        )
+        return self._layer_result(binding, self.estimate_layer(binding))
 
     def simulate_layers(
         self, bindings: Sequence[LayerBinding]

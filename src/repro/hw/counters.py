@@ -92,10 +92,6 @@ class EventCounters:
         values = self.__dict__
         return {name: values[name] for name in _FIELDS}
 
-    def total_events(self) -> int:
-        """Sum of all counters; only meaningful as a sanity check."""
-        return sum(self.as_dict().values())
-
     @property
     def register_file_accesses(self) -> int:
         return self.register_file_reads + self.register_file_writes

@@ -192,6 +192,17 @@ class EnergyModel:
         self._data_bits = data_bits
         self._uop_bits = uop_bits
         self._gated_op_fraction = gated_op_fraction
+        # The table is frozen: read its per-bit costs once, not per layer.
+        t = self._table
+        self._costs = (
+            t.pe_pj_per_bit,
+            t.index_generation_pj_per_bit,
+            t.register_file_pj_per_bit,
+            t.uop_fetch_pj_per_bit,
+            t.inter_pe_pj_per_bit,
+            t.global_buffer_pj_per_bit,
+            t.dram_pj_per_bit,
+        )
 
     @property
     def table(self) -> EnergyTable:
@@ -209,20 +220,19 @@ class EnergyModel:
         differently whenever one of them is not a power of two.
         """
         bits = self._data_bits
-        t = self._table
+        pe, index, rf, uop, noc, gbuf, dram = self._costs
+        c = counters
         pe_pj = (
-            counters.mac_ops * t.pe_pj_per_bit * bits
-            + counters.alu_ops * t.pe_pj_per_bit * bits * 0.5
-            + counters.gated_ops * t.pe_pj_per_bit * bits * self._gated_op_fraction
-            + counters.index_generations * t.index_generation_pj_per_bit * bits
+            c.mac_ops * pe * bits
+            + c.alu_ops * pe * bits * 0.5
+            + c.gated_ops * pe * bits * self._gated_op_fraction
+            + c.index_generations * index * bits
         )
         rf_pj = (
-            counters.register_file_accesses * t.register_file_pj_per_bit * bits
-            + counters.uop_fetches * t.uop_fetch_pj_per_bit * self._uop_bits
+            c.register_file_accesses * rf * bits
+            + c.uop_fetches * uop * self._uop_bits
         )
-        noc_pj = counters.noc_transfers * t.inter_pe_pj_per_bit * bits
-        gbuf_pj = counters.global_buffer_accesses * t.global_buffer_pj_per_bit * bits
-        dram_pj = counters.dram_accesses * t.dram_pj_per_bit * bits
-        return EnergyBreakdown(
-            pe_pj=pe_pj, rf_pj=rf_pj, noc_pj=noc_pj, gbuf_pj=gbuf_pj, dram_pj=dram_pj
-        )
+        noc_pj = c.noc_transfers * noc * bits
+        gbuf_pj = c.global_buffer_accesses * gbuf * bits
+        dram_pj = c.dram_accesses * dram * bits
+        return EnergyBreakdown(pe_pj, rf_pj, noc_pj, gbuf_pj, dram_pj)

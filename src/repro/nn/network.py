@@ -60,11 +60,19 @@ class LayerBinding:
     def weight_count(self) -> int:
         return self.layer.weight_count(self.input_shape)
 
-    @property
+    @cached_property
+    def input_elements(self) -> int:
+        return self.input_shape.num_elements
+
+    @cached_property
+    def output_elements(self) -> int:
+        return self.output_shape.num_elements
+
+    @cached_property
     def is_transposed(self) -> bool:
         return self.layer.is_transposed
 
-    @property
+    @cached_property
     def is_convolutional(self) -> bool:
         return self.layer.is_convolutional
 
@@ -164,10 +172,6 @@ class Network:
     def consequential_macs(self) -> int:
         """Consequential MACs across the whole network."""
         return sum(b.consequential_macs for b in self._bindings)
-
-    def total_weights(self) -> int:
-        """Total weight footprint (scalar count) across the network."""
-        return sum(b.weight_count for b in self._bindings)
 
     def convolutional_bindings(self) -> Tuple[LayerBinding, ...]:
         """Bindings of conv/tconv layers only (the compute-dominant layers)."""

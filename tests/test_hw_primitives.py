@@ -177,10 +177,6 @@ class TestEventCounters:
         assert counters.global_buffer_accesses == 6
         assert counters.dram_accesses == 10
 
-    def test_total_events(self):
-        counters = EventCounters(mac_ops=1, alu_ops=2)
-        assert counters.total_events() == 3
-
     def test_integer_scale_is_exact_beyond_float64(self):
         big = 2**53 + 1  # not representable as a float64
         scaled = EventCounters(mac_ops=big, dram_reads=7).scaled(3)

@@ -67,6 +67,19 @@ class TestNetwork:
         assert binding.layer.name == "t2"
         assert binding.is_transposed
 
+    def test_binding_geometry_read_once(self):
+        """The estimators' binding facts equal the shape and layer facts, and
+        a binding derives each one once."""
+        for binding in _tiny_generator().bindings + _tiny_discriminator().bindings:
+            assert binding.input_elements == binding.input_shape.num_elements
+            assert binding.output_elements == binding.output_shape.num_elements
+            assert binding.is_transposed == binding.layer.is_transposed
+            assert binding.is_convolutional == binding.layer.is_convolutional
+            for name in (
+                "input_elements", "output_elements", "is_transposed", "is_convolutional"
+            ):
+                assert name in vars(binding)
+
     def test_binding_lookup_missing_raises(self):
         with pytest.raises(NetworkError):
             _tiny_generator().binding("nope")
@@ -78,9 +91,6 @@ class TestNetwork:
 
     def test_transposed_bindings_filter(self):
         assert len(_tiny_discriminator().transposed_bindings()) == 0
-
-    def test_total_weights_positive(self):
-        assert _tiny_discriminator().total_weights() > 0
 
     def test_duplicate_layer_names_rejected(self):
         with pytest.raises(NetworkError):

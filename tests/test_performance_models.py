@@ -16,7 +16,7 @@ from repro.baseline.performance import (
     gbuf_input_tiles,
 )
 from repro.baseline.row_stationary import map_layer, spatial_rows_cols
-from repro.config import ArchitectureConfig
+from repro.config import ArchitectureConfig, SimulationOptions
 from repro.core.performance import (
     estimate_layer as ganax_estimate,
     estimate_network as ganax_estimate_network,
@@ -254,13 +254,27 @@ class TestEyerissEstimates:
 
 
 class TestGanaxEstimates:
-    def test_conv_layers_match_baseline(self, conv_binding, paper_config):
-        """GANAX runs conventional convolutions at exactly baseline cost."""
-        baseline = eyeriss_estimate(conv_binding, paper_config)
-        ganax = ganax_estimate(conv_binding, paper_config)
-        assert ganax.cycles == baseline.cycles
-        assert ganax.counters.as_dict() == baseline.counters.as_dict()
-        assert ganax.mode == "simd"
+    @pytest.mark.parametrize("model_name", sorted(workload_names()))
+    def test_conv_layers_match_baseline(self, model_name, paper_config):
+        """GANAX prices every conventional layer exactly as the baseline.
+
+        Conv, dense, batch-norm and activation layers alike: the whole
+        estimate is equal, not just its cycles.
+        """
+        model = get_workload(model_name)
+        conventional = [
+            binding
+            for network in _networks(model)
+            for binding in network.bindings
+            if not binding.is_transposed
+        ]
+        assert any(binding.is_convolutional for binding in conventional)
+        assert any(not binding.is_convolutional for binding in conventional)
+        for binding in conventional:
+            ganax = ganax_estimate(binding, paper_config)
+            assert ganax == eyeriss_estimate(binding, paper_config)
+            assert ganax.mode == "simd"
+            assert ganax.dispatch_cycles == 0
 
     def test_tconv_layers_skip_zeros(self, dcgan_like_tconv_binding, paper_config):
         baseline = eyeriss_estimate(dcgan_like_tconv_binding, paper_config)
@@ -333,12 +347,22 @@ def _networks(model):
 class TestSimulatorParity:
     """The batch entry point ``simulate_layers`` equals the per-layer loop."""
 
+    @pytest.mark.parametrize(
+        "options",
+        [SimulationOptions(batch_size=1), SimulationOptions(batch_size=4)],
+        ids=["batch1", "batch4"],
+    )
     @pytest.mark.parametrize("accelerator", ACCELERATORS)
     @pytest.mark.parametrize("model_name", sorted(workload_names()))
     def test_simulate_layers_matches_per_layer_loop(
-        self, accelerator, model_name, paper_config
+        self, accelerator, model_name, options, paper_config
     ):
-        simulator = get_accelerator(accelerator).create(config=paper_config)
+        """Both pricing branches (counters taken over at batch 1, scaled
+        copies otherwise) agree with the scalar loop, and no two results of
+        one network share a counters object."""
+        simulator = get_accelerator(accelerator).create(
+            config=paper_config, options=options
+        )
         model = get_workload(model_name)
         for network in _networks(model):
             batch = simulator.simulate_layers(network.bindings)
@@ -346,6 +370,7 @@ class TestSimulatorParity:
                 simulator.simulate_layer(binding) for binding in network.bindings
             )
             assert batch == per_layer
+            assert len({id(result.counters) for result in batch}) == len(batch)
 
     @settings(max_examples=8, deadline=None)
     @given(
