@@ -9,7 +9,7 @@ performance model uses some of them (e.g. DRAM bytes) for roofline bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 @dataclass
@@ -103,11 +103,6 @@ class EventCounters:
     @property
     def dram_accesses(self) -> int:
         return self.dram_reads + self.dram_writes
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, int]) -> "EventCounters":
-        """Inverse of :meth:`as_dict`; unknown keys raise ``TypeError``."""
-        return cls(**dict(mapping))
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.as_dict().items())

@@ -14,9 +14,12 @@ Writes are **group commits**: :meth:`EventJournal.append` takes a group of
 entries and writes all their lines with one ``write``, one flush and one
 **fsync**, so a line either survives a crash or was never acknowledged.  A
 key joins the payload set only after the fsync that made its payload
-durable.  A crash mid-group leaves a torn final line (one the crash cut
-before its newline), which replay detects and skips and which the next
-:class:`EventJournal` opened on the file cuts off before appending.
+durable.  The server passes each record's wire line along: a line without
+a payload is written as those bytes, byte-identical to what the client
+reads, and only a line that gains a payload is encoded again.  A crash
+mid-group leaves a torn final line (one the crash cut before its newline),
+which replay detects and skips and which the next :class:`EventJournal`
+opened on the file cuts off before appending.
 
 Rotation is **atomic and content-preserving**: when the journal grows past
 its threshold, it is compacted — one record per distinct ``cache_key``, the
@@ -125,9 +128,7 @@ class EventJournal:
         self._durable: Set[str] = set()
         self._path.parent.mkdir(parents=True, exist_ok=True)
         _cut_torn_tail(self._path)
-        self._handle: Optional[io.TextIOWrapper] = open(
-            self._path, "a", encoding="utf-8"
-        )
+        self._handle: Optional[io.BufferedWriter] = open(self._path, "ab")
         self._size = self._path.stat().st_size
 
     @property
@@ -137,21 +138,28 @@ class EventJournal:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def append(self, entries: Sequence[JournalEntry]) -> None:
+    def append(
+        self,
+        entries: Sequence[JournalEntry],
+        lines: Optional[Sequence[bytes]] = None,
+    ) -> None:
         """Durably append a group of entries: one write, flush and fsync.
 
         Each entry is a wire event record and its result, or None.  A
         record's line carries the result's payload unless a durable line of
         this journal generation (or an earlier entry of the group) already
         holds its key's; a record that arrives with a payload is written as
-        it is.
+        it is.  ``lines`` are the records already encoded by
+        :func:`protocol.encode <repro.service.protocol.encode>` (the server
+        passes its wire lines): a line without a payload is written as those
+        exact bytes, and only a line that gains a payload is encoded again.
         """
         with self._lock:
             if self._handle is None:
                 raise ServiceError("journal is closed")
-            lines = []
+            chunks = []
             fresh: Set[str] = set()
-            for record, result in entries:
+            for index, (record, result) in enumerate(entries):
                 key = record.get("cache_key")
                 if (
                     result is not None
@@ -159,16 +167,21 @@ class EventJournal:
                     and key not in fresh
                 ):
                     record = journal_record(record, result)
+                    line = protocol.encode(record)
+                elif lines is not None:
+                    line = lines[index]
+                else:
+                    line = protocol.encode(record)
                 payload_key = _payload_key(record)
                 if payload_key is not None:
                     fresh.add(payload_key)
-                lines.append(json.dumps(record, sort_keys=True) + "\n")
-            if not lines:
+                chunks.append(line)
+            if not chunks:
                 return
-            data = "".join(lines)
+            data = b"".join(chunks)
             self._handle.write(data)
             self._handle.flush()
-            self._size += len(data.encode("utf-8"))
+            self._size += len(data)
             os.fsync(self._handle.fileno())
             self._durable |= fresh
             if self._size > self._threshold:
@@ -209,7 +222,7 @@ class EventJournal:
             raise
         if self._handle is not None:
             self._handle.close()
-            self._handle = open(self._path, "a", encoding="utf-8")
+            self._handle = open(self._path, "ab")
         self._durable = set(survivors)
         self._size = self._path.stat().st_size
         self._threshold = max(self._rotate_bytes, 2 * self._size)

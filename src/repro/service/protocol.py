@@ -191,18 +191,50 @@ class JobSpec:
         Raises :class:`~repro.errors.ReproError` subclasses for unknown
         workloads/accelerators and invalid config/option overrides — the
         server maps those onto ``rejected`` records with code
-        ``bad-request``.
+        ``bad-request``.  The same path as :func:`build_jobs` for one spec.
         """
-        base_config = ArchitectureConfig.paper_default().to_mapping()
-        base_config.update(self.config)
-        base_options = SimulationOptions().to_mapping()
-        base_options.update(self.options)
-        return SimulationJob(
-            model=self.workload,
-            accelerator=self.accelerator,
-            config=ArchitectureConfig.from_mapping(base_config),
-            options=SimulationOptions.from_mapping(base_options),
+        return build_jobs([self])[0]
+
+
+def build_jobs(specs: Sequence[JobSpec]) -> List[SimulationJob]:
+    """Materialize the :class:`SimulationJob` of each spec, in order.
+
+    Each distinct ``(config, options)`` override pair is applied to the
+    defaults once and its :class:`ArchitectureConfig` and
+    :class:`SimulationOptions` objects are shared by every spec that names
+    it.  Pairs are keyed by their canonical JSON, so override values that
+    are lists or objects still key; a pair that is not JSON is built for its
+    spec alone.  The first spec that fails raises, with the message building
+    the specs one by one would give.
+    """
+    built: Dict[str, Tuple[ArchitectureConfig, SimulationOptions]] = {}
+    jobs = []
+    for spec in specs:
+        try:
+            key: Optional[str] = json.dumps([spec.config, spec.options], sort_keys=True)
+        except (TypeError, ValueError):
+            key = None  # never stored: the pair is built for this spec alone
+        pair = built.get(key)
+        if pair is None:
+            base_config = ArchitectureConfig.paper_default().to_mapping()
+            base_config.update(spec.config)
+            base_options = SimulationOptions().to_mapping()
+            base_options.update(spec.options)
+            pair = (
+                ArchitectureConfig.from_mapping(base_config),
+                SimulationOptions.from_mapping(base_options),
+            )
+            if key is not None:
+                built[key] = pair
+        jobs.append(
+            SimulationJob(
+                model=spec.workload,
+                accelerator=spec.accelerator,
+                config=pair[0],
+                options=pair[1],
+            )
         )
+    return jobs
 
 
 def job_spec_from_wire(payload: Mapping[str, Any]) -> JobSpec:

@@ -12,8 +12,9 @@ second client's copy resolves as a cache hit instead of a re-simulation.
 Layering, top to bottom:
 
 * **Connections** (:class:`_Connection`) — one reader coroutine parsing
-  requests, one writer task draining a per-client outbox queue.  The
-  executor threads that drive jobs publish into the outbox via
+  requests, one writer task draining a per-client outbox of encoded lines:
+  everything queued when it wakes goes out in one socket write.  The
+  executor threads that drive jobs hand each group to the outbox with one
   ``loop.call_soon_threadsafe``, so the event loop stays single-threaded.
 * **Admission** — every ``submit`` passes the
   :class:`~repro.service.admission.AdmissionController` (per-client quota +
@@ -22,15 +23,19 @@ Layering, top to bottom:
   dispatcher drains that queue one batch per client per turn with at most
   ``max_active_requests`` batches in the runner at once, so a saturating
   client cannot starve a light one.
-* **Execution** — a dispatched batch is submitted to the shared runner from
-  an executor thread, which also drives its jobs.  Terminal
-  :class:`~repro.runner.RunnerEvent` values are buffered and published in
-  groups — the cache hits and duplicates resolved at submission, then each
-  executed job as it completes — as wire ``event`` records to the owning
-  client and as lines of the journal.
+* **Execution** — a request's jobs are built with one config and options
+  object per distinct override set (:func:`protocol.build_jobs
+  <repro.service.protocol.build_jobs>`).  A dispatched batch is submitted
+  to the shared runner from an executor thread, which also drives its jobs.
+  Terminal :class:`~repro.runner.RunnerEvent` values are buffered and
+  published in groups — the cache hits and duplicates resolved at
+  submission, then each executed job as it completes.  Each event is
+  encoded once as a wire ``event`` line, and those bytes are both the
+  journal line and what the owning client reads.
 * **Durability** — with a journal configured, each group of terminal events
-  is written with one fsync (:class:`~repro.service.journal.EventJournal`)
-  before any of its records is forwarded; a result's payload is journaled
+  is one journal write plus fsync
+  (:class:`~repro.service.journal.EventJournal`), then one socket write;
+  no record is forwarded before its fsync.  A result's payload is journaled
   once per key per journal generation.  ``resume=True`` replays an existing
   journal into the result cache at startup, so a server restarted after a
   crash answers already-finished jobs from cache and a re-submitted sweep
@@ -108,24 +113,40 @@ class _Connection:
         self.closed = False
 
     def push(self, record: Dict[str, Any]) -> None:
-        """Enqueue a record for delivery (loop thread only; drops if closed)."""
+        """Encode and enqueue a record (loop thread only; drops if closed)."""
         if not self.closed:
-            self.outbox.put_nowait(record)
+            self.outbox.put_nowait(protocol.encode(record))
+
+    def send(self, data: bytes) -> None:
+        """Enqueue encoded lines for delivery (loop thread only; drops if closed)."""
+        if not self.closed:
+            self.outbox.put_nowait(data)
 
     async def write_loop(self) -> None:
-        """Drain the outbox onto the socket until the close sentinel."""
+        """Drain the outbox onto the socket until the close sentinel.
+
+        Everything queued when the loop wakes goes out as one socket write
+        and one drain; lines queued before the sentinel are sent first.
+        """
         while True:
-            record = await self.outbox.get()
-            if record is _CLOSE:
-                return
-            try:
-                self.writer.write(protocol.encode(record))
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                # Client vanished mid-push.  Its jobs keep running — results
-                # still land in the shared cache and the journal — but there
-                # is no one left to narrate to.
-                self.closed = True
+            item = await self.outbox.get()
+            chunks = []
+            while item is not _CLOSE:
+                chunks.append(item)
+                if self.outbox.empty():
+                    break
+                item = self.outbox.get_nowait()
+            if chunks:
+                try:
+                    self.writer.write(b"".join(chunks))
+                    await self.writer.drain()
+                except (ConnectionError, OSError):
+                    # Client vanished mid-push.  Its jobs keep running —
+                    # results still land in the shared cache and the journal
+                    # — but there is no one left to narrate to.
+                    self.closed = True
+                    return
+            if item is _CLOSE:
                 return
 
     async def close(self) -> None:
@@ -466,7 +487,7 @@ class SimulationServer:
         fallback_id = raw_id if isinstance(raw_id, str) else None
         try:
             request_id, specs = protocol.parse_submit(record)
-            jobs = [spec.build() for spec in specs]
+            jobs = protocol.build_jobs(specs)
         except (ProtocolError, ReproError, TypeError, ValueError) as exc:
             conn.push(
                 protocol.rejected_record(
@@ -697,17 +718,20 @@ class SimulationServer:
     def _publish(self, pending: _PendingRequest, buffered: List[RunnerEvent]) -> None:
         """Journal a group of terminal events, then forward them to the client.
 
-        Each event becomes one wire record, used for both the journal and
-        the wire.  The whole group is fsync'd with one append before any of
-        its records is handed to the loop thread, so no client sees an
-        event whose journal line is not yet durable.  The pushes are queued
-        before the executor future resolves, so ``done`` stays last.
+        Each event becomes one wire record, encoded once: the journal writes
+        those bytes for every line without a payload, and the client gets
+        them too.  The whole group is fsync'd with one append before it is
+        handed to the loop thread in one call, which the connection sends in
+        one socket write, so no client sees an event whose journal line is
+        not yet durable.  The hand-off is queued before the executor future
+        resolves, so ``done`` stays last.
         """
         if not buffered:
             return
         events = list(buffered)
         buffered.clear()
         records = [protocol.event_record(e, pending.request_id) for e in events]
+        lines = [protocol.encode(record) for record in records]
         with self._counts_lock:
             self._jobs_done += len(events)
         registry = get_metrics()
@@ -716,7 +740,8 @@ class SimulationServer:
         if self._journal is not None:
             try:
                 self._journal.append(
-                    [(record, e.result) for record, e in zip(records, events)]
+                    [(record, e.result) for record, e in zip(records, events)],
+                    lines,
                 )
             except Exception as exc:
                 # Journal failure must not fail the batch; it only costs
@@ -727,8 +752,7 @@ class SimulationServer:
                 )
         loop = self._loop
         assert loop is not None
-        for record in records:
-            try:
-                loop.call_soon_threadsafe(pending.conn.push, record)
-            except RuntimeError:
-                return  # loop already closed (shutdown race): nothing to narrate
+        try:
+            loop.call_soon_threadsafe(pending.conn.send, b"".join(lines))
+        except RuntimeError:
+            pass  # loop already closed (shutdown race): nothing to narrate

@@ -163,10 +163,6 @@ class TestEventCounters:
         assert scaled.mac_ops == 25
         assert scaled.register_file_reads == 10
 
-    def test_dict_roundtrip(self):
-        counters = EventCounters(mac_ops=1, gated_ops=2, dram_writes=3)
-        assert EventCounters.from_dict(counters.as_dict()) == counters
-
     def test_derived_totals(self):
         counters = EventCounters(
             register_file_reads=3, register_file_writes=2,

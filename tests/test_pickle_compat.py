@@ -85,3 +85,23 @@ def test_old_gan_result_pickle_loads():
         "project_fc",
         "project_reshape",
     ]
+
+
+def test_old_gan_result_pickle_reports_the_same_totals():
+    result = _load(GAN_RESULT_PICKLE)
+    fresh = _small_gan_result()
+    assert result.total_cycles == fresh.total_cycles
+    assert result.total_energy == fresh.total_energy
+    assert result.generator.cycles == sum(
+        r.cycles for r in result.generator.layer_results
+    )
+    assert result.generator.energy_pj == fresh.generator.energy_pj
+
+
+def test_reading_totals_does_not_change_the_pickle():
+    result = _small_gan_result()
+    before = pickle.dumps(result, protocol=5)
+    assert result.total_cycles > 0 and result.total_energy_pj > 0
+    assert result.generator.cycles > 0 and result.generator.energy_pj > 0
+    assert pickle.dumps(result, protocol=5) == before
+    assert before == base64.b64decode(GAN_RESULT_PICKLE)

@@ -21,6 +21,7 @@ The load-bearing guarantees of the service subsystem:
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import json
 import pickle
@@ -32,7 +33,7 @@ import tracemalloc
 
 import pytest
 
-from repro.errors import AdmissionError, ProtocolError, ServiceError
+from repro.errors import AdmissionError, ProtocolError, ReproError, ServiceError
 from repro.runner import (
     RECORD_SCHEMA_VERSION,
     DiskResultCache,
@@ -51,6 +52,7 @@ from repro.service import (
 )
 from repro.service import journal as journal_module
 from repro.service import protocol
+from repro.service import server as server_module
 from repro.service.journal import decode_result, journal_record
 
 SIX_GANS = ("3D-GAN", "ArtGAN", "DCGAN", "DiscoGAN", "GP-GAN", "MAGAN")
@@ -125,6 +127,51 @@ class TestProtocol:
                     config={"definitely_not_a_field": 1}).build()
         with pytest.raises(ReproError):
             JobSpec(workload="no-such-gan", accelerator="ganax").build()
+
+    def test_build_jobs_shares_one_config_per_override_set(self):
+        specs = grid_specs(SIX_GANS[:2], ["eyeriss", "ganax"], config={"num_pvs": 8})
+        jobs = protocol.build_jobs(specs)
+        assert all(job.config is jobs[0].config for job in jobs)
+        assert all(job.options is jobs[0].options for job in jobs)
+        # key order does not make a second set
+        reordered = [
+            JobSpec("DCGAN", "ganax", config={"num_pvs": 8, "pes_per_pv": 8}),
+            JobSpec("MAGAN", "ganax", config={"pes_per_pv": 8, "num_pvs": 8}),
+        ]
+        first, second = protocol.build_jobs(reordered)
+        assert first.config is second.config
+
+    def test_build_jobs_builds_one_config_per_distinct_set(self):
+        specs = grid_specs(["DCGAN"], ["eyeriss", "ganax"], config={"num_pvs": 8})
+        specs += grid_specs(["DCGAN"], ["eyeriss", "ganax"], config={"num_pvs": 4})
+        jobs = protocol.build_jobs(specs)
+        assert len({id(job.config) for job in jobs}) == 2
+        assert len({id(job.options) for job in jobs}) == 2
+        assert [job.config.num_pvs for job in jobs] == [8, 8, 4, 4]
+
+    def test_build_jobs_equals_building_each_spec(self):
+        specs = grid_specs(SIX_GANS, ["eyeriss", "ganax"], config={"num_pvs": 8})
+        specs += grid_specs(
+            ["DCGAN"], ["ganax"], options={"schedule": "colmajor"}
+        )
+        specs.append(JobSpec("DCGAN", "ganax", config={"frequency_hz": 2.5e8}))
+        jobs = protocol.build_jobs(specs)
+        one_by_one = [spec.build() for spec in specs]
+        assert jobs == one_by_one
+        assert [job.cache_key for job in jobs] == [
+            job.cache_key for job in one_by_one
+        ]
+
+    def test_build_jobs_raises_what_the_failing_spec_raises(self):
+        from repro.errors import ReproError
+
+        bad = JobSpec("DCGAN", "ganax", config={"definitely_not_a_field": 1})
+        specs = small_grid() + [bad] + small_grid()
+        with pytest.raises(ReproError) as one:
+            bad.build()
+        with pytest.raises(ReproError) as batch:
+            protocol.build_jobs(specs)
+        assert str(batch.value) == str(one.value)
 
     def test_job_spec_from_wire_validation(self):
         with pytest.raises(ProtocolError):
@@ -652,6 +699,21 @@ class TestServer:
                 # the connection survives rejected submits
                 assert len(client.run(small_grid()[:1])) == 1
 
+    def test_a_bad_override_in_any_spec_rejects_the_request(self):
+        bad = JobSpec("DCGAN", "ganax", options={"batch_size": 0})
+        with pytest.raises(ReproError) as one:
+            bad.build()
+        with SimulationServer(port=0) as server:
+            with Client(port=server.port) as client:
+                for position in range(3):
+                    specs = small_grid()
+                    specs.insert(position, bad)
+                    with pytest.raises(AdmissionError) as excinfo:
+                        client.run(specs)
+                    assert excinfo.value.code == "bad-request"
+                    assert excinfo.value.reason == str(one.value)
+            assert server.runner.stats.lookups == 0  # nothing was admitted
+
     def test_stale_schema_handshake_rejected_with_message(self):
         with SimulationServer(port=0) as server:
             sock, handle = _raw_connection(server.port)
@@ -1005,6 +1067,34 @@ class TestServedJournal:
                         seen += 1
         assert seen == 2 * len(specs)
 
+    def test_a_line_without_payload_is_its_wire_line(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        specs = grid_specs(["DCGAN", "MAGAN"], ["eyeriss", "ganax"])
+        wire = {}
+        with SimulationServer(port=0, journal_path=journal) as server:
+            sock, handle = _raw_connection(server.port)
+            try:
+                handle.write(protocol.encode(protocol.hello_record("raw")))
+                for request_id in ("misses", "hits"):
+                    handle.write(
+                        protocol.encode(protocol.submit_record(specs, request_id))
+                    )
+                handle.flush()
+                done = 0
+                while done < 2:
+                    line = handle.readline()
+                    record = protocol.decode(line)
+                    if record["type"] == "event":
+                        wire[record["job_uid"]] = line
+                    done += record["type"] == "done"
+            finally:
+                sock.close()
+        lines = journal.read_bytes().splitlines(keepends=True)
+        bare = [line for line in lines if b"result_pickle" not in line]
+        assert len(lines) == 2 * len(specs) and len(bare) == len(specs)
+        for line in bare:
+            assert line == wire[json.loads(line)["job_uid"]]
+
     def test_done_is_the_last_record_of_a_mixed_batch(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         specs = grid_specs(["DCGAN", "MAGAN"], ["eyeriss", "ganax"])
@@ -1026,6 +1116,32 @@ class TestServedJournal:
                 sock.close()
         assert types[:2] == ["welcome", "accepted"]
         assert types[2:] == ["event"] * (len(specs) + 2) + ["done"]
+
+
+class TestConnectionWrites:
+    def test_a_queued_group_goes_out_in_one_write(self):
+        jobs = [spec.build() for spec in small_grid()]
+        lines = [protocol.encode(record) for record, _ in _wire_entries(jobs)]
+        done = protocol.done_record("req", {"completed": len(lines)})
+        writes = []
+
+        class FakeWriter:
+            def write(self, data):
+                writes.append(data)
+
+            async def drain(self):
+                pass
+
+        async def drive():
+            conn = server_module._Connection(None, FakeWriter())
+            conn.send(b"".join(lines))
+            conn.push(done)
+            conn.outbox.put_nowait(server_module._CLOSE)
+            conn.push(protocol.shutdown_record())  # behind the sentinel
+            await asyncio.wait_for(conn.write_loop(), timeout=10)
+
+        asyncio.run(drive())
+        assert writes == [b"".join(lines) + protocol.encode(done)]
 
 
 class TestSchemaCompatShim:

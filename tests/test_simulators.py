@@ -104,6 +104,33 @@ class TestGanResults:
         )
 
 
+class TestResultTotals:
+    """Totals are summed once per result and equal a fresh layer sum."""
+
+    def test_cached_totals_equal_a_fresh_sum(self, dcgan_model):
+        result = GanaxSimulator().simulate_gan(dcgan_model)
+        networks = (result.generator, result.discriminator)
+        for network in networks:
+            assert network.cycles == sum(r.cycles for r in network.layer_results)
+            assert network.energy == EnergyBreakdown.sum(
+                r.energy for r in network.layer_results
+            )
+            assert network.energy is network.energy  # stored, not re-summed
+        assert result.total_cycles == sum(
+            r.cycles for network in networks for r in network.layer_results
+        )
+        assert result.total_energy == EnergyBreakdown.sum(
+            r.energy for r in result.generator.layer_results
+        ) + EnergyBreakdown.sum(r.energy for r in result.discriminator.layer_results)
+        assert result.total_energy is result.total_energy
+
+    def test_totals_are_not_fields(self, dcgan_model):
+        result = EyerissSimulator().simulate_gan(dcgan_model)
+        fresh = EyerissSimulator().simulate_gan(dcgan_model)
+        result.total_energy_pj  # fills the caches of one side only
+        assert result == fresh
+
+
 class TestComparisonResult:
     def test_speedup_and_energy_reduction_positive(self, dcgan_comparison):
         assert dcgan_comparison.generator_speedup > 1.0
