@@ -40,6 +40,18 @@ medians of 5.55, 5.98, 6.11, 6.12, 6.20, 6.21, 6.22, 6.31, 6.35, 6.48, 6.49
 and 6.52x, so the bar is 5.55 - (6.52 - 5.55) = 4.58, i.e. 4.5x.  The parent
 commit read 8.09, 8.51, 8.67, 8.84, 8.85, 8.85, 8.88, 8.93, 9.11, 9.38, 9.81
 and 9.82x (sorted) in 12 runs interleaved with those.
+
+Re-measured when the per-layer records (estimate, mapping, energy, result)
+got hand-written ``__init__``s, which made the cold side faster again and
+left the warm path alone: 12 runs of ``scripts/ci.sh`` step 2 (2-vCPU VM)
+read sorted medians of 4.29, 4.45, 4.61, 4.77, 4.81, 4.82, 4.85, 4.87, 4.90,
+4.91, 4.92 and 4.99x; the parent commit read 5.93, 6.01, 6.18, 6.20, 6.20,
+6.21, 6.45, 6.50, 6.51, 6.53, 6.68 and 6.73x in 12 runs interleaved with
+those.  The rule would now give 4.29 - (4.99 - 4.29) = 3.59, i.e. 3.5x; the
+bar stays at 4.5x, so two of those twelve runs failed it.  About half of a
+warm job is the memo key: ``_layer_structure_fingerprint``'s lru_cache
+hashes and compares the frozen layer and shape dataclasses by value on
+every lookup, and that is where a faster warm path would come from.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from ..hw.counters import EventCounters
 from ..hw.energy import EnergyBreakdown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LayerResult:
     """Simulation result for one layer on one accelerator.
 
@@ -50,6 +50,14 @@ class LayerResult:
         Energy breakdown in picojoules.
     is_transposed / is_convolutional:
         Layer classification flags copied from the binding for reporting.
+
+    ``__init__`` is hand-written: every layer of every job builds one, and
+    plain stores into the instance ``__dict__`` (in field order, so pickles
+    keep their bytes) cost about half the generated frozen ``__init__``'s
+    one ``object.__setattr__`` per field.  It takes the same parameters and
+    defaults and still runs ``__post_init__`` (``tests/test_record_init.py``
+    keeps it in step with the fields).  The price is a materialized
+    ``__dict__`` per instance, 64 B more than the generated one's.
     """
 
     layer_name: str
@@ -64,6 +72,36 @@ class LayerResult:
     energy: EnergyBreakdown
     is_transposed: bool = False
     is_convolutional: bool = False
+
+    def __init__(
+        self,
+        layer_name: str,
+        accelerator: str,
+        cycles: int,
+        active_pe_cycles: int,
+        busy_pe_cycles: int,
+        total_pe_cycles: int,
+        macs_total: int,
+        macs_consequential: int,
+        counters: EventCounters,
+        energy: EnergyBreakdown,
+        is_transposed: bool = False,
+        is_convolutional: bool = False,
+    ) -> None:
+        state = self.__dict__
+        state["layer_name"] = layer_name
+        state["accelerator"] = accelerator
+        state["cycles"] = cycles
+        state["active_pe_cycles"] = active_pe_cycles
+        state["busy_pe_cycles"] = busy_pe_cycles
+        state["total_pe_cycles"] = total_pe_cycles
+        state["macs_total"] = macs_total
+        state["macs_consequential"] = macs_consequential
+        state["counters"] = counters
+        state["energy"] = energy
+        state["is_transposed"] = is_transposed
+        state["is_convolutional"] = is_convolutional
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.cycles < 0:

@@ -31,7 +31,7 @@ from ..nn.network import LayerBinding
 from .row_stationary import RowStationaryMapping, map_layer, spatial_rows_cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LayerEstimate:
     """Cycle and activity estimate of one layer, on EYERISS or on GANAX.
 
@@ -39,6 +39,13 @@ class LayerEstimate:
     their defaults.  GANAX returns the EYERISS estimate unchanged for every
     conventional layer (pure SIMD mode, no dispatch), and builds its own for
     transposed convolutions, with ``dispatch_cycles`` and a MIMD ``mode``.
+
+    ``__init__`` is hand-written: every layer of every job builds one, and
+    the generated frozen ``__init__`` pays one ``object.__setattr__`` per
+    field, where plain stores into the instance ``__dict__`` (in field
+    order, so pickles keep their bytes) cost about half as much.  It takes
+    the same parameters and defaults as the generated one
+    (``tests/test_record_init.py`` keeps it in step with the fields).
     """
 
     layer_name: str
@@ -53,6 +60,35 @@ class LayerEstimate:
     mapping: RowStationaryMapping
     dispatch_cycles: int = 0
     mode: str = "simd"  # "mimd-simd" / "mimd-simd-dense" for GANAX tconvs
+
+    def __init__(
+        self,
+        layer_name: str,
+        cycles: int,
+        compute_cycles: int,
+        accumulation_cycles: int,
+        dram_cycles: int,
+        active_pe_cycles: int,
+        busy_pe_cycles: int,
+        total_pe_cycles: int,
+        counters: EventCounters,
+        mapping: RowStationaryMapping,
+        dispatch_cycles: int = 0,
+        mode: str = "simd",
+    ) -> None:
+        state = self.__dict__
+        state["layer_name"] = layer_name
+        state["cycles"] = cycles
+        state["compute_cycles"] = compute_cycles
+        state["accumulation_cycles"] = accumulation_cycles
+        state["dram_cycles"] = dram_cycles
+        state["active_pe_cycles"] = active_pe_cycles
+        state["busy_pe_cycles"] = busy_pe_cycles
+        state["total_pe_cycles"] = total_pe_cycles
+        state["counters"] = counters
+        state["mapping"] = mapping
+        state["dispatch_cycles"] = dispatch_cycles
+        state["mode"] = mode
 
 
 def gbuf_input_tiles(

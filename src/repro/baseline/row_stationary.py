@@ -28,7 +28,7 @@ from ..nn.layers import ConvLayer, TransposedConvLayer
 from ..nn.network import LayerBinding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RowStationaryMapping:
     """Result of mapping one (t)conv layer onto the PE array.
 
@@ -49,6 +49,13 @@ class RowStationaryMapping:
         output channels / input channels).
     occupancy:
         Fraction of physical PEs holding useful work during a pass.
+
+    ``__init__`` is hand-written: every convolutional layer of every job
+    builds one, and plain stores into the instance ``__dict__`` (in field
+    order, so pickles keep their bytes) cost about half the generated frozen
+    ``__init__``'s one ``object.__setattr__`` per field.  It takes the same
+    parameters and still runs ``__post_init__`` (``tests/test_record_init.py``
+    keeps it in step with the fields).
     """
 
     filter_rows: int
@@ -58,6 +65,26 @@ class RowStationaryMapping:
     folds: int
     sets_per_pass: int
     occupancy: float
+
+    def __init__(
+        self,
+        filter_rows: int,
+        output_rows: int,
+        set_height: int,
+        set_width: int,
+        folds: int,
+        sets_per_pass: int,
+        occupancy: float,
+    ) -> None:
+        state = self.__dict__
+        state["filter_rows"] = filter_rows
+        state["output_rows"] = output_rows
+        state["set_height"] = set_height
+        state["set_width"] = set_width
+        state["folds"] = folds
+        state["sets_per_pass"] = sets_per_pass
+        state["occupancy"] = occupancy
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.set_height <= 0 or self.set_width <= 0:

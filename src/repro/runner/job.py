@@ -26,7 +26,7 @@ simulator is built through the registry when the job runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..accelerators.registry import AcceleratorSpec, get_accelerator
@@ -42,7 +42,7 @@ from ..analysis.serialization import (
 )
 from ..config import ArchitectureConfig, SimulationOptions
 from ..nn.network import GANModel
-from ..schedule import resolve_schedule, schedule_fingerprint
+from ..schedule import ScheduleSpec, resolve_schedule, schedule_fingerprint
 from ..telemetry import get_tracer
 from ..workloads.registry import get_workload, resolve_workload, workload_version_for
 
@@ -124,22 +124,14 @@ class SimulationJob:
         """
         spec = get_accelerator(self.accelerator)
         canonical = spec.canonical_options(self.options)
-        return fingerprint_data(
-            {
-                "accelerator": {"name": spec.name, "version": spec.version},
-                "workload": {
-                    "fingerprint": workload_fingerprint(self.model),
-                    "version": self.workload_version,
-                },
-                "config": config_fingerprint(self.config),
-                "options": options_fingerprint(canonical),
-                "schedule": {
-                    "name": canonical.schedule,
-                    "fingerprint": schedule_fingerprint(
-                        resolve_schedule(canonical.schedule)
-                    ),
-                },
-            }
+        return _composed_cache_key(
+            spec.name,
+            spec.version,
+            workload_fingerprint(self.model),
+            self.workload_version,
+            self.config,
+            canonical,
+            resolve_schedule(canonical.schedule),
         )
 
     @classmethod
@@ -168,6 +160,38 @@ class SimulationJob:
         """The (eyeriss, ganax) job pair behind one ComparisonResult."""
         eyeriss, ganax = cls.for_accelerators(model, COMPARISON_PAIR, config, options)
         return eyeriss, ganax
+
+
+@lru_cache(maxsize=4096)
+def _composed_cache_key(
+    accelerator: str,
+    accelerator_version: str,
+    workload: str,
+    workload_version: Optional[str],
+    config: ArchitectureConfig,
+    options: SimulationOptions,
+    schedule: ScheduleSpec,
+) -> str:
+    """The content hash behind :attr:`SimulationJob.cache_key` (memoized).
+
+    Jobs rebuilt for every request or batch repeat the same inputs, so equal
+    inputs pay the canonical JSON walk and SHA-256 once.  ``schedule`` is
+    the *resolved* spec, not its name: re-registering a name with new knobs
+    resolves to an unequal spec and so composes a new key.  The workload
+    enters as its fingerprint, so the memo holds no model alive.
+    """
+    return fingerprint_data(
+        {
+            "accelerator": {"name": accelerator, "version": accelerator_version},
+            "workload": {"fingerprint": workload, "version": workload_version},
+            "config": config_fingerprint(config),
+            "options": options_fingerprint(options),
+            "schedule": {
+                "name": options.schedule,
+                "fingerprint": schedule_fingerprint(schedule),
+            },
+        }
+    )
 
 
 def _relabelled(result: LayerResult, layer_name: str) -> LayerResult:

@@ -41,6 +41,12 @@ from repro.runner import (
 from repro.workloads.registry import all_workloads, get_workload
 
 
+#: ``SimulationJob("DCGAN", "ganax", paper config, default options).cache_key``.
+PAPER_DCGAN_GANAX_KEY = (
+    "b5b178d71ad7d4412365d98fbb0b2a87f71a52a43b0c2bb573f03ea5c83af66f"
+)
+
+
 @pytest.fixture(scope="module")
 def models():
     return all_workloads()
@@ -94,6 +100,24 @@ class TestSimulationJob:
             ).cache_key
             != base.cache_key
         )
+
+    def test_paper_job_key_is_pinned(self):
+        """The memoized key composition yields the same bytes as composing it
+        from scratch; a persisted cache depends on them."""
+        from repro.runner.job import _composed_cache_key
+
+        def key():
+            return SimulationJob(
+                "DCGAN",
+                "ganax",
+                ArchitectureConfig.paper_default(),
+                SimulationOptions(),
+            ).cache_key
+
+        _composed_cache_key.cache_clear()
+        assert key() == PAPER_DCGAN_GANAX_KEY  # composed
+        assert key() == PAPER_DCGAN_GANAX_KEY  # memoized
+        assert _composed_cache_key.cache_info().hits >= 1
 
     def test_comparison_pair_covers_both_accelerators(self, dcgan_model):
         eyeriss, ganax = SimulationJob.comparison_pair(dcgan_model)

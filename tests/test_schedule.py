@@ -433,6 +433,31 @@ class TestCacheIdentity:
             unregister_schedule("tuned-x")
         assert before != after
 
+    def test_reregistered_name_with_new_knobs_moves_the_job_key(self):
+        """The job key's memo is keyed by the *resolved* spec, not the name:
+        a job over a re-registered name never reuses the key composed under
+        the old knobs, although its options (and so the name) are equal."""
+
+        def key():
+            return SimulationJob(
+                model="dcgan",
+                accelerator="ganax",
+                config=ArchitectureConfig.paper_default(),
+                options=SimulationOptions(schedule="tuned-x"),
+            ).cache_key
+
+        register_schedule(ScheduleSpec(name="tuned-x", column_tile=2))
+        try:
+            before = key()
+        finally:
+            unregister_schedule("tuned-x")
+        register_schedule(ScheduleSpec(name="tuned-x", column_tile=4))
+        try:
+            after = key()
+        finally:
+            unregister_schedule("tuned-x")
+        assert before != after
+
     def test_options_canonicalize_family_points(self):
         options = SimulationOptions(schedule="colmajor")
         assert options.schedule == "colmajor@tile64"

@@ -758,23 +758,38 @@ class TestServer:
                 sock.close()
 
     def test_round_robin_fairness_under_a_saturating_client(self):
-        """A hog pipelining many batches cannot starve a light client."""
+        """A hog pipelining many batches cannot starve a light client.
+
+        The hog's first job holds its ``started`` event until the light
+        client's request is admitted, so that request is queued while the
+        rest of the hog's backlog still is, however fast the jobs run.
+        """
         started = []
+        light_queued_in_time = []
+
+        def on_event(event):
+            if event.kind != "started":
+                return
+            if not started:
+                deadline = time.monotonic() + 30.0
+                while (
+                    server.admission.inflight("light") == 0
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                light_queued_in_time.append(time.monotonic() < deadline)
+            started.append(event.job.model_name)
+
         runner = SimulationRunner()
-        runner.subscribe(
-            lambda e: started.append(e.job.model_name)
-            if e.kind == "started"
-            else None
-        )
+        runner.subscribe(on_event)
         hog_specs = [
             JobSpec(workload=name, accelerator=accel)
             for name in ("DCGAN", "MAGAN", "ArtGAN")
             for accel in ("eyeriss", "ganax")
         ]
         try:
-            with SimulationServer(
-                port=0, runner=runner, max_active_requests=1
-            ) as server:
+            server = SimulationServer(port=0, runner=runner, max_active_requests=1)
+            with server:
                 # the hog pipelines one-job batches over a raw connection
                 # (the sync Client is deliberately one-request-at-a-time)
                 sock, handle = _raw_connection(server.port)
@@ -804,6 +819,7 @@ class TestServer:
                     sock.close()
         finally:
             runner.close()
+        assert light_queued_in_time == [True]
         # round-robin dispatch: the light client's single job started before
         # the hog's backlog finished, not after it
         assert "DiscoGAN" in started
