@@ -4,7 +4,8 @@
 This example demonstrates the GANAX microarchitecture end to end:
 
 1. it builds the paper's motivating example — a 4x4 input, a 5x5 filter,
-   stride 2, padding 2 (Figure 4) — and analyses its zero structure,
+   stride 2, padding 2 (Figure 4) — and reads its zero structure off the
+   GANAX dataflow schedule,
 2. it shows the µop ISA by assembling and disassembling a short program,
 3. it compiles the layer onto the cycle-level machine twice, once with the
    GANAX dataflow (zero skipping + row reorganization) and once with the
@@ -23,11 +24,7 @@ import numpy as np
 
 from repro.core import GanaxLayerExecutor, build_schedule
 from repro.isa import assemble, disassemble
-from repro.nn import (
-    FeatureMapShape,
-    TransposedConvLayer,
-    analyze_transposed_conv,
-)
+from repro.nn import FeatureMapShape, TransposedConvLayer
 from repro.nn.functional import transposed_conv2d
 from repro.nn.network import LayerBinding
 
@@ -38,20 +35,6 @@ def describe_dataflow() -> None:
         name="example", out_channels=1, kernel=5, stride=2, padding=2
     )
     input_shape = FeatureMapShape.image(1, 4, 4)
-    analysis = analyze_transposed_conv(layer, input_shape)
-    print("Paper running example: 4x4 input, 5x5 filter, stride 2, padding 2")
-    print(f"  output shape:            {analysis.output_shape}")
-    print(f"  dense MACs:              {analysis.total_macs}")
-    print(f"  consequential MACs:      {analysis.consequential_macs}")
-    print(f"  inconsequential fraction:{100 * analysis.inconsequential_fraction:5.1f}%")
-    print(f"  distinct row patterns:   {analysis.num_patterns}")
-    for pattern in analysis.row_patterns:
-        print(
-            f"    phase {pattern.phase}: consequential filter rows "
-            f"{pattern.consequential_filter_rows} "
-            f"(accumulation chain of {pattern.filter_rows_used} instead of 5)"
-        )
-
     binding = LayerBinding(
         index=0,
         layer=layer,
@@ -59,6 +42,19 @@ def describe_dataflow() -> None:
         output_shape=layer.output_shape(input_shape),
     )
     schedule = build_schedule(binding)
+    total, consequential = binding.total_macs, binding.consequential_macs
+    print("Paper running example: 4x4 input, 5x5 filter, stride 2, padding 2")
+    print(f"  output shape:            {binding.output_shape}")
+    print(f"  dense MACs:              {total}")
+    print(f"  consequential MACs:      {consequential}")
+    print(f"  inconsequential fraction:{100 * (total - consequential) / total:5.1f}%")
+    print(f"  distinct row patterns:   {schedule.num_patterns}")
+    for group in schedule.row_groups:
+        print(
+            f"    phase {group.phase}: consequential filter rows "
+            f"{group.filter_rows} "
+            f"(accumulation chain of {len(group.filter_rows)} instead of 5)"
+        )
     print(
         "  idle compute nodes under the conventional dataflow: "
         f"{100 * schedule.baseline_idle_fraction():.0f}% (paper: 50%)"

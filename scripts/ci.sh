@@ -9,7 +9,7 @@
 #      contract, the cold/warm parity of the sweep results, the six-GAN
 #      comparison-grid wall-clock budget, and the layer-memo speedup
 #      contract on a synthetic family sweep (median of 7 alternating
-#      cold/warm pairs >= 4.5x, a bar set from recorded runs);
+#      cold/warm pairs >= 7.2x, a bar set from recorded runs);
 #   3. an accelerator-registry smoke: a Session runs one small workload
 #      through every registered accelerator and fails if the registry is
 #      thinner than expected or any registered model cannot complete it;

@@ -1,10 +1,10 @@
-"""Flatten simulation results into rows, plus content fingerprints for the
+"""Flatten comparison results into rows, plus content fingerprints for the
 simulation cache.
 
 Downstream users typically want the regenerated figure data in a form their
-own plotting pipeline can ingest.  This module flattens the nested result
-structures produced by the simulators and the experiment harness into flat
-row mappings, without adding any plotting dependencies to the library.
+own plotting pipeline can ingest.  :func:`multi_comparison_rows` flattens
+N-way comparisons into one row per (model, accelerator), without adding any
+plotting dependencies to the library.
 
 It also defines the **canonical serialization** of the simulation inputs —
 :class:`~repro.config.ArchitectureConfig`, :class:`~repro.config.
@@ -30,7 +30,7 @@ from ..nn.layers import LayerSpec
 from ..nn.network import GANModel, LayerBinding, Network
 from ..nn.shapes import FeatureMapShape
 from ..schedule import resolve_schedule, schedule_fingerprint
-from .results import GanResult, MultiComparison, NetworkResult
+from .results import MultiComparison
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +107,8 @@ def _layer_structure_fingerprint(layer: LayerSpec, input_shape: FeatureMapShape)
     layer-grain memo shares one entry between them (the runner rewrites the
     name on a hit).  Memoized per (layer, input_shape) — both are frozen
     dataclasses, so repeated sweeps over the same network pay the JSON walk
-    once.
+    once — and cached per binding as ``LayerBinding.structure_fingerprint``,
+    so each binding hashes its layer and shape once.
     """
     structure = {"kind": type(layer).__name__, **dataclasses.asdict(layer)}
     structure.pop("name", None)
@@ -169,10 +170,12 @@ def layer_memo_key(binding: LayerBinding, context: str) -> Tuple[str, str]:
     """The layer-memo key of ``binding`` under a :func:`layer_memo_context`.
 
     An exact tuple of two memoized digests — the context and the layer's
-    structure (name excluded) — so a lookup pays no JSON walk and no SHA-256.
+    structure (name excluded, cached on the binding as
+    ``LayerBinding.structure_fingerprint``) — so a lookup pays no JSON walk,
+    no SHA-256 and no hashing of the layer and shape dataclasses.
     :func:`layer_fingerprint` is the content digest of the same two parts.
     """
-    return (context, _layer_structure_fingerprint(binding.layer, binding.input_shape))
+    return (context, binding.structure_fingerprint)
 
 
 @lru_cache(maxsize=16384)
@@ -220,53 +223,8 @@ def workload_fingerprint(model: GANModel) -> str:
 
 
 # ----------------------------------------------------------------------
-# Flattening helpers
+# Rows
 # ----------------------------------------------------------------------
-def flatten_mapping(data: Mapping, prefix: str = "", separator: str = ".") -> Dict[str, object]:
-    """Flatten a nested mapping into dotted keys (lists are JSON-encoded)."""
-    flat: Dict[str, object] = {}
-    for key, value in data.items():
-        full_key = f"{prefix}{separator}{key}" if prefix else str(key)
-        if isinstance(value, Mapping):
-            flat.update(flatten_mapping(value, prefix=full_key, separator=separator))
-        elif isinstance(value, (list, tuple)):
-            flat[full_key] = json.dumps(list(value))
-        else:
-            flat[full_key] = value
-    return flat
-
-
-def network_result_rows(result: NetworkResult) -> List[Dict[str, object]]:
-    """One row per layer of a simulated network."""
-    rows: List[Dict[str, object]] = []
-    for layer in result.layer_results:
-        row: Dict[str, object] = {
-            "network": result.network_name,
-            "accelerator": result.accelerator,
-            "layer": layer.layer_name,
-            "is_transposed": layer.is_transposed,
-            "cycles": layer.cycles,
-            "macs_total": layer.macs_total,
-            "macs_consequential": layer.macs_consequential,
-            "pe_utilization": layer.pe_utilization,
-            "energy_total_pj": layer.energy.total_pj,
-        }
-        for component, value in layer.energy.as_dict().items():
-            row[f"energy_{component}_pj"] = value
-        rows.append(row)
-    return rows
-
-
-def gan_result_rows(result: GanResult) -> List[Dict[str, object]]:
-    """Layer rows for both networks of a simulated GAN."""
-    rows = network_result_rows(result.generator)
-    if result.discriminator is not None:
-        rows.extend(network_result_rows(result.discriminator))
-    for row in rows:
-        row["model"] = result.model_name
-    return rows
-
-
 def multi_comparison_rows(
     comparisons: Mapping[str, MultiComparison]
 ) -> List[Dict[str, object]]:

@@ -82,9 +82,6 @@ class AccessEngine:
                 return True
         return False
 
-    def pending_addresses(self, stream: AddressGenerator) -> int:
-        return self._fifos[stream].occupancy
-
     # ------------------------------------------------------------------
     # Cycle behaviour
     # ------------------------------------------------------------------

@@ -13,17 +13,18 @@ transposed convolution on a spatial array:
 
 The result is a :class:`DataflowSchedule`: for each row phase, the group of
 output rows, the consequential filter rows assigned to the PEs of the PV
-processing that group, and the per-output-column work.  Both the analytical
-performance model and the cycle-level layer compiler consume this schedule,
-so the same reorganization drives the experiments and the functional
-validation.
+processing that group, and the per-output-column work.  The cycle-level
+layer compiler consumes this schedule; the analytical performance model reads
+:func:`schedule_summary`, the same row geometry aggregated without building
+the per-row tuples (``tests/test_dataflow.py`` pins the two equal).  So the
+same reorganization drives the experiments and the functional validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import DataflowError
 from ..nn.layers import ConvLayer, TransposedConvLayer
@@ -97,11 +98,6 @@ class RowGroup:
         """PEs doing useful work for one output row of this group."""
         return len(self.filter_rows)
 
-    @property
-    def accumulation_depth(self) -> int:
-        """Length of the horizontal accumulation chain for this group's rows."""
-        return len(self.filter_rows)
-
 
 @dataclass(frozen=True)
 class DataflowSchedule:
@@ -120,17 +116,6 @@ class DataflowSchedule:
     def num_patterns(self) -> int:
         """Number of distinct row-computation patterns (== vertical stride)."""
         return len(self.row_groups)
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when every group has the same shape of work (pure SIMD is enough)."""
-        if len(self.row_groups) <= 1:
-            return True
-        signature = {
-            (g.active_pes, tuple(s.taps for s in g.column_segments))
-            for g in self.row_groups
-        }
-        return len(signature) == 1
 
     def row_plan(
         self, schedule: ScheduleLike = None
@@ -152,14 +137,6 @@ class DataflowSchedule:
         if spec.row_order == "raster":
             pairs.sort(key=lambda pair: pair[0])
         return tuple(pairs)
-
-    def group_for_row(self, output_row: int) -> RowGroup:
-        for group in self.row_groups:
-            if output_row in group.output_rows:
-                return group
-        raise DataflowError(
-            f"{self.layer_name}: output row {output_row} not covered by any group"
-        )
 
     def baseline_idle_fraction(self) -> float:
         """Fraction of compute nodes idle under the conventional dataflow.

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from ..errors import SimulationError
 from ..hw.counters import EventCounters
 from ..hw.fifo import Fifo
@@ -78,10 +76,6 @@ class ExecuteEngine:
     @property
     def accumulator(self) -> float:
         return self._accumulator
-
-    @property
-    def repeat_register(self) -> int:
-        return self._repeat_register
 
     @property
     def executed_uops(self) -> int:

@@ -64,11 +64,6 @@ class GeneratorConfig:
                 f"index generator Addr ({self.addr}) must be < End ({self.end})"
             )
 
-    def addresses_per_round(self) -> int:
-        """Number of addresses emitted in one round of the counting range."""
-        span = self.end - self.addr
-        return (span + self.step - 1) // self.step
-
     def total_addresses(self) -> int:
         """Total addresses the configuration will emit before stopping.
 
@@ -96,7 +91,6 @@ class StridedIndexGenerator:
         self._current = 0
         self._repeats_left = 0
         self._running = False
-        self._generated = 0
 
     # ------------------------------------------------------------------
     # Configuration interface (driven by access.cfg µops)
@@ -155,10 +149,6 @@ class StridedIndexGenerator:
         """True while the Stop signal has not been asserted."""
         return self._running
 
-    @property
-    def addresses_generated(self) -> int:
-        return self._generated
-
     # ------------------------------------------------------------------
     # Cycle behaviour
     # ------------------------------------------------------------------
@@ -167,7 +157,6 @@ class StridedIndexGenerator:
         if not self._running:
             return None
         address = self._config.offset + self._current
-        self._generated += 1
 
         nxt = self._current + self._config.step
         if nxt < self._config.end:

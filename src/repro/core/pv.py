@@ -77,10 +77,6 @@ class ProcessingVector:
         return len(self._pes)
 
     @property
-    def local_buffer(self) -> LocalUopBuffer:
-        return self._local_buffer
-
-    @property
     def busy(self) -> bool:
         return any(pe.busy for pe in self._pes)
 

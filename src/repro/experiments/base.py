@@ -92,7 +92,6 @@ class ExperimentContext:
         self._runner = runner
         self._accelerators = tuple(accelerators) if accelerators is not None else None
         self._progress = progress
-        self._detach_progress: Optional[Callable[[], None]] = None
         self._session: Optional[Session] = None
         self._comparisons: Optional[Dict[str, ComparisonResult]] = None
         self._multi_comparisons: Optional[Dict[str, MultiComparison]] = None
@@ -116,21 +115,10 @@ class ExperimentContext:
         """
         if self._runner is None:
             self._runner = get_default_runner()
-        if self._progress is not None and self._detach_progress is None:
-            self._detach_progress = self._runner.subscribe(self._progress)
+        if self._progress is not None:
+            self._runner.subscribe(self._progress)
+            self._progress = None  # subscribed once
         return self._runner
-
-    def detach_progress(self) -> None:
-        """Unsubscribe the progress hook from the runner (idempotent).
-
-        Call this when the context is done if the runner outlives it (the
-        process-wide default runner does); otherwise the hook keeps firing
-        for unrelated work submitted through the same runner.
-        """
-        if self._detach_progress is not None:
-            self._detach_progress()
-            self._detach_progress = None
-        self._progress = None  # a later runner access must not re-subscribe
 
     @property
     def models(self) -> Sequence[GANModel]:

@@ -17,7 +17,7 @@ T = TypeVar("T")
 
 
 class Fifo(Generic[T]):
-    """A bounded first-in first-out queue with occupancy statistics."""
+    """A bounded first-in first-out queue."""
 
     def __init__(self, depth: int, name: str = "fifo") -> None:
         if depth <= 0:
@@ -25,10 +25,6 @@ class Fifo(Generic[T]):
         self._depth = depth
         self._name = name
         self._items: Deque[T] = deque()
-        self._pushes = 0
-        self._pops = 0
-        self._full_stalls = 0
-        self._empty_stalls = 0
 
     # ------------------------------------------------------------------
     # State
@@ -59,35 +55,26 @@ class Fifo(Generic[T]):
     def push(self, item: T) -> None:
         """Push an item; raises :class:`FifoError` if the FIFO is full."""
         if self.is_full:
-            self._full_stalls += 1
             raise FifoError(f"{self._name}: push on full FIFO (depth={self._depth})")
         self._items.append(item)
-        self._pushes += 1
 
     def try_push(self, item: T) -> bool:
-        """Push an item if space is available; returns False (and records a
-        stall) otherwise."""
+        """Push an item if space is available; returns False otherwise."""
         if self.is_full:
-            self._full_stalls += 1
             return False
         self._items.append(item)
-        self._pushes += 1
         return True
 
     def pop(self) -> T:
         """Pop the oldest item; raises :class:`FifoError` if empty."""
         if self.is_empty:
-            self._empty_stalls += 1
             raise FifoError(f"{self._name}: pop on empty FIFO")
-        self._pops += 1
         return self._items.popleft()
 
     def try_pop(self) -> Optional[T]:
-        """Pop the oldest item, or return None (and record a stall) if empty."""
+        """Pop the oldest item, or return None if empty."""
         if self.is_empty:
-            self._empty_stalls += 1
             return None
-        self._pops += 1
         return self._items.popleft()
 
     def peek(self) -> Optional[T]:
@@ -97,27 +84,8 @@ class Fifo(Generic[T]):
         return self._items[0]
 
     def clear(self) -> None:
-        """Drop all queued items (statistics are preserved)."""
+        """Drop all queued items."""
         self._items.clear()
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    @property
-    def total_pushes(self) -> int:
-        return self._pushes
-
-    @property
-    def total_pops(self) -> int:
-        return self._pops
-
-    @property
-    def full_stalls(self) -> int:
-        return self._full_stalls
-
-    @property
-    def empty_stalls(self) -> int:
-        return self._empty_stalls
 
     def snapshot(self) -> List[T]:
         """Copy of the queued items, oldest first (for tests/debugging)."""

@@ -44,7 +44,6 @@ class Scratchpad:
             raise BufferError_(f"{name}: capacity must be positive, got {words}")
         self._name = name
         self._data = np.zeros(words, dtype=np.float64)
-        self._valid = np.zeros(words, dtype=bool)
         self._counters = counters
         self._read_counter = read_counter
         self._write_counter = write_counter
@@ -102,7 +101,6 @@ class Scratchpad:
                 getattr(self._counters, self._write_counter) + 1,
             )
         self._data[address] = value
-        self._valid[address] = True
 
     def load(self, values: Iterable[float], base: int = 0) -> None:
         """Bulk-initialise contents without counting accesses (DMA fill)."""
@@ -113,7 +111,6 @@ class Scratchpad:
                 f"exceeds capacity {self.capacity}"
             )
         self._data[base : base + len(values)] = values
-        self._valid[base : base + len(values)] = True
 
     def dump(self, base: int = 0, count: Optional[int] = None) -> List[float]:
         """Copy contents without counting accesses (for result collection)."""
@@ -126,15 +123,9 @@ class Scratchpad:
             )
         return [float(v) for v in self._data[base : base + count]]
 
-    def is_written(self, address: int) -> bool:
-        """Whether the word at ``address`` has ever been written/loaded."""
-        self._check_address(address)
-        return bool(self._valid[address])
-
     def clear(self) -> None:
-        """Zero the contents and validity bits (statistics are preserved)."""
+        """Zero the contents (statistics are preserved)."""
         self._data[:] = 0.0
-        self._valid[:] = False
 
     def statistics(self) -> Dict[str, int]:
         """Access statistics for reports and tests."""

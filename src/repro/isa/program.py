@@ -18,11 +18,11 @@ corrupt every position that shares it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import IsaError, ProgramEncodingError, ProgramError
 from .assembler import disassemble_uop
-from .encoding import GLOBAL_UOP_BITS, LOCAL_UOP_BITS, encode_global_uop, encode_local_uop
+from .encoding import encode_global_uop, encode_local_uop
 from .uops import (
     AccessCfg,
     AccessStart,
@@ -127,23 +127,6 @@ class MicroProgram:
     def num_global_uops(self) -> int:
         return len(self.global_uops)
 
-    def count_by_kind(self) -> Dict[str, int]:
-        """Histogram of global µop mnemonics (useful in tests and reports)."""
-        counts: Dict[str, int] = {}
-        for uop in self.global_uops:
-            counts[uop.mnemonic] = counts.get(uop.mnemonic, 0) + 1
-        return counts
-
-    def mimd_uop_count(self) -> int:
-        """Number of global µops dispatched in MIMD-SIMD mode."""
-        return sum(1 for uop in self.global_uops if isinstance(uop, MimdExecute))
-
-    def simd_uop_count(self) -> int:
-        """Number of global µops broadcast in SIMD mode."""
-        return sum(
-            1 for uop in self.global_uops if isinstance(uop, (ExecuteUop, RepeatUop))
-        )
-
     def validate_against_buffers(
         self, local_entries: int, global_entries: int | None = None
     ) -> None:
@@ -163,17 +146,6 @@ class MicroProgram:
                 f"program '{self.name}' has {self.num_global_uops} global µops, "
                 f"exceeding the strict limit of {global_entries}"
             )
-
-    # ------------------------------------------------------------------
-    # Footprints
-    # ------------------------------------------------------------------
-    def local_buffer_bits(self) -> int:
-        """Total encoded footprint of all local µop buffers."""
-        return sum(len(buffer) for buffer in self.local_uops) * LOCAL_UOP_BITS
-
-    def global_buffer_bits(self) -> int:
-        """Total encoded footprint of the global µop stream."""
-        return self.num_global_uops * GLOBAL_UOP_BITS
 
     def encoded_global_words(self) -> Tuple[int, ...]:
         """The encoded 64-bit words of the global stream (for fetch costing)."""
@@ -298,12 +270,6 @@ class MicroProgramBuilder:
         """Append a µop to the global stream."""
         self._global.append(uop)
 
-    def emit_simd(self, uop: ExecuteUop | RepeatUop) -> None:
-        """Broadcast an execute µop to all PEs in SIMD mode."""
-        if not isinstance(uop, (ExecuteUop, RepeatUop)):
-            raise ProgramError("SIMD broadcast requires an execute-group µop")
-        self._global.append(uop)
-
     def emit_mimd(self, local_indices: Sequence[int]) -> None:
         """Dispatch one local µop index per PV in MIMD-SIMD mode."""
         indices = tuple(local_indices)
@@ -336,10 +302,13 @@ class MicroProgramBuilder:
         self._global.append(uop)
 
     def emit_access_start(self, pv_index: int, generator) -> None:
-        self._emit_generator_uop(AccessStart, pv_index, generator)
-
-    def emit_access_stop(self, pv_index: int, generator) -> None:
-        self._emit_generator_uop(AccessStop, pv_index, generator)
+        key = None
+        if type(pv_index) is int and type(generator) is AddressGenerator:
+            key = (AccessStart, pv_index, generator)
+        uop = self._shared.get(key)
+        if uop is None:
+            uop = self._new_uop(key, AccessStart, pv_index, generator)
+        self._global.append(uop)
 
     def emit_mimd_load(self, pv_index: int, destination: str, immediate: int) -> None:
         key = None
@@ -348,15 +317,6 @@ class MicroProgramBuilder:
         uop = self._shared.get(key)
         if uop is None:
             uop = self._new_uop(key, MimdLoad, pv_index, destination, immediate)
-        self._global.append(uop)
-
-    def _emit_generator_uop(self, cls, pv_index: int, generator) -> None:
-        key = None
-        if type(pv_index) is int and type(generator) is AddressGenerator:
-            key = (cls, pv_index, generator)
-        uop = self._shared.get(key)
-        if uop is None:
-            uop = self._new_uop(key, cls, pv_index, generator)
         self._global.append(uop)
 
     def _new_uop(self, key: Optional[tuple], cls, pv_index, *fields) -> MicroOp:

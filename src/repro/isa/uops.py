@@ -69,10 +69,6 @@ class MicroOp:
         return isinstance(self, (AccessCfg, AccessStart, AccessStop))
 
     @property
-    def is_execute(self) -> bool:
-        return isinstance(self, (ExecuteUop, RepeatUop))
-
-    @property
     def is_mimd(self) -> bool:
         return isinstance(self, (MimdLoad, MimdExecute))
 
@@ -251,11 +247,6 @@ class MimdExecute(MicroOp):
     @property
     def mnemonic(self) -> str:
         return "mimd.exe"
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when every PV receives the same index (degenerates to SIMD)."""
-        return len(set(self.local_indices)) == 1
 
 
 #: µops that may appear in the global µop buffer.

@@ -1,4 +1,4 @@
-"""Neural-network substrate: shapes, layers, functional reference, analysis."""
+"""Neural-network substrate: shapes, layers, networks, functional reference."""
 
 from .shapes import (
     FeatureMapShape,
@@ -16,11 +16,6 @@ from .layers import (
     TransposedConvLayer,
 )
 from .network import GANModel, LayerBinding, Network
-from .zero_analysis import (
-    RowPattern,
-    TransposedConvAnalysis,
-    analyze_transposed_conv,
-)
 
 __all__ = [
     "FeatureMapShape",
@@ -37,7 +32,4 @@ __all__ = [
     "GANModel",
     "LayerBinding",
     "Network",
-    "RowPattern",
-    "TransposedConvAnalysis",
-    "analyze_transposed_conv",
 ]

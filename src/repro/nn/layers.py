@@ -9,10 +9,9 @@ Each layer is a small frozen dataclass that knows how to:
   *consequential* (MACs whose operands are genuine, non-inserted values).
 
 The consequential/inconsequential split is the quantity Figure 1 of the paper
-plots and the quantity GANAX exploits; the detailed per-row pattern analysis
-lives in :mod:`repro.nn.zero_analysis`, while the aggregate counts are exposed
-here so that simulators and workload summaries can use them without pulling in
-the pattern machinery.
+plots and the quantity GANAX exploits.  The aggregate counts live here; the
+per-row patterns of consequential filter rows are the row groups of
+:func:`repro.core.dataflow.build_schedule`.
 """
 
 from __future__ import annotations

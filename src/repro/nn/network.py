@@ -12,9 +12,9 @@ discriminator, mirroring Figure 2 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..errors import NetworkError
 from .layers import ConvLayer, LayerSpec, TransposedConvLayer
@@ -51,6 +51,14 @@ class LayerBinding:
     @cached_property
     def total_macs(self) -> int:
         return self.layer.total_macs(self.input_shape)
+
+    @cached_property
+    def structure_fingerprint(self) -> str:
+        """Digest of the layer and its input shape, name excluded: the layer
+        half of every layer-memo key, so a warm lookup re-hashes nothing."""
+        from ..analysis.serialization import _layer_structure_fingerprint
+
+        return _layer_structure_fingerprint(self.layer, self.input_shape)
 
     @cached_property
     def consequential_macs(self) -> int:
@@ -173,10 +181,6 @@ class Network:
         """Consequential MACs across the whole network."""
         return sum(b.consequential_macs for b in self._bindings)
 
-    def convolutional_bindings(self) -> Tuple[LayerBinding, ...]:
-        """Bindings of conv/tconv layers only (the compute-dominant layers)."""
-        return tuple(b for b in self._bindings if b.is_convolutional)
-
     def transposed_bindings(self) -> Tuple[LayerBinding, ...]:
         """Bindings of transposed-convolution layers only."""
         return tuple(b for b in self._bindings if b.is_transposed)
@@ -241,13 +245,6 @@ class GANModel:
         if total == 0:
             return 0.0
         return (total - consequential) / total
-
-    def discriminator_bindings_for_accounting(self) -> Tuple[LayerBinding, ...]:
-        """Discriminator bindings included in runtime/energy accounting."""
-        bindings = self.discriminator.convolutional_bindings()
-        if self.discriminator_conv_only:
-            bindings = tuple(b for b in bindings if not b.is_transposed)
-        return bindings
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         counts = self.layer_counts()

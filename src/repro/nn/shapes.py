@@ -105,12 +105,6 @@ class FeatureMapShape:
         """Total number of scalar elements (channels * spatial size)."""
         return self.channels * self.spatial_size
 
-    def size_bytes(self, data_bits: int = 16) -> int:
-        """Storage footprint in bytes for ``data_bits``-wide elements."""
-        if data_bits <= 0:
-            raise ShapeError("data_bits must be positive")
-        return self.num_elements * ((data_bits + 7) // 8)
-
     def as_tuple(self) -> Tuple[int, ...]:
         """Full shape tuple ``(channels, *spatial)``."""
         return (self.channels, *self.spatial)

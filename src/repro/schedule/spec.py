@@ -152,18 +152,6 @@ class ScheduleSpec:
         """Full serializable form (name + description + knobs)."""
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
-    @property
-    def is_default_lowering(self) -> bool:
-        """True when every knob is at its default — the legacy lowering."""
-        return (
-            self.row_order == "grouped"
-            and self.pv_policy == "roundrobin"
-            and self.column_order == "ascending"
-            and self.column_tile == 0
-            and self.repeat_unroll == 1
-            and not self.hoist_invariant_cfg
-        )
-
     # ------------------------------------------------------------------
     # Planning-time application
     # ------------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import plan_ganax_row_tasks
-from repro.core.dataflow import average_active_filter_rows, build_schedule
+from repro.core.dataflow import average_active_filter_rows, build_schedule, schedule_summary
 from repro.errors import DataflowError, ScheduleError
 from repro.nn.layers import ActivationLayer, ConvLayer, TransposedConvLayer
 from repro.nn.network import LayerBinding
 from repro.nn.shapes import FeatureMapShape
-from repro.nn.zero_analysis import analyze_transposed_conv
+from repro.workloads import get_workload, workload_names
 
 
 def _bind(layer, input_shape):
@@ -40,7 +40,7 @@ class TestTransposedConvSchedule:
     def test_paper_example_accumulation_depth_reduced(self, example_tconv_binding):
         # The accumulation chain shrinks from 5 to 3 (even rows) / 2 (odd rows).
         schedule = build_schedule(example_tconv_binding)
-        depths = sorted(g.accumulation_depth for g in schedule.row_groups)
+        depths = sorted(g.active_pes for g in schedule.row_groups)
         assert depths == [2, 3]
 
     def test_paper_example_idle_fraction_is_half(self, example_tconv_binding):
@@ -63,22 +63,6 @@ class TestTransposedConvSchedule:
         for group in schedule.row_groups:
             covered = sorted(c for s in group.column_segments for c in s.columns)
             assert covered == list(range(schedule.output_cols))
-
-    def test_group_for_row_lookup(self, example_tconv_binding):
-        schedule = build_schedule(example_tconv_binding)
-        assert schedule.group_for_row(2).phase == 0
-        assert schedule.group_for_row(3).phase == 1
-        with pytest.raises(DataflowError):
-            schedule.group_for_row(99)
-
-    def test_consistent_with_zero_analysis(self, example_tconv_binding):
-        schedule = build_schedule(example_tconv_binding)
-        analysis = analyze_transposed_conv(
-            example_tconv_binding.layer, example_tconv_binding.input_shape
-        )
-        schedule_rows = {g.phase: g.filter_rows for g in schedule.row_groups}
-        analysis_rows = {p.phase: p.consequential_filter_rows for p in analysis.row_patterns}
-        assert schedule_rows == analysis_rows
 
     @given(
         st.integers(min_value=1, max_value=7).flatmap(
@@ -128,18 +112,22 @@ class TestTransposedConvSchedule:
         assert all(g.active_pes == 2 for g in schedule.row_groups)
         for group in schedule.row_groups:
             assert all(s.taps == 2 for s in group.column_segments)
-        assert schedule.is_uniform
 
     def test_stride1_is_single_simd_pattern(self):
         layer = TransposedConvLayer(name="t", out_channels=2, kernel=3, stride=1, padding=1)
         schedule = build_schedule(_bind(layer, FeatureMapShape.image(2, 8, 8)))
         assert schedule.num_patterns == 1
-        assert schedule.is_uniform
+        assert schedule.row_groups[0].filter_rows == (0, 1, 2)
+        assert schedule.row_groups[0].output_rows == tuple(range(8))
 
     def test_stride3_three_patterns(self):
         layer = TransposedConvLayer(name="t", out_channels=1, kernel=6, stride=3, padding=2)
         schedule = build_schedule(_bind(layer, FeatureMapShape.image(1, 5, 5)))
         assert schedule.num_patterns == 3
+        # border = 6 - 1 - 2 = 3: phase p keeps the rows k with (p + k) % 3 == 0.
+        assert [g.filter_rows for g in schedule.row_groups] == [(0, 3), (2, 5), (1, 4)]
+        covered = sorted(row for g in schedule.row_groups for row in g.output_rows)
+        assert covered == list(range(schedule.output_rows))
 
     def test_3d_layer_schedules_one_slice(self):
         layer = TransposedConvLayer(
@@ -156,13 +144,56 @@ class TestTransposedConvSchedule:
         assert average_active_filter_rows(schedule) == pytest.approx((4 * 3 + 3 * 2) / 7)
 
 
+def _assert_summary_matches_schedule(binding):
+    summary = schedule_summary(binding)
+    schedule = build_schedule(binding)
+    assert summary.output_rows == schedule.output_rows
+    assert summary.num_patterns == schedule.num_patterns
+    assert summary.average_active_filter_rows == average_active_filter_rows(schedule)
+
+
+class TestScheduleSummary:
+    """The estimator reads ``schedule_summary``; it must equal the summary of
+    the schedule the compiler lowers."""
+
+    @pytest.mark.parametrize("model_name", workload_names())
+    def test_matches_schedule_on_every_paper_layer(self, model_name):
+        model = get_workload(model_name)
+        bindings = [
+            binding
+            for network in (model.generator, model.discriminator)
+            for binding in network.bindings
+            if binding.is_convolutional
+        ]
+        assert bindings
+        for binding in bindings:
+            _assert_summary_matches_schedule(binding)
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda kernel: st.tuples(
+                st.just(kernel),
+                st.integers(min_value=1, max_value=4),  # stride
+                st.integers(min_value=0, max_value=kernel - 1),  # padding
+                st.integers(min_value=kernel, max_value=kernel + 4),  # size
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_schedule_on_tconv_geometries(self, geometry):
+        kernel, stride, padding, size = geometry
+        layer = TransposedConvLayer(
+            name="t", out_channels=1, kernel=kernel, stride=stride, padding=padding
+        )
+        _assert_summary_matches_schedule(_bind(layer, FeatureMapShape.image(1, size, size)))
+
+
 class TestConvSchedule:
     def test_conv_schedule_is_single_group(self, conv_binding):
         schedule = build_schedule(conv_binding)
         assert schedule.num_patterns == 1
         group = schedule.row_groups[0]
         assert group.filter_rows == tuple(range(4))
-        assert schedule.is_uniform
 
     def test_conv_idle_fraction_is_zero(self, conv_binding):
         assert build_schedule(conv_binding).baseline_idle_fraction() == 0.0

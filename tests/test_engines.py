@@ -37,7 +37,7 @@ class TestAccessEngine:
         for _ in range(5):
             access.tick()
         # Only two addresses could be buffered; the generator is stalled, not done.
-        assert access.pending_addresses(AddressGenerator.INPUT) == 2
+        assert access.fifo(AddressGenerator.INPUT).occupancy == 2
         assert access.generator(AddressGenerator.INPUT).running
 
     def test_backpressure_resumes_after_pop(self):
@@ -260,11 +260,12 @@ class TestProcessingVector:
         assert pv.pe(1).execute.uop_fifo.is_empty
 
     def test_dispatch_local_fetches_from_buffer(self, small_config):
-        pv = ProcessingVector(0, num_pes=2, config=small_config)
+        counters = EventCounters()
+        pv = ProcessingVector(0, num_pes=2, config=small_config, counters=counters)
         pv.preload_local_uops([ExecuteUop(op=ExecuteOp.NOP), ExecuteUop(op=ExecuteOp.MAC)])
-        assert pv.dispatch_local(0)
-        assert pv.pe(0).execute.uop_fifo.occupancy == 1
-        assert pv.local_buffer.fetches == 1
+        assert pv.dispatch_local(1)
+        assert pv.pe(0).execute.uop_fifo.snapshot() == [ExecuteUop(op=ExecuteOp.MAC)]
+        assert counters.uop_fetches == 1
 
     def test_accumulate_rows_sums_partial_outputs(self, small_config):
         pv = ProcessingVector(0, num_pes=3, config=small_config,
@@ -285,7 +286,13 @@ class TestProcessingVector:
     def test_set_repeat_register_broadcasts(self, small_config):
         pv = ProcessingVector(0, num_pes=2, config=small_config)
         pv.set_repeat_register(7)
-        assert all(pe.execute.repeat_register == 7 for pe in pv.pes)
+        for pe in pv.pes:
+            # A count-0 repeat runs its follower repeat-register times.
+            pe.enqueue_uop(RepeatUop(count=0))
+            pe.enqueue_uop(ExecuteUop(op=ExecuteOp.NOP))
+            while pe.execute.busy:
+                pe.execute.tick()
+        assert [pe.execute.executed_uops for pe in pv.pes] == [7, 7]
 
 
 class TestUopBuffers:

@@ -95,11 +95,6 @@ class TestSequences:
         assert generator.tick() == 2
         assert generator.tick() is None
 
-    def test_addresses_generated_counter(self):
-        generator = _configured(end=4, repeat=2)
-        generator.drain()
-        assert generator.addresses_generated == 8
-
     def test_drain_limit_guards_against_runaway(self):
         generator = _configured(end=1000, repeat=1000)
         with pytest.raises(SimulationError):
@@ -114,9 +109,5 @@ class TestSequences:
 
 
 class TestGeneratorConfig:
-    def test_addresses_per_round(self):
-        assert GeneratorConfig(step=2, end=7, repeat=1).addresses_per_round() == 4
-        assert GeneratorConfig(step=1, end=1, repeat=5).addresses_per_round() == 1
-
     def test_total_addresses_zero_repeat(self):
         assert GeneratorConfig(step=1, end=4, repeat=0).total_addresses() == 0

@@ -39,7 +39,7 @@ class TestUopDefinitions:
             immediate=7,
         )
         assert uop.mnemonic == "access.cfg"
-        assert uop.is_access and not uop.is_execute and not uop.is_mimd
+        assert uop.is_access and not uop.is_mimd
 
     def test_access_cfg_rejects_wide_immediate(self):
         with pytest.raises(IsaError):
@@ -52,7 +52,7 @@ class TestUopDefinitions:
 
     def test_execute_uop_groups(self):
         mac = ExecuteUop(op=ExecuteOp.MAC)
-        assert mac.is_execute and not mac.is_mimd
+        assert not mac.is_access and not mac.is_mimd
         assert mac.mnemonic == "mac"
 
     def test_act_requires_known_activation(self):
@@ -66,10 +66,6 @@ class TestUopDefinitions:
     def test_mimd_load_register_validation(self):
         with pytest.raises(IsaError):
             MimdLoad(pv_index=0, destination="bogus", immediate=1)
-
-    def test_mimd_exe_uniformity(self):
-        assert MimdExecute(local_indices=(2, 2, 2)).is_uniform
-        assert not MimdExecute(local_indices=(0, 1)).is_uniform
 
     def test_mimd_exe_requires_indices(self):
         with pytest.raises(IsaError):
@@ -270,7 +266,7 @@ class TestMicroProgram:
         builder.emit_access_start(0, AddressGenerator.INPUT)
         builder.emit_mimd_load(1, "repeat", 4)
         builder.emit_mimd([mac_idx[0], act_idx[1]])
-        builder.emit_simd(ExecuteUop(op=ExecuteOp.MAC))
+        builder.emit(ExecuteUop(op=ExecuteOp.MAC))
         return builder.build()
 
     def test_builder_produces_valid_program(self):
@@ -284,17 +280,6 @@ class TestMicroProgram:
         first = builder.preload_local(0, ExecuteUop(op=ExecuteOp.MAC))
         second = builder.preload_local(0, ExecuteUop(op=ExecuteOp.MAC))
         assert first == second
-
-    def test_count_by_kind(self):
-        counts = self._simple_program().count_by_kind()
-        assert counts["access.cfg"] == 1
-        assert counts["mimd.exe"] == 1
-        assert counts["mac"] == 1
-
-    def test_mimd_and_simd_counts(self):
-        program = self._simple_program()
-        assert program.mimd_uop_count() == 1
-        assert program.simd_uop_count() == 1
 
     def test_local_index_out_of_range_rejected(self):
         with pytest.raises(ProgramError):
@@ -340,11 +325,8 @@ class TestMicroProgram:
         with pytest.raises(ProgramError):
             program.validate_against_buffers(local_entries=16, global_entries=2)
 
-    def test_encoded_footprints(self):
-        program = self._simple_program()
-        assert program.global_buffer_bits() == 5 * GLOBAL_UOP_BITS
-        assert program.local_buffer_bits() == 4 * LOCAL_UOP_BITS
-        assert len(program.encoded_global_words()) == 5
+    def test_encoded_global_words(self):
+        assert len(self._simple_program().encoded_global_words()) == 5
 
     def test_builder_rejects_bad_pv(self):
         builder = MicroProgramBuilder(name="p", num_pvs=1)

@@ -47,9 +47,9 @@ def _dot_product_program(num_pvs: int, length: int, simd: bool):
             builder.emit_access_start(pv, generator)
         builder.emit_mimd_load(pv, "repeat", length)
     if simd:
-        builder.emit_simd(rep)
-        builder.emit_simd(mac)
-        builder.emit_simd(act)
+        builder.emit(rep)
+        builder.emit(mac)
+        builder.emit(act)
     else:
         builder.emit_mimd([rep_idx[pv] for pv in range(num_pvs)])
         builder.emit_mimd([mac_idx[pv] for pv in range(num_pvs)])
@@ -145,7 +145,7 @@ class TestMachineExecution:
         builder = MicroProgramBuilder(name="stall", num_pvs=2)
         builder.preload_local_everywhere(ExecuteUop(op=ExecuteOp.MAC))
         # A MAC with no configured address streams can never execute.
-        builder.emit_simd(ExecuteUop(op=ExecuteOp.MAC))
+        builder.emit(ExecuteUop(op=ExecuteOp.MAC))
         machine.load_program(builder.build())
         with pytest.raises(SimulationError):
             machine.run(max_cycles=200)
@@ -200,5 +200,5 @@ class TestRunAccounting:
         with pytest.raises(SimulationError, match="within 200 cycles"):
             machine.run(max_cycles=200)
         assert machine.cycle == 200
-        assert machine.pv(1).pe(0).access.pending_addresses(AddressGenerator.WEIGHT) == 2
+        assert machine.pv(1).pe(0).access.fifo(AddressGenerator.WEIGHT).occupancy == 2
         assert all(pe.cycles == 200 for pv in machine.pvs for pe in pv.pes)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baseline.simulator import EyerissSimulator
 from repro.errors import NetworkError
 from repro.nn.layers import ActivationLayer, ConvLayer, DenseLayer, TransposedConvLayer
 from repro.nn.network import GANModel, Network
@@ -84,11 +85,6 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             _tiny_generator().binding("nope")
 
-    def test_convolutional_bindings_filter(self):
-        net = _tiny_generator()
-        assert len(net.convolutional_bindings()) == 2
-        assert all(b.is_convolutional for b in net.convolutional_bindings())
-
     def test_transposed_bindings_filter(self):
         assert len(_tiny_discriminator().transposed_bindings()) == 0
 
@@ -159,7 +155,7 @@ class TestGANModel:
         )
         fraction = model.generator_tconv_inconsequential_fraction()
         assert fraction == decoder_only.generator_tconv_inconsequential_fraction()
-        convolutional = model.generator.convolutional_bindings()
+        convolutional = [b for b in model.generator.bindings if b.is_convolutional]
         total = sum(b.total_macs for b in convolutional)
         inconsequential = sum(b.total_macs - b.consequential_macs for b in convolutional)
         assert 0.0 < inconsequential / total < fraction
@@ -185,8 +181,8 @@ class TestGANModel:
             discriminator=autoencoder_disc,
             discriminator_conv_only=True,
         )
-        names = [b.name for b in model.discriminator_bindings_for_accounting()]
-        assert names == ["c1"]
+        result = EyerissSimulator().simulate_gan(model)
+        assert [r.layer_name for r in result.discriminator.layer_results] == ["c1"]
 
     def test_empty_name_rejected(self):
         with pytest.raises(NetworkError):

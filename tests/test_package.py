@@ -90,9 +90,8 @@ UNREACHED_EXPORTS = {
     "hw.AcceleratorAreaBreakdown": "parameter type of AreaModel",
     "hw.PeAreaBreakdown": "parameter type of AreaModel",
     "isa.PV_INDEX_FIELD_BITS": "the mimd.exe index field width that bounds num_pvs",
+    "isa.LOCAL_UOP_BITS": "the local µop word width encode_local_uop enforces",
     "isa.assemble_line": "the one-line form of assemble",
-    "nn.RowPattern": "element type of TransposedConvAnalysis.row_patterns",
-    "nn.TransposedConvAnalysis": "return type of analyze_transposed_conv",
     "runner.CachePruneStats": "return type of DiskResultCache.prune",
     "runner.EVENT_KINDS": "the RunnerEvent kinds a consumer matches on",
     "runner.TERMINAL_EVENT_KINDS": "the RunnerEvent kinds that end a job",
@@ -119,20 +118,27 @@ UNREACHED_EXPORTS = {
 }
 
 
-def _unreached_exports():
-    """Subpackage ``__all__`` names no file outside their defining module
-    names, searching the code and docs under src/ and the code under
-    benchmarks/, perfbench/, examples/ and scripts/.  A subpackage's own
-    ``__init__`` re-export does not count; ``repro/__init__`` does."""
-    sources = [
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _searched_sources():
+    """The code under src/, benchmarks/, perfbench/, examples/ and scripts/,
+    plus the docs under src/: what a library name must be reached from."""
+    return [
         path
         for top in ("src", "benchmarks", "perfbench", "examples", "scripts")
         for path in (REPO_ROOT / top).rglob("*")
         if path.suffix in (".py", ".sh") or (top == "src" and path.suffix == ".md")
     ]
+
+
+def _unreached_exports():
+    """Subpackage ``__all__`` names no file outside their defining module
+    names, searching :func:`_searched_sources`.  A subpackage's own
+    ``__init__`` re-export does not count; ``repro/__init__`` does."""
     identifiers = {
-        path: set(re.findall(r"[A-Za-z_]\w*", path.read_text(encoding="utf-8")))
-        for path in sources
+        path: set(_IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+        for path in _searched_sources()
     }
     unreached = set()
     for init in PACKAGE_DIR.glob("*/__init__.py"):
@@ -166,6 +172,85 @@ def test_every_subpackage_export_is_reached():
     assert sorted(set(UNREACHED_EXPORTS) - unreached) == [], "stale allowlist entry"
 
 
+#: src/ definitions that no searched line names, each kept for the reason
+#: given.
+UNREACHED_DEFINITIONS = {
+    "accelerators.variants.GanaxNoSkipSimulator": "reached through the accelerator registry its decorator fills",
+    "accelerators.variants.IdealRooflineSimulator": "reached through the accelerator registry its decorator fills",
+    "isa.program.MicroProgramBuilder.preload_local_everywhere": "test seam: one µop into every PV's local buffer",
+    "nn.layers.TransposedConvLayer.expanded_spatial": "the zero-inserted extent the brute-force oracle in tests/oracles.py walks",
+    "nn.shapes.FeatureMapShape.as_tuple": "test seam: a shape as one (channels, *spatial) tuple",
+    "runner.cache.DiskResultCache.size_bytes": "test seam: the bytes on disk that prune() accounts against",
+    "service.journal.EventJournal.read_records": "test seam: the journal's records as written",
+    "telemetry.tracing.Tracer.open_spans": "test seam: the spans begun and not yet ended",
+}
+
+
+def _unreached_definitions():
+    """Top-level functions and classes, and methods, defined under src/repro
+    whose name appears on no code line of :func:`_searched_sources` other than
+    a ``def``/``class`` line of that name (so two unreached methods that share
+    a name do not reach each other).  Dunder methods are skipped: the runtime
+    calls them."""
+    occurrences = {}
+    for path in _searched_sources():
+        if path.suffix == ".md":
+            continue
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for name in set(_IDENTIFIER.findall(line)):
+                occurrences.setdefault(name, set()).add((path, number))
+    definitions = []
+    for path in PACKAGE_DIR.rglob("*.py"):
+        parts = path.relative_to(PACKAGE_DIR).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            definitions.append((f"{module}.{node.name}", node.name, path, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (f"{module}.{node.name}.{member.name}", member.name, path, member.lineno)
+                    for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+    defining_lines = {}
+    for _, name, path, number in definitions:
+        defining_lines.setdefault(name, set()).add((path, number))
+    return {
+        qualified
+        for qualified, name, _, _ in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and not occurrences[name] - defining_lines[name]
+    }
+
+
+def test_every_src_definition_is_reached():
+    """A function, class or method only tests call is dead weight: its name
+    must appear on some code line besides its definition, or be allowlisted
+    with a reason."""
+    unreached = _unreached_definitions()
+    assert sorted(unreached - set(UNREACHED_DEFINITIONS)) == []
+    assert sorted(set(UNREACHED_DEFINITIONS) - unreached) == [], "stale allowlist entry"
+
+
+#: The lines an example must open its stdout with.  isa_walkthrough.py
+#: opens with its analysis of the paper's running example (Section II,
+#: Figure 4), read off the dataflow schedule.
+EXAMPLE_OPENING_LINES = {
+    "isa_walkthrough.py": [
+        "Paper running example: 4x4 input, 5x5 filter, stride 2, padding 2",
+        "  output shape:            1x7x7",
+        "  dense MACs:              1225",
+        "  consequential MACs:      256",
+        "  inconsequential fraction: 79.1%",
+        "  distinct row patterns:   2",
+        "    phase 0: consequential filter rows (0, 2, 4) (accumulation chain of 3 instead of 5)",
+        "    phase 1: consequential filter rows (1, 3) (accumulation chain of 2 instead of 5)",
+        "  idle compute nodes under the conventional dataflow: 49% (paper: 50%)",
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "script", sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
 )
@@ -179,3 +264,5 @@ def test_example_scripts_run(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    opening = EXAMPLE_OPENING_LINES.get(script, [])
+    assert result.stdout.splitlines()[: len(opening)] == opening

@@ -14,6 +14,7 @@ from repro.analysis.serialization import (
     workload_fingerprint,
 )
 from repro.config import ArchitectureConfig, SimulationOptions
+from repro.core.dataflow import build_schedule
 from repro.core.index_generator import GeneratorConfig, StridedIndexGenerator
 from repro.hw.counters import EventCounters
 from repro.hw.energy import EnergyModel
@@ -44,8 +45,8 @@ from repro.nn.functional import (
     transposed_conv2d_via_zero_insertion,
 )
 from repro.nn.layers import TransposedConvLayer
+from repro.nn.network import LayerBinding
 from repro.nn.shapes import FeatureMapShape, transposed_conv_output_extent
-from repro.nn.zero_analysis import analyze_transposed_conv
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -154,9 +155,11 @@ class TestTransposedConvProperties:
             name="t", out_channels=1, kernel=kernel, stride=stride, padding=padding
         )
         shape = FeatureMapShape.image(1, size, size)
-        analysis = analyze_transposed_conv(layer, shape)
-        out_rows = layer.output_shape(shape).spatial[0]
-        assert analysis.num_patterns == min(stride, out_rows)
+        out = layer.output_shape(shape)
+        schedule = build_schedule(
+            LayerBinding(index=0, layer=layer, input_shape=shape, output_shape=out)
+        )
+        assert schedule.num_patterns == min(stride, out.spatial[0])
 
     @given(
         st.integers(min_value=1, max_value=4),

@@ -22,7 +22,6 @@ from repro.accelerators import (
     register_accelerator,
     unregister_accelerator,
 )
-from repro.analysis.serialization import canonical_json, gan_result_rows
 from repro.analysis.sweep import ParameterSweep, compare_model, compare_models
 from repro.config import ArchitectureConfig, SimulationOptions
 from repro.dse import DesignSpaceExplorer
@@ -53,9 +52,9 @@ def models():
 
 
 def result_bytes(comparison) -> bytes:
-    """Canonical byte serialization of a comparison's full layer-level data."""
-    rows = gan_result_rows(comparison.eyeriss) + gan_result_rows(comparison.ganax)
-    return canonical_json(rows).encode("utf-8")
+    """Byte serialization of a comparison's full layer-level data (the repr
+    of both results spells every field of every layer result)."""
+    return repr((comparison.eyeriss, comparison.ganax)).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -98,10 +98,6 @@ class TestScheduleSpec:
         with pytest.raises(ScheduleError):
             ScheduleSpec(name="  ")
 
-    def test_default_spec_is_default_lowering(self):
-        assert DEFAULT_SCHEDULE.is_default_lowering
-        assert not resolve_schedule("hoisted").is_default_lowering
-
     def test_permute_columns_descending(self):
         spec = ScheduleSpec(name="t", column_order="descending")
         assert spec.permute_columns((0, 1, 2, 3)) == (3, 2, 1, 0)

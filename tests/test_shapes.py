@@ -40,18 +40,6 @@ class TestFeatureMapShape:
         assert shape.spatial_size == 64 * 64
         assert shape.num_elements == 3 * 64 * 64
 
-    def test_size_bytes_16bit(self):
-        shape = FeatureMapShape.image(1, 4, 4)
-        assert shape.size_bytes(16) == 32
-
-    def test_size_bytes_8bit(self):
-        shape = FeatureMapShape.image(1, 4, 4)
-        assert shape.size_bytes(8) == 16
-
-    def test_size_bytes_rejects_nonpositive(self):
-        with pytest.raises(ShapeError):
-            FeatureMapShape.image(1, 4, 4).size_bytes(0)
-
     def test_as_tuple(self):
         assert FeatureMapShape.image(2, 3, 4).as_tuple() == (2, 3, 4)
 

@@ -25,7 +25,6 @@ import threading
 
 import pytest
 
-from repro.analysis.serialization import canonical_json, gan_result_rows
 from repro.runner import SimulationJob, SimulationRunner
 from repro.runner.events import RECORD_SCHEMA_VERSION, RunnerEvent
 from repro.telemetry import (
@@ -470,8 +469,7 @@ class TestResultParity:
     def _result_bytes(self, model):
         runner = SimulationRunner()
         results = runner.run_jobs(SimulationJob.comparison_pair(model))
-        rows = [row for result in results for row in gan_result_rows(result)]
-        return canonical_json(rows).encode("utf-8")
+        return repr(results).encode("utf-8")
 
     def test_results_identical_with_telemetry_on_and_off(self, dcgan_model):
         configure_metrics(enabled=False)

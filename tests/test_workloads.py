@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baseline.simulator import EyerissSimulator
 from repro.errors import UnknownWorkloadError, WorkloadError
 from repro.experiments.paper_data import TABLE1_LAYER_COUNTS
 from repro.nn.network import GANModel
@@ -84,9 +85,14 @@ class TestGeneratorStructure:
     def test_magan_discriminator_counts_conv_only(self):
         model = get_workload("MAGAN")
         assert model.discriminator_conv_only
-        bindings = model.discriminator_bindings_for_accounting()
-        assert all(not b.is_transposed for b in bindings)
-        assert len(bindings) == 6
+        result = EyerissSimulator().simulate_gan(model)
+        simulated = {r.layer_name for r in result.discriminator.layer_results}
+        transposed = {b.name for b in model.discriminator.bindings if b.is_transposed}
+        assert len(transposed) == 6 and not simulated & transposed
+        convs = [
+            b for b in model.discriminator.bindings if b.is_convolutional and b.name in simulated
+        ]
+        assert len(convs) == 6
 
     def test_generators_use_stride2_upsampling(self):
         for name in ("DCGAN", "ArtGAN", "GP-GAN"):

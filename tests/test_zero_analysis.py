@@ -1,63 +1,17 @@
-"""Unit tests for the structural zero / pattern analysis."""
+"""Cross-checks of the consequential-MAC counts of transposed convolutions.
+
+The row patterns themselves are tested on ``build_schedule`` in
+``tests/test_dataflow.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from oracles import count_consequential_macs_bruteforce, count_consequential_macs_gemm
-from repro.errors import LayerError
-from repro.nn.layers import ConvLayer, TransposedConvLayer
+from repro.nn.layers import TransposedConvLayer
 from repro.nn.shapes import FeatureMapShape
-from repro.nn.zero_analysis import analyze_transposed_conv
 from repro.workloads import get_workload, workload_names
-
-
-class TestAnalyzeTransposedConv:
-    def test_paper_example_two_patterns(self, example_tconv_layer, example_tconv_input):
-        analysis = analyze_transposed_conv(example_tconv_layer, example_tconv_input)
-        # Section II: "there are only two distinct patterns in the output row
-        # computations" for the stride-2 example.
-        assert analysis.num_patterns == 2
-
-    def test_paper_example_filter_rows_per_pattern(self, example_tconv_layer, example_tconv_input):
-        analysis = analyze_transposed_conv(example_tconv_layer, example_tconv_input)
-        rows_used = sorted(p.filter_rows_used for p in analysis.row_patterns)
-        # Even rows use 3 filter rows (1st/3rd/5th), odd rows use 2 (2nd/4th),
-        # matching the accumulation-depth reduction from 5 to 2-3 cycles.
-        assert rows_used == [2, 3]
-
-    def test_paper_example_pattern_contents(self, example_tconv_layer, example_tconv_input):
-        analysis = analyze_transposed_conv(example_tconv_layer, example_tconv_input)
-        patterns = {p.phase: p.consequential_filter_rows for p in analysis.row_patterns}
-        assert patterns[0] == (0, 2, 4)
-        assert patterns[1] == (1, 3)
-
-    def test_consequential_fraction_matches_layer(self, example_tconv_layer, example_tconv_input):
-        analysis = analyze_transposed_conv(example_tconv_layer, example_tconv_input)
-        assert analysis.consequential_macs == example_tconv_layer.consequential_macs(
-            example_tconv_input
-        )
-        assert analysis.total_macs == example_tconv_layer.total_macs(example_tconv_input)
-
-    def test_rows_per_pattern_cover_all_rows(self, example_tconv_layer, example_tconv_input):
-        analysis = analyze_transposed_conv(example_tconv_layer, example_tconv_input)
-        assert sum(analysis.rows_per_pattern) == analysis.output_shape.spatial[0]
-
-    def test_stride1_single_pattern(self):
-        layer = TransposedConvLayer(name="t", out_channels=1, kernel=3, stride=1, padding=1)
-        analysis = analyze_transposed_conv(layer, FeatureMapShape.image(1, 8, 8))
-        assert analysis.num_patterns == 1
-        assert analysis.row_patterns[0].filter_rows_used == 3
-
-    def test_stride3_three_patterns(self):
-        layer = TransposedConvLayer(name="t", out_channels=1, kernel=6, stride=3, padding=2)
-        analysis = analyze_transposed_conv(layer, FeatureMapShape.image(1, 5, 5))
-        assert analysis.num_patterns == 3
-
-    def test_rejects_conv_layer(self):
-        layer = ConvLayer(name="c", out_channels=1, kernel=3, stride=1, padding=1)
-        with pytest.raises(LayerError):
-            analyze_transposed_conv(layer, FeatureMapShape.image(1, 8, 8))
 
 
 #: Square 2-D geometries ``(kernel, stride, padding, size)`` every count is
