@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.accelerators import accelerator_names, create_accelerator
 from repro.baseline.simulator import EyerissSimulator
+from repro.config import SimulationOptions
 from repro.errors import NetworkError
 from repro.nn.layers import ActivationLayer, ConvLayer, DenseLayer, TransposedConvLayer
 from repro.nn.network import GANModel, Network
@@ -35,6 +37,28 @@ def _tiny_discriminator() -> Network:
             DenseLayer(name="fc", out_features=1),
         ),
     )
+
+
+def _autoencoder_gan(conv_only: bool) -> GANModel:
+    """A GAN whose discriminator is an autoencoder, as MAGAN's is."""
+    autoencoder_disc = Network(
+        name="disc_ae",
+        input_shape=FeatureMapShape.image(1, 16, 16),
+        layers=(
+            ConvLayer(name="c1", out_channels=4, kernel=4, stride=2, padding=1),
+            TransposedConvLayer(name="d1", out_channels=1, kernel=4, stride=2, padding=1),
+        ),
+    )
+    return GANModel(
+        name="ae",
+        generator=_tiny_generator(),
+        discriminator=autoencoder_disc,
+        discriminator_conv_only=conv_only,
+    )
+
+
+def _discriminator_layers(result):
+    return [r.layer_name for r in result.discriminator.layer_results]
 
 
 class TestNetwork:
@@ -167,23 +191,31 @@ class TestGANModel:
         assert model.generator_tconv_inconsequential_fraction() == 0.0
 
     def test_discriminator_accounting_excludes_tconv_when_flagged(self):
-        autoencoder_disc = Network(
-            name="disc_ae",
-            input_shape=FeatureMapShape.image(1, 16, 16),
-            layers=(
-                ConvLayer(name="c1", out_channels=4, kernel=4, stride=2, padding=1),
-                TransposedConvLayer(name="d1", out_channels=1, kernel=4, stride=2, padding=1),
-            ),
-        )
-        model = GANModel(
-            name="ae",
-            generator=_tiny_generator(),
-            discriminator=autoencoder_disc,
-            discriminator_conv_only=True,
-        )
-        result = EyerissSimulator().simulate_gan(model)
-        assert [r.layer_name for r in result.discriminator.layer_results] == ["c1"]
+        result = EyerissSimulator().simulate_gan(_autoencoder_gan(conv_only=True))
+        assert _discriminator_layers(result) == ["c1"]
 
     def test_empty_name_rejected(self):
         with pytest.raises(NetworkError):
             GANModel(name="", generator=_tiny_generator(), discriminator=_tiny_discriminator())
+
+
+class TestDiscriminatorAccounting:
+    """The MAGAN rule lives in ``GanSimulatorBase.simulate_gan``: a conv-only
+    discriminator's tconv layers leave the accounting on every registered
+    accelerator, and only while the model flag and the option are both set."""
+
+    @pytest.mark.parametrize("accelerator", accelerator_names())
+    def test_conv_only_discriminator_drops_tconv(self, accelerator):
+        result = create_accelerator(accelerator).simulate_gan(_autoencoder_gan(True))
+        assert _discriminator_layers(result) == ["c1"]
+
+    @pytest.mark.parametrize("accelerator", accelerator_names())
+    def test_option_off_keeps_tconv(self, accelerator):
+        options = SimulationOptions(magan_discriminator_conv_only=False)
+        simulator = create_accelerator(accelerator, options=options)
+        result = simulator.simulate_gan(_autoencoder_gan(True))
+        assert _discriminator_layers(result) == ["c1", "d1"]
+
+    def test_unflagged_model_keeps_tconv(self):
+        result = EyerissSimulator().simulate_gan(_autoencoder_gan(False))
+        assert _discriminator_layers(result) == ["c1", "d1"]
