@@ -179,11 +179,10 @@ class GanSimulatorBase:
     ) -> LayerResult:
         """Scale one layer's estimate by the batch size and price its energy.
 
-        The single pricing function of every built-in simulator.  At batch
-        size 1 the result takes over the estimate's counters instead of
-        copying them: every estimate owns a fresh
-        :class:`~repro.hw.counters.EventCounters`, and nothing mutates a
-        result's counters afterwards.
+        The single pricing function of every built-in simulator.  The
+        result keeps the (scaled) counters and their energy as tuples, not
+        the estimate's :class:`~repro.hw.counters.EventCounters`, which
+        stays the estimators' mutable working record.
         """
         batch = self._options.batch_size
         counters = estimate.counters
@@ -198,8 +197,8 @@ class GanSimulatorBase:
             total_pe_cycles=estimate.total_pe_cycles * batch,
             macs_total=binding.total_macs * batch,
             macs_consequential=binding.consequential_macs * batch,
-            counters=counters,
-            energy=self._energy_model.energy_of(counters),
+            event_counts=counters.as_tuple(),
+            energy_parts=self._energy_model.energy_parts(counters),
             is_transposed=binding.is_transposed,
             is_convolutional=binding.is_convolutional,
         )

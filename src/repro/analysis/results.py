@@ -44,20 +44,32 @@ class LayerResult:
         ``cycles * num_pes`` — the denominator of PE utilization.
     macs_total / macs_consequential:
         Dense and consequential MAC counts of the layer.
-    counters:
-        Raw activity counters feeding the energy model.
-    energy:
-        Energy breakdown in picojoules.
+    event_counts:
+        Raw activity counters feeding the energy model, in
+        :class:`~repro.hw.counters.EventCounters` field order;
+        :attr:`counters` reads them as an ``EventCounters``.
+    energy_parts:
+        Energy components in picojoules, in
+        :class:`~repro.hw.energy.EnergyBreakdown` field order (pe, rf, noc,
+        gbuf, dram); :attr:`energy` reads them as an ``EnergyBreakdown``.
     is_transposed / is_convolutional:
         Layer classification flags copied from the binding for reporting.
 
+    Caches keep every layer result of every job, so the garbage collector
+    walks them on each full collection.  The counters and the energy are
+    exact tuples of numbers, which CPython stops tracking; the instance
+    ``__dict__`` then holds only untracked values and is untracked too,
+    which leaves one tracked object per result instead of four.
+    :attr:`counters` and :attr:`energy` build a fresh object on each read,
+    so no reader can change a cached result.  The pickle state is the one
+    of the nested objects (see :meth:`__getstate__`).
+
     ``__init__`` is hand-written: every layer of every job builds one, and
-    plain stores into the instance ``__dict__`` (in field order, so pickles
-    keep their bytes) cost about half the generated frozen ``__init__``'s
-    one ``object.__setattr__`` per field.  It takes the same parameters and
-    defaults and still runs ``__post_init__`` (``tests/test_record_init.py``
-    keeps it in step with the fields).  The price is a materialized
-    ``__dict__`` per instance, 64 B more than the generated one's.
+    plain stores into the instance ``__dict__`` (in field order) cost about
+    half the generated frozen ``__init__``'s one ``object.__setattr__`` per
+    field.  It takes the same parameters and defaults and still runs
+    ``__post_init__`` (``tests/test_record_init.py`` keeps it in step with
+    the fields).
     """
 
     layer_name: str
@@ -68,8 +80,8 @@ class LayerResult:
     total_pe_cycles: int
     macs_total: int
     macs_consequential: int
-    counters: EventCounters
-    energy: EnergyBreakdown
+    event_counts: Tuple[int, ...]
+    energy_parts: Tuple[float, ...]
     is_transposed: bool = False
     is_convolutional: bool = False
 
@@ -83,8 +95,8 @@ class LayerResult:
         total_pe_cycles: int,
         macs_total: int,
         macs_consequential: int,
-        counters: EventCounters,
-        energy: EnergyBreakdown,
+        event_counts: Tuple[int, ...],
+        energy_parts: Tuple[float, ...],
         is_transposed: bool = False,
         is_convolutional: bool = False,
     ) -> None:
@@ -97,8 +109,8 @@ class LayerResult:
         state["total_pe_cycles"] = total_pe_cycles
         state["macs_total"] = macs_total
         state["macs_consequential"] = macs_consequential
-        state["counters"] = counters
-        state["energy"] = energy
+        state["event_counts"] = event_counts
+        state["energy_parts"] = energy_parts
         state["is_transposed"] = is_transposed
         state["is_convolutional"] = is_convolutional
         self.__post_init__()
@@ -109,6 +121,63 @@ class LayerResult:
         if self.total_pe_cycles < 0:
             raise AnalysisError(f"{self.layer_name}: total PE-cycles cannot be negative")
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """The state a result with nested counters and energy pickled.
+
+        Same keys, same order and the same nested objects, so a fresh
+        pickle is byte-identical to one written before the fields became
+        tuples, and older readers load it.
+        """
+        state = self.__dict__
+        return {
+            "layer_name": state["layer_name"],
+            "accelerator": state["accelerator"],
+            "cycles": state["cycles"],
+            "active_pe_cycles": state["active_pe_cycles"],
+            "busy_pe_cycles": state["busy_pe_cycles"],
+            "total_pe_cycles": state["total_pe_cycles"],
+            "macs_total": state["macs_total"],
+            "macs_consequential": state["macs_consequential"],
+            "counters": EventCounters(*state["event_counts"]),
+            "energy": EnergyBreakdown(*state["energy_parts"]),
+            "is_transposed": state["is_transposed"],
+            "is_convolutional": state["is_convolutional"],
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Restore a :meth:`__getstate__` state (old pickles included).
+
+        The keys stored are this method's own literals, which are interned
+        as pickle's default restore interns them.  Storing the unpickled
+        key strings instead would hand them to the class's shared key
+        table, and every later pickle of a result would grow.
+        """
+        energy = state["energy"]
+        self.__init__(
+            state["layer_name"],
+            state["accelerator"],
+            state["cycles"],
+            state["active_pe_cycles"],
+            state["busy_pe_cycles"],
+            state["total_pe_cycles"],
+            state["macs_total"],
+            state["macs_consequential"],
+            state["counters"].as_tuple(),
+            (energy.pe_pj, energy.rf_pj, energy.noc_pj, energy.gbuf_pj, energy.dram_pj),
+            state["is_transposed"],
+            state["is_convolutional"],
+        )
+
+    @property
+    def counters(self) -> EventCounters:
+        """The activity counters, as a fresh :class:`EventCounters`."""
+        return EventCounters(*self.event_counts)
+
+    @property
+    def energy(self) -> EnergyBreakdown:
+        """The energy, as a fresh :class:`EnergyBreakdown`."""
+        return EnergyBreakdown(*self.energy_parts)
+
     @property
     def pe_utilization(self) -> float:
         """Fraction of PE-cycles doing consequential work (Figure 11)."""
@@ -118,7 +187,8 @@ class LayerResult:
 
     @property
     def energy_pj(self) -> float:
-        return self.energy.total_pj
+        pe, rf, noc, gbuf, dram = self.energy_parts
+        return pe + rf + noc + gbuf + dram
 
     @property
     def seconds(self) -> float:
@@ -187,7 +257,16 @@ class NetworkResult:
 
     @_computed_once
     def energy(self) -> EnergyBreakdown:
-        return EnergyBreakdown.sum(r.energy for r in self.layer_results)
+        """The layers' energy, each component added in layer order."""
+        pe = rf = noc = gbuf = dram = 0.0
+        for r in self.layer_results:
+            layer_pe, layer_rf, layer_noc, layer_gbuf, layer_dram = r.energy_parts
+            pe += layer_pe
+            rf += layer_rf
+            noc += layer_noc
+            gbuf += layer_gbuf
+            dram += layer_dram
+        return EnergyBreakdown(pe, rf, noc, gbuf, dram)
 
     @property
     def energy_pj(self) -> float:

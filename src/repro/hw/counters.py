@@ -9,6 +9,7 @@ performance model uses some of them (e.g. DRAM bytes) for roofline bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Iterator, Tuple
 
 
@@ -92,6 +93,10 @@ class EventCounters:
         values = self.__dict__
         return {name: values[name] for name in _FIELDS}
 
+    def as_tuple(self) -> Tuple[int, ...]:
+        """The counts in field order: the form a layer result keeps."""
+        return _as_tuple(self)
+
     @property
     def register_file_accesses(self) -> int:
         return self.register_file_reads + self.register_file_writes
@@ -111,3 +116,4 @@ class EventCounters:
 #: Counter names in declaration order; the aggregation helpers loop over this
 #: instead of re-deriving it with :func:`dataclasses.fields` on every call.
 _FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(EventCounters))
+_as_tuple = attrgetter(*_FIELDS)

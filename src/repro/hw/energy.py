@@ -8,13 +8,14 @@ includes the strided µindex generators, per the table's caption.
 
 :class:`EnergyModel` converts :class:`~repro.hw.counters.EventCounters`
 (events on data words) into an :class:`EnergyBreakdown` in picojoules, using
-the configured word width.
+the configured word width, or into the breakdown's five components as one
+tuple (:meth:`EnergyModel.energy_parts`, what a layer result keeps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Tuple
 
 from ..errors import ConfigurationError
 from .counters import EventCounters
@@ -77,13 +78,18 @@ class EnergyBreakdown:
     The component set mirrors Figure 10: PE datapath, register files, NoC,
     global buffer and DRAM.
 
-    ``__init__`` is hand-written: every layer of every job prices one, and
-    plain stores into the instance ``__dict__`` (in field order, so pickles
-    keep their bytes) cost about half the generated frozen ``__init__``'s
-    one ``object.__setattr__`` per field.  It takes the same parameters and
-    defaults and still runs ``__post_init__`` (``tests/test_record_init.py``
-    keeps it in step with the fields).  The price is a materialized
-    ``__dict__`` per instance, 64 B more than the generated one's.
+    A :class:`~repro.analysis.results.LayerResult` keeps no breakdown: it
+    keeps :meth:`EnergyModel.energy_parts`, the same five numbers in field
+    order as one tuple, which the garbage collector stops tracking, and
+    builds a breakdown on each read of its ``energy``.  Breakdowns are the
+    totals and the reporting view.
+
+    ``__init__`` is hand-written: plain stores into the instance
+    ``__dict__`` (in field order, so pickles keep their bytes) cost about
+    half the generated frozen ``__init__``'s one ``object.__setattr__`` per
+    field.  It takes the same parameters and defaults and still runs
+    ``__post_init__`` (``tests/test_record_init.py`` keeps it in step with
+    the fields).
     """
 
     pe_pj: float = 0.0
@@ -116,11 +122,7 @@ class EnergyBreakdown:
             or self.gbuf_pj < 0
             or self.dram_pj < 0
         ):
-            for name, value in self.as_dict().items():
-                if value < 0:
-                    raise ConfigurationError(
-                        f"energy component {name} cannot be negative"
-                    )
+            _reject_negative(self.as_dict().values())
 
     @property
     def total_pj(self) -> float:
@@ -170,17 +172,12 @@ class EnergyBreakdown:
     def zero(cls) -> "EnergyBreakdown":
         return cls()
 
-    @classmethod
-    def sum(cls, breakdowns) -> "EnergyBreakdown":
-        """Component-wise sum, added in order (equal to chaining ``+``)."""
-        pe = rf = noc = gbuf = dram = 0.0
-        for b in breakdowns:
-            pe += b.pe_pj
-            rf += b.rf_pj
-            noc += b.noc_pj
-            gbuf += b.gbuf_pj
-            dram += b.dram_pj
-        return cls(pe, rf, noc, gbuf, dram)
+
+def _reject_negative(parts: Iterable[float]) -> None:
+    """Raise for the first negative component of ``parts`` (field order)."""
+    for name, value in zip(ENERGY_COMPONENTS, parts):
+        if value < 0:
+            raise ConfigurationError(f"energy component {name} cannot be negative")
 
 
 class EnergyModel:
@@ -237,11 +234,16 @@ class EnergyModel:
         return self._data_bits
 
     def energy_of(self, counters: EventCounters) -> EnergyBreakdown:
-        """Energy breakdown (pJ) corresponding to ``counters``.
+        """Energy breakdown (pJ) corresponding to ``counters``."""
+        return EnergyBreakdown(*self.energy_parts(counters))
+
+    def energy_parts(self, counters: EventCounters) -> Tuple[float, ...]:
+        """The components of :meth:`energy_of` (pJ), in field order.
 
         Each term keeps its left-associative ``count * cost * width
         [* factor]`` order: folding the constant factors first would round
-        differently whenever one of them is not a power of two.
+        differently whenever one of them is not a power of two.  A negative
+        component raises the :class:`EnergyBreakdown` error.
         """
         bits = self._data_bits
         pe, index, rf, uop, noc, gbuf, dram = self._costs
@@ -259,4 +261,7 @@ class EnergyModel:
         noc_pj = c.noc_transfers * noc * bits
         gbuf_pj = c.global_buffer_accesses * gbuf * bits
         dram_pj = c.dram_accesses * dram * bits
-        return EnergyBreakdown(pe_pj, rf_pj, noc_pj, gbuf_pj, dram_pj)
+        parts = (pe_pj, rf_pj, noc_pj, gbuf_pj, dram_pj)
+        if pe_pj < 0 or rf_pj < 0 or noc_pj < 0 or gbuf_pj < 0 or dram_pj < 0:
+            _reject_negative(parts)
+        return parts

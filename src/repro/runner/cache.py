@@ -7,7 +7,8 @@ content, regardless of which sweep, experiment or process produced it.
 
 Two implementations are provided:
 
-* :class:`InMemoryResultCache` — a plain dict, the default for a runner.
+* :class:`InMemoryResultCache` — a bounded in-memory LRU, the default for a
+  runner.
 * :class:`DiskResultCache` — pickled results in a content-addressed directory
   layout (``<root>/<key[:2]>/<key>.pkl``), which lets warm results survive
   process restarts and be shared between concurrent runs.
@@ -118,22 +119,43 @@ class ResultCache:
 
 
 class InMemoryResultCache(ResultCache):
-    """Dict-backed cache; the default for a :class:`SimulationRunner`."""
+    """Thread-safe LRU of results; the default for a :class:`SimulationRunner`.
+
+    Bounded, like :class:`LayerMemoStore`, so a long-lived runner (the one a
+    :class:`~repro.service.server.SimulationServer` builds, say) does not
+    grow with every distinct job: past :attr:`MAX_ENTRIES` results, a store
+    evicts the least recently stored or hit one.
+    """
+
+    #: No benchmark workload comes near it: the largest cache one builds
+    #: holds 822 results (dse-sweep, 15 s).
+    MAX_ENTRIES = 4096
 
     def __init__(self) -> None:
-        self._entries: Dict[str, GanResult] = {}
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, GanResult]" = OrderedDict()
 
     def get(self, key: str) -> Optional[GanResult]:
-        return self._entries.get(key)
+        with self._lock:
+            result = self._entries.get(key)
+            if result is not None:
+                self._entries.move_to_end(key)
+            return result
 
     def put(self, key: str, result: GanResult) -> None:
-        self._entries[key] = result
+        with self._lock:
+            entries = self._entries
+            entries[key] = result
+            entries.move_to_end(key)
+            if len(entries) > self.MAX_ENTRIES:
+                entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
 
 class DiskResultCache(ResultCache):

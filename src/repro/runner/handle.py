@@ -315,7 +315,9 @@ class BatchHandle:
             entry.result = result
             entry.error = error
             entry.provenance = provenance
-            duplicates = list(entry.duplicates)
+            # Handing the list over breaks the entry <-> duplicate cycle
+            # (``duplicate.primary`` is this entry).
+            duplicates, entry.duplicates = entry.duplicates, []
             self._ready.append(entry)
             self._terminal += 1
             self._counts[kind] += 1

@@ -292,16 +292,18 @@ def _word_outcome(uop: MicroOp, num_pvs: int) -> Optional[tuple]:
     Returns None for a clean round trip with a consistent mode bit, else
     ``(word, encode_error, decode_error, decoded)``: the error of the
     first step that failed (steps after it are None), or the decoded µop
-    when both steps succeeded.
+    when both steps succeeded.  An error is kept without its traceback:
+    the outcome is memoized, and a traceback would keep the memoizing
+    frame, and every caller frame above it, alive in a reference cycle.
     """
     try:
         word = encode_global_uop(uop, num_pvs=num_pvs)
     except Exception as exc:
-        return None, exc, None, None
+        return None, exc.with_traceback(None), None, None
     try:
         decoded = decode_global_uop(word, num_pvs=num_pvs)
     except Exception as exc:
-        return word, None, exc, None
+        return word, None, exc.with_traceback(None), None
     if decoded == uop and is_mimd_word(word) == decoded.is_mimd:
         return None
     return word, None, None, decoded
@@ -335,9 +337,10 @@ def _pass_global_words(program: MicroProgram, emit) -> None:
             if key is None:
                 outcome = _word_outcome(uop, num_pvs)
             else:
-                try:
-                    outcome = outcomes[key]
-                except KeyError:
+                # Not try/except KeyError: a failed outcome's error would
+                # keep the KeyError as its __context__.
+                outcome = outcomes.get(key, _UNSEEN)
+                if outcome is _UNSEEN:
                     outcome = outcomes[key] = _word_outcome(uop, num_pvs)
             by_object[id(uop)] = outcome
         if outcome is None:

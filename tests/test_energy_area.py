@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.results import LayerResult, NetworkResult
 from repro.errors import ConfigurationError
 from repro.hw.area import AcceleratorAreaBreakdown, AreaModel, PeAreaBreakdown
 from repro.hw.counters import EventCounters
@@ -61,11 +62,24 @@ class TestEnergyBreakdown:
     def test_fractions_of_zero_total(self):
         assert all(v == 0.0 for v in EnergyBreakdown().fractions().values())
 
-    def test_sum_classmethod(self):
-        total = EnergyBreakdown.sum(
-            [EnergyBreakdown(pe_pj=1), EnergyBreakdown(pe_pj=2), EnergyBreakdown(dram_pj=3)]
+    def test_network_energy_sums_its_layers(self):
+        parts = [(1.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 3.0)]
+        network = NetworkResult(
+            network_name="net",
+            accelerator="ganax",
+            layer_results=[
+                LayerResult(f"l{i}", "ganax", 1, 0, 0, 1, 0, 0, EventCounters().as_tuple(), p)
+                for i, p in enumerate(parts)
+            ],
         )
+        total = network.energy
         assert total.pe_pj == 3 and total.dram_pj == 3
+        assert total == EnergyBreakdown(pe_pj=1) + EnergyBreakdown(pe_pj=2) + EnergyBreakdown(
+            dram_pj=3
+        )
+        assert network.energy_pj == 6.0
+        empty = NetworkResult(network_name="net", accelerator="ganax", layer_results=())
+        assert empty.energy == EnergyBreakdown()
 
     def test_negative_component_rejected(self):
         with pytest.raises(ConfigurationError):

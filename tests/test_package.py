@@ -179,7 +179,6 @@ UNREACHED_DEFINITIONS = {
     "accelerators.variants.IdealRooflineSimulator": "reached through the accelerator registry its decorator fills",
     "isa.program.MicroProgramBuilder.preload_local_everywhere": "test seam: one µop into every PV's local buffer",
     "nn.layers.TransposedConvLayer.expanded_spatial": "the zero-inserted extent the brute-force oracle in tests/oracles.py walks",
-    "nn.shapes.FeatureMapShape.as_tuple": "test seam: a shape as one (channels, *spatial) tuple",
     "runner.cache.DiskResultCache.size_bytes": "test seam: the bytes on disk that prune() accounts against",
     "service.journal.EventJournal.read_records": "test seam: the journal's records as written",
     "telemetry.tracing.Tracer.open_spans": "test seam: the spans begun and not yet ended",

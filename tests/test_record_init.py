@@ -21,7 +21,7 @@ from repro.baseline.performance import LayerEstimate, streaming_mapping
 from repro.baseline.row_stationary import RowStationaryMapping
 from repro.errors import AnalysisError, ConfigurationError, DataflowError
 from repro.hw.counters import EventCounters
-from repro.hw.energy import EnergyBreakdown
+from repro.hw.energy import EnergyBreakdown, EnergyModel
 
 
 def _mapping(**changes) -> RowStationaryMapping:
@@ -73,8 +73,8 @@ def _result(**changes) -> LayerResult:
         total_pe_cycles=25600,
         macs_total=1400,
         macs_consequential=700,
-        counters=EventCounters(mac_ops=700),
-        energy=_energy(),
+        event_counts=EventCounters(mac_ops=700).as_tuple(),
+        energy_parts=(1.0, 2.0, 3.0, 4.0, 5.0),
         is_transposed=True,
         is_convolutional=True,
     )
@@ -145,6 +145,9 @@ def test_bad_values_still_raise():
         _result(total_pe_cycles=-1)
     with pytest.raises(ConfigurationError):
         _energy(noc_pj=-0.5)
+    # A result keeps energy_parts, not a breakdown: pricing checks the same.
+    with pytest.raises(ConfigurationError, match="energy component noc cannot"):
+        EnergyModel().energy_parts(EventCounters(noc_transfers=-1))
     with pytest.raises(DataflowError):
         _mapping(occupancy=0)
     with pytest.raises(DataflowError):

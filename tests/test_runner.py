@@ -278,6 +278,21 @@ class TestCaches:
         cache.clear()
         assert len(cache) == 0
 
+    def test_in_memory_cache_evicts_least_recently_used(self, monkeypatch):
+        assert InMemoryResultCache.MAX_ENTRIES == 4096
+        monkeypatch.setattr(InMemoryResultCache, "MAX_ENTRIES", 3)
+        cache = InMemoryResultCache()
+        results = {key: object() for key in "abcde"}
+        for key in "abc":
+            cache.put(key, results[key])
+        assert cache.get("a") is results["a"]  # a hit refreshes "a"
+        cache.put("d", results["d"])  # evicts "b", the least recent
+        assert len(cache) == 3
+        assert cache.get("b") is None
+        cache.put("c", results["c"])  # a re-store refreshes "c"
+        cache.put("e", results["e"])  # evicts "a"
+        assert [key for key in "abcde" if cache.get(key) is not None] == ["c", "d", "e"]
+
     def test_disk_cache_survives_new_instances(self, tmp_path, dcgan_model):
         job = SimulationJob.comparison_pair(dcgan_model)[1]
         result = execute_job(job)

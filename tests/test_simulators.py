@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 
 from repro.analysis.results import ComparisonResult
@@ -104,6 +107,11 @@ class TestGanResults:
         )
 
 
+def _chained_sum(breakdowns):
+    """``EnergyBreakdown() + b0 + b1 + ...``: the order a total must add in."""
+    return functools.reduce(operator.add, breakdowns, EnergyBreakdown())
+
+
 class TestResultTotals:
     """Totals are summed once per result and equal a fresh layer sum."""
 
@@ -112,16 +120,16 @@ class TestResultTotals:
         networks = (result.generator, result.discriminator)
         for network in networks:
             assert network.cycles == sum(r.cycles for r in network.layer_results)
-            assert network.energy == EnergyBreakdown.sum(
+            assert network.energy == _chained_sum(
                 r.energy for r in network.layer_results
             )
             assert network.energy is network.energy  # stored, not re-summed
         assert result.total_cycles == sum(
             r.cycles for network in networks for r in network.layer_results
         )
-        assert result.total_energy == EnergyBreakdown.sum(
+        assert result.total_energy == _chained_sum(
             r.energy for r in result.generator.layer_results
-        ) + EnergyBreakdown.sum(r.energy for r in result.discriminator.layer_results)
+        ) + _chained_sum(r.energy for r in result.discriminator.layer_results)
         assert result.total_energy is result.total_energy
 
     def test_totals_are_not_fields(self, dcgan_model):
